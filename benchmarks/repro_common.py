@@ -2,7 +2,7 @@
 
 from repro.sim import geomean
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS, PREFETCH_SENSITIVE
+from repro.workloads import PREFETCH_SENSITIVE, SPEC_BENCHMARKS
 
 
 def single_speedups(runner, prefetchers, budget, config_for=None,
@@ -29,12 +29,12 @@ def single_speedups(runner, prefetchers, budget, config_for=None,
     """
     instructions = scaled(budget)
     baselines, table = runner.sweep(
-        BENCHMARKS, prefetchers, instructions,
+        SPEC_BENCHMARKS, prefetchers, instructions,
         config_for=config_for, base_config=base_config, jobs=jobs,
         policy=policy,
     )
     rows = []
-    for bench in BENCHMARKS:
+    for bench in SPEC_BENCHMARKS:
         base_ipc = baselines[bench].ipc
         rows.append((
             bench,

@@ -11,7 +11,7 @@ from conftest import ANALYSIS_BUDGET
 from repro.analysis import collect_variation, render_cdf
 from repro.analysis.variation import VariationCDF
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS, build_workload
+from repro.workloads import SPEC_BENCHMARKS, build_workload
 
 WINDOWS = (1, 3, 12)
 
@@ -32,7 +32,7 @@ def test_fig03_register_vs_ea_variation(archive, benchmark):
 
     def experiment():
         reg_all, ea_all = [], []
-        for bench in BENCHMARKS:
+        for bench in SPEC_BENCHMARKS:
             reg, ea = collect_variation(build_workload(bench),
                                         instructions=instructions,
                                         windows=WINDOWS)

@@ -9,7 +9,7 @@ from conftest import SINGLE_BUDGET
 
 from repro.analysis import fetch_branch_breakdown, render_series
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS
+from repro.workloads import SPEC_BENCHMARKS
 
 
 def test_fig07_branches_per_fetch_cycle(runner, archive, benchmark):
@@ -18,7 +18,7 @@ def test_fig07_branches_per_fetch_cycle(runner, archive, benchmark):
     def experiment():
         results = [
             runner.run_single(bench, "none", instructions)
-            for bench in BENCHMARKS
+            for bench in SPEC_BENCHMARKS
         ]
         return fetch_branch_breakdown(results)
 

@@ -15,7 +15,7 @@ from repro_common import append_geomeans, single_speedups
 from conftest import SINGLE_BUDGET
 
 from repro.analysis import render_table
-from repro.workloads import BENCHMARKS
+from repro.workloads import SPEC_BENCHMARKS
 
 COLUMNS = ["stride", "sms", "bfetch"]
 
@@ -39,7 +39,7 @@ def test_fig08_single_threaded_speedups(runner, archive, benchmark):
     assert table["Geomean pf. sens."]["bfetch"] > geo["bfetch"]
     # B-Fetch wins on a clear majority of the benchmarks
     bfetch_wins = sum(
-        1 for bench in BENCHMARKS
+        1 for bench in SPEC_BENCHMARKS
         if table[bench]["bfetch"] >= table[bench]["sms"]
     )
     assert bfetch_wins >= 11

@@ -10,14 +10,14 @@ from conftest import MIX_BUDGET, SINGLE_BUDGET
 from repro.analysis import render_table
 from repro.sim import geomean
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS, select_mixes
+from repro.workloads import SPEC_BENCHMARKS, select_mixes
 
 PREFETCHERS = ["stride", "sms", "bfetch"]
 
 
 def run_mix_figure(runner, mix_size, budget):
     """Shared driver for Figs. 9 and 10."""
-    foa = runner.foa_map(BENCHMARKS, instructions=scaled(SINGLE_BUDGET))
+    foa = runner.foa_map(SPEC_BENCHMARKS, instructions=scaled(SINGLE_BUDGET))
     mixes = select_mixes(foa, size=mix_size, count=29)
     instructions = scaled(budget)
     singles = scaled(SINGLE_BUDGET)

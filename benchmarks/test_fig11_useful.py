@@ -8,7 +8,7 @@ from conftest import SINGLE_BUDGET
 
 from repro.analysis import render_table
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS
+from repro.workloads import SPEC_BENCHMARKS
 
 COLUMNS = ["sms useful", "sms useless", "bfetch useful", "bfetch useless"]
 
@@ -19,7 +19,7 @@ def test_fig11_useful_vs_useless(runner, archive, benchmark):
     def experiment():
         rows = []
         totals = {column: 0 for column in COLUMNS}
-        for bench in BENCHMARKS:
+        for bench in SPEC_BENCHMARKS:
             values = {}
             for prefetcher in ("sms", "bfetch"):
                 stats = runner.run_single(

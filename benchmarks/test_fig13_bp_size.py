@@ -10,7 +10,7 @@ from conftest import SINGLE_BUDGET
 from repro.analysis import render_table
 from repro.sim import SystemConfig, geomean
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS
+from repro.workloads import SPEC_BENCHMARKS
 
 SCALES = (0.5, 1.0, 2.0, 4.0)
 
@@ -25,7 +25,7 @@ def test_fig13_branch_predictor_size(runner, archive, benchmark):
             bf_cfg = SystemConfig(prefetcher="bfetch", bp_scale=scale)
             speedups = []
             miss_rates = []
-            for bench in BENCHMARKS:
+            for bench in SPEC_BENCHMARKS:
                 base = runner.run_single(bench, "none", instructions,
                                          base_cfg)
                 run = runner.run_single(bench, "bfetch", instructions,

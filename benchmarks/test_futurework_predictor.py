@@ -14,7 +14,7 @@ from conftest import SINGLE_BUDGET
 from repro.analysis import render_table
 from repro.sim import SystemConfig, geomean
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS
+from repro.workloads import SPEC_BENCHMARKS
 
 PREDICTORS = ("tournament", "perceptron")
 
@@ -31,7 +31,7 @@ def test_futurework_predictor_upgrade(runner, archive, benchmark):
                                   branch_predictor=predictor)
             speedups = []
             miss_rates = []
-            for bench in BENCHMARKS:
+            for bench in SPEC_BENCHMARKS:
                 base = runner.run_single(bench, "none", instructions,
                                          base_cfg)
                 run = runner.run_single(bench, "bfetch", instructions,

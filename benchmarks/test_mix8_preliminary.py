@@ -10,7 +10,7 @@ from conftest import MIX_BUDGET, SINGLE_BUDGET
 from repro.analysis import render_table
 from repro.sim import geomean
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS, select_mixes
+from repro.workloads import SPEC_BENCHMARKS, select_mixes
 
 PREFETCHERS = ["sms", "bfetch"]
 MIX_COUNT = 4  # preliminary, as in the paper
@@ -18,7 +18,8 @@ MIX_COUNT = 4  # preliminary, as in the paper
 
 def test_mix8_preliminary_trend(runner, archive, benchmark):
     def experiment():
-        foa = runner.foa_map(BENCHMARKS, instructions=scaled(SINGLE_BUDGET))
+        foa = runner.foa_map(SPEC_BENCHMARKS,
+                             instructions=scaled(SINGLE_BUDGET))
         mixes = select_mixes(foa, size=8, count=MIX_COUNT)
         instructions = scaled(MIX_BUDGET // 2)
         singles = scaled(SINGLE_BUDGET)

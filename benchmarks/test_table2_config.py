@@ -9,7 +9,7 @@ from conftest import SINGLE_BUDGET
 
 from repro.sim import SystemConfig
 from repro.sim.runner import scaled
-from repro.workloads import BENCHMARKS
+from repro.workloads import SPEC_BENCHMARKS
 
 
 def test_table2_baseline_configuration(runner, archive, benchmark):
@@ -18,7 +18,7 @@ def test_table2_baseline_configuration(runner, archive, benchmark):
     def experiment():
         results = [
             runner.run_single(bench, "none", instructions)
-            for bench in BENCHMARKS
+            for bench in SPEC_BENCHMARKS
         ]
         rates = [r.mispredict_rate for r in results]
         return sum(rates) / len(rates)

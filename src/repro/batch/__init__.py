@@ -1,6 +1,7 @@
 """Struct-of-arrays batch timing kernel (ROADMAP item 1).
 
-The scalar engines -- ``OutOfOrderCore.step_cycle`` (lockstep) and
+The scalar engines -- the core's cycle loop (lockstep,
+``OutOfOrderCore._cycle_loop`` behind ``run``/``run_until``) and
 :func:`repro.trace.engine.run_replay` (fused replay) -- remain the
 *reference implementations*.  This package adds an optimised batch
 kernel that steps many independent runs (sweep cells, or CMP cores) in

@@ -20,14 +20,16 @@ path never uses the outcome pre-pass), so every prefetcher -- B-Fetch
 included -- takes the same code path.
 
 Once a core's view cursor gets within one fetch group of the end of
-its recorded window it permanently delegates to the scalar
-``core.step_cycle`` (first syncing ``machine.seek(pos)``), which
-transparently live-continues past the trace exactly as the scalar mix
-does; the keep-running overshoot therefore stays byte-identical.
+its recorded window it permanently delegates to the core's own cycle
+loop through ``core.run_until`` with the scalar mix's burst bound
+(first syncing ``machine.seek(pos)``), which transparently
+live-continues past the trace exactly as the scalar mix does; the
+keep-running overshoot therefore stays byte-identical.
 """
 
 import heapq
 
+from repro.cpu.ooo import _NEVER
 from repro.sim.cmp import _KEEP_RUNNING_FACTOR
 from repro.sim.system import RunResult
 from repro.trace.store import view_for
@@ -82,21 +84,22 @@ class _CoreLane(object):
                 now, bound, target)
             if next_time is not None:
                 return next_time, finished_at
-            # fell off the recorded window: resume on the scalar stepper
-            # at the cycle the view burst reached (NOT the burst-entry
-            # time -- rewinding would re-run already-simulated cycles;
-            # see tests/test_batch_kernel.py::test_cmp_delegation_resume)
-        step = core.step_cycle
-        while True:
-            next_time = step(now)
-            if target is not None and core.retired >= target:
-                return next_time, max(now, 1)
-            if bound is not None and not (
-                next_time < bound[0]
-                or (next_time == bound[0] and index < bound[1])
-            ):
-                return next_time, None
-            now = next_time
+            # fell off the recorded window: resume on the scalar core
+            # loop at the cycle the view burst reached (NOT the
+            # burst-entry time -- rewinding would re-run already-simulated
+            # cycles; see tests/test_batch_kernel.py::
+            # test_cmp_delegation_resume)
+        if core.done:
+            # past the keep-running budget: one step per pop
+            return core.step_cycle(now), None
+        # the same burst bound as CMPSystem.run
+        stop = _NEVER
+        if bound is not None:
+            stop = bound[0] + 1 if index < bound[1] else bound[0]
+        next_time = core.run_until(now, stop, target)
+        if target is not None and core.retired >= target:
+            return next_time, max(core.mark_cycle, 1)
+        return next_time, None
 
     # ------------------------------------------------------------------
 
@@ -200,7 +203,7 @@ class _CoreLane(object):
                 next_time = None
                 break
 
-            # ---- one transcribed step_cycle at `now`
+            # ---- one transcribed OutOfOrderCore._cycle_loop step at `now`
             limit = rhead + width
             rob_len = len(rob)
             while rhead < rob_len and rhead < limit and rob[rhead] <= now:

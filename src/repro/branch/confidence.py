@@ -163,11 +163,21 @@ class CompositeConfidenceEstimator:
         self.selfc = SelfCounterEstimator(entries // 2, counter_bits)
 
     def probability(self, pc, history=0):
-        """Composite P(prediction correct) -- the mean of the components."""
+        """Composite P(prediction correct) -- the mean of the components.
+
+        Reads each component's calibrated counter directly (the same
+        indexing as the components' own ``probability``): B-Fetch calls
+        this at every step of every lookahead walk.
+        """
+        jrs = self.jrs
+        updown = self.updown
+        selfc = self.selfc
+        word = pc >> 2
         return (
-            self.jrs.probability(pc, history)
-            + self.updown.probability(pc, history)
-            + self.selfc.probability(pc, history)
+            jrs._prob[jrs.table[
+                (word ^ (history & jrs._hist_mask)) & jrs._mask]]
+            + updown._prob[updown.table[word & updown._mask]]
+            + selfc._prob[selfc.streaks[word & selfc._mask]]
         ) / 3.0
 
     def update(self, pc, history, correct, taken=None):

@@ -73,18 +73,32 @@ class TournamentPredictor:
         (B-Fetch lookahead threading its own history down the predicted
         path).
         """
+        # direct reads of the chosen component's counter: this runs at
+        # every decoded branch and at every step of a B-Fetch walk, and
+        # both component predicts are side-effect free
+        gshare = self.gshare
         if history is None:
-            history = self.gshare.history
-        local_pred = self.local.predict(pc)
-        global_pred = self.gshare.predict(pc, history)
-        use_global = self.chooser[history & self._cmask] >= 2
-        return global_pred if use_global else local_pred
+            history = gshare.history
+        if self.chooser[history & self._cmask] >= 2:
+            return (gshare.table[((pc >> 2) ^ history) & gshare._mask]
+                    >= gshare.threshold)
+        local = self.local
+        return (local.counters[local.histories[(pc >> 2) & local._hmask]
+                               & local._pmask]
+                >= local.threshold)
 
     def update(self, pc, taken):
         """Train all components with the resolved outcome."""
-        history = self.gshare.history
-        local_pred = self.local.predict(pc)
-        global_pred = self.gshare.predict(pc, history)
+        local = self.local
+        gshare = self.gshare
+        history = gshare.history
+        word = pc >> 2
+        # both components' predictions, read as in :meth:`predict`
+        local_pred = (local.counters[local.histories[word & local._hmask]
+                                     & local._pmask]
+                      >= local.threshold)
+        global_pred = (gshare.table[(word ^ history) & gshare._mask]
+                       >= gshare.threshold)
         if local_pred != global_pred:
             cindex = history & self._cmask
             count = self.chooser[cindex]
@@ -93,8 +107,8 @@ class TournamentPredictor:
                     self.chooser[cindex] = count + 1
             elif count > 0:
                 self.chooser[cindex] = count - 1
-        self.local.update(pc, taken)
-        self.gshare.update(pc, taken)  # also shifts the global history
+        local.update(pc, taken)
+        gshare.update(pc, taken)  # also shifts the global history
 
     def snapshot(self):
         """Component predictors and chooser as a JSON-safe structure."""

@@ -21,7 +21,13 @@ from repro.isa.opcodes import IS_BRANCH as _IS_BRANCH, Op
 _OP_LOAD = int(Op.LOAD)
 from repro.core.brtc import BranchTraceCache
 from repro.core.config import BFetchConfig
-from repro.core.hashing import bb_hash, load_pc_hash
+from repro.core.hashing import (
+    _GOLDEN as _HASH_GOLDEN,
+    _MASK32,
+    _MIX as _HASH_MIX,
+    bb_hash,
+    load_pc_hash,
+)
 from repro.core.mht import MemoryHistoryTable
 from repro.core.perload_filter import PerLoadFilter
 from repro.prefetchers.base import Prefetcher
@@ -214,13 +220,28 @@ class BFetchPrefetcher(Prefetcher):
             next_pc = target
         else:
             next_pc = pc + 4
-        _bb_hash = bb_hash
-        brtc_lookup = self.brtc.lookup
+        # Each step probes the MHT and the BrTC by the bb_hash of the
+        # block it enters.  The hash and both probes are inlined over
+        # the tables' own lists (the same arithmetic as
+        # core.hashing.bb_hash, BranchTraceCache.lookup and
+        # MemoryHistoryTable.lookup); every step makes one lookup in
+        # each table, so the lookup counters advance by the depth and
+        # the hits are counted here.
+        brtc = self.brtc
+        brtc_tags = brtc.tags
+        brtc_end_pc = brtc.end_branch_pc
+        brtc_end_target = brtc.end_taken_target
+        brtc_mask = brtc._mask
+        mht = self.mht
+        mht_table = mht.table
+        mht_mask = mht._mask
+        brtc_hits = 0
+        mht_hits = 0
         predict = predictor.predict
         prefetch_block = self._prefetch_block
         instruction_prefetch = cfg.instruction_prefetch
         max_lookahead = cfg.max_lookahead
-        state_hash = _bb_hash(pc, pred_taken, next_pc)
+        state_hash = bb_hash(pc, pred_taken, next_pc)
         state_tag = pc & 0xFFFFFFFF
         spec_history = (spec_history << 1) | (1 if pred_taken else 0)
 
@@ -231,11 +252,15 @@ class BFetchPrefetcher(Prefetcher):
             depth += 1
             revisit = visits.get(state_hash, 0)
             visits[state_hash] = revisit + 1
-            prefetch_block(state_hash, state_tag, revisit)
-            step = brtc_lookup(state_hash, state_tag)
-            if step is None:
+            entry = mht_table[state_hash & mht_mask]
+            if entry is not None and entry.tag == state_tag:
+                mht_hits += 1
+                prefetch_block(entry, revisit)
+            slot = state_hash & brtc_mask
+            if brtc_tags[slot] != state_tag:
                 break
-            end_pc, end_taken_target = step
+            brtc_hits += 1
+            end_pc = brtc_end_pc[slot]
             if instruction_prefetch and end_pc >= entry_pc:
                 self._prefetch_instr_range(entry_pc, end_pc)
             direction = predict(end_pc, spec_history)
@@ -243,15 +268,24 @@ class BFetchPrefetcher(Prefetcher):
             if path_value < threshold:
                 break
             if direction:
+                end_taken_target = brtc_end_target[slot]
                 if end_taken_target is None:
                     break
                 next_pc = end_taken_target
             else:
                 next_pc = end_pc + 4
-            state_hash = _bb_hash(end_pc, direction, next_pc)
+            state_hash = ((((end_pc >> 2) * _HASH_GOLDEN) & _MASK32)
+                          ^ (((next_pc >> 2) * _HASH_MIX) & _MASK32))
+            state_hash ^= state_hash >> 15
+            if direction:
+                state_hash ^= 0x5A5A5A5A
             state_tag = end_pc & 0xFFFFFFFF
             spec_history = (spec_history << 1) | (1 if direction else 0)
             entry_pc = next_pc
+        brtc.lookups += depth
+        brtc.hits += brtc_hits
+        mht.lookups += depth
+        mht.hits += mht_hits
         self.total_depth += depth
         self.depth_hist[depth] += 1
         if trace is not None:
@@ -271,11 +305,9 @@ class BFetchPrefetcher(Prefetcher):
             block += block_bytes
             limit -= 1
 
-    def _prefetch_block(self, state_hash, state_tag, revisit):
-        """Stage 2+3: register lookup and prefetch-address calculation."""
-        entry = self.mht.lookup(state_hash, state_tag)
-        if entry is None:
-            return
+    def _prefetch_block(self, entry, revisit):
+        """Stage 2+3: prefetch-address calculation from the register
+        history of the :class:`~repro.core.mht.MHTEntry` the walk hit."""
         cfg = self.config
         block_bytes = self.block_bytes
         arf_values = self.arf.values

@@ -5,6 +5,9 @@ PC, predicted branch direction, and the target address" (Section IV-B1);
 including the target disambiguates indirect branches.  ``load_pc_hash`` is
 the 10-bit load-PC digest stored in L1D lines and used to index the
 per-load filter.
+
+The lookahead walk in :mod:`repro.core.bfetch` computes ``bb_hash``
+inline from these same constants, once per walked block.
 """
 
 _GOLDEN = 0x9E3779B1

@@ -21,24 +21,44 @@ rate, and fetches/dispatches up to ``width`` instructions:
 The model is deliberately idle-cycle-skipping: when fetch cannot proceed
 (flush bubble or full ROB) the clock jumps to the next event, which makes
 memory-bound regions cheap to simulate without changing any outcome.
+
+One method, :meth:`OutOfOrderCore._cycle_loop`, defines the pipeline step.
+It runs with the core's state held in locals and writes it back when it
+returns, so the public drivers differ only in where they stop:
+:meth:`~OutOfOrderCore.step_cycle` after one step,
+:meth:`~OutOfOrderCore.run_until` at a cycle bound or a retire mark, and
+:meth:`~OutOfOrderCore.run` at the instruction budget.
 """
 
 from repro.isa.opcodes import (
     IS_ALU as _IS_ALU,
     IS_BRANCH as _IS_BRANCH,
     IS_COND_BRANCH as _IS_COND_BRANCH,
+    NUM_OPS as _NUM_OPS,
     Op,
 )
 from repro.prefetchers.base import Prefetcher as _BasePrefetcher
 
 _FETCH_HIST_BUCKETS = 4
 
-# plain-int opcodes for the dispatch hot path (IntEnum attribute lookups
-# cost a global + class-attr load per comparison)
-_OP_LOAD = int(Op.LOAD)
-_OP_STORE = int(Op.STORE)
-_OP_MUL = int(Op.MUL)
-_OP_JR = int(Op.JR)
+# dispatch class of every opcode, so the cycle loop picks an
+# instruction's timing path with one int-indexed read
+_ALU, _LOAD, _COND, _STORE, _JUMP, _JR, _MUL = range(7)
+_DISPATCH_CLASS = tuple(
+    _LOAD if op == Op.LOAD
+    else _STORE if op == Op.STORE
+    else _COND if _IS_COND_BRANCH[op]
+    else _JR if op == Op.JR
+    else _JUMP if _IS_BRANCH[op]
+    else _MUL if op == Op.MUL
+    else _ALU
+    for op in range(_NUM_OPS)
+)
+# opcodes whose second source register gates readiness
+_READS_RB = tuple(op == Op.STORE or _IS_ALU[op] for op in range(_NUM_OPS))
+
+# "no bound" for the loop's stop cycle and retire mark
+_NEVER = float("inf")
 
 
 def _noop_hook(unbound, bound):
@@ -46,6 +66,17 @@ def _noop_hook(unbound, bound):
     *unbound* -- lets the core skip the call entirely."""
     func = getattr(bound, "__func__", None)
     return func is unbound
+
+
+def _bound_hook(prefetcher, name):
+    """*prefetcher*'s bound ``name`` hook, or None when there is no
+    prefetcher or the hook is the base-class no-op."""
+    if prefetcher is None:
+        return None
+    hook = getattr(prefetcher, name)
+    if _noop_hook(getattr(_BasePrefetcher, name), hook):
+        return None
+    return hook
 
 
 class CoreConfig:
@@ -76,10 +107,16 @@ class CoreConfig:
                     "CoreConfig.%s must be a positive integer, got %r"
                     % (field, value)
                 )
-        if redirect_penalty < 0:
+        if not isinstance(redirect_penalty, int) or redirect_penalty < 0:
             raise ValueError(
-                "CoreConfig.redirect_penalty must be >= 0 cycles, got %r"
-                % (redirect_penalty,)
+                "CoreConfig.redirect_penalty must be a non-negative "
+                "integer, got %r" % (redirect_penalty,)
+            )
+        if (not isinstance(block_bytes, int) or block_bytes < 1
+                or block_bytes & (block_bytes - 1)):
+            raise ValueError(
+                "CoreConfig.block_bytes must be a positive power of two, "
+                "got %r" % (block_bytes,)
             )
         self.width = width
         self.rob_entries = rob_entries
@@ -90,9 +127,6 @@ class CoreConfig:
         self.prefetch_drain_rate = prefetch_drain_rate
         self.block_bytes = block_bytes
         self.block_shift = block_bytes.bit_length() - 1
-        if 1 << self.block_shift != block_bytes:
-            raise ValueError("block size must be a power of two, got %r"
-                             % (block_bytes,))
         from repro.frontend.config import FRONTEND_MODES
         if frontend not in FRONTEND_MODES:
             raise ValueError(
@@ -116,20 +150,11 @@ class OutOfOrderCore:
         # Pre-bind prefetcher hooks, dropping ones that are base-class
         # no-ops: the "none" baseline and the miss-driven prefetchers
         # then pay zero per-instruction call overhead for unused events.
-        if prefetcher is None:
-            self._pf_on_commit = None
-            self._pf_on_branch_decode = None
-        else:
-            hook = prefetcher.on_commit
-            self._pf_on_commit = (
-                None if _noop_hook(_BasePrefetcher.on_commit, hook) else hook
-            )
-            hook = prefetcher.on_branch_decode
-            self._pf_on_branch_decode = (
-                None
-                if _noop_hook(_BasePrefetcher.on_branch_decode, hook)
-                else hook
-            )
+        self._pf_on_load = _bound_hook(prefetcher, "on_load")
+        self._pf_on_store = _bound_hook(prefetcher, "on_store")
+        self._pf_on_commit = _bound_hook(prefetcher, "on_commit")
+        self._pf_on_branch_decode = _bound_hook(prefetcher,
+                                                "on_branch_decode")
         self.config = config or CoreConfig()
         # fetch-block geometry follows the configured L1 line size (not a
         # hard-coded 64B shift) so non-default lines redirect correctly
@@ -150,6 +175,7 @@ class OutOfOrderCore:
         self.retired = 0
         self.budget = 0
         self.done = False
+        self.mark_cycle = None  # step that reached run_until's retire mark
         self.cond_branches = 0
         self.branches = 0
         self.mispredicts = 0
@@ -173,16 +199,9 @@ class OutOfOrderCore:
         no-op elision as the D-side ones."""
         self.frontend = frontend
         iprefetcher = frontend.iprefetcher
-        hook = iprefetcher.on_commit
-        self._if_on_commit = (
-            None if _noop_hook(_BasePrefetcher.on_commit, hook) else hook
-        )
-        hook = iprefetcher.on_branch_decode
-        self._if_on_branch_decode = (
-            None
-            if _noop_hook(_BasePrefetcher.on_branch_decode, hook)
-            else hook
-        )
+        self._if_on_commit = _bound_hook(iprefetcher, "on_commit")
+        self._if_on_branch_decode = _bound_hook(iprefetcher,
+                                                "on_branch_decode")
 
     # ------------------------------------------------------------------
 
@@ -191,268 +210,336 @@ class OutOfOrderCore:
         self.budget = budget
         self.done = False
 
-    def _rob_len(self):
-        return len(self.rob) - self._rob_head
-
     def step_cycle(self, now):
         """Advance one cycle at time *now*; return the next time this core
         has work to do (``now + 1`` while actively fetching)."""
-        cfg = self.config
-        width = cfg.width
-        rob = self.rob
-
-        # retire (in order, up to width)
-        head = self._rob_head
-        retired = self.retired
-        limit = head + width
-        rob_len = len(rob)
-        while head < rob_len and head < limit and rob[head] <= now:
-            head += 1
-            retired += 1
-        self._rob_head = head
-        self.retired = retired
-        if head > 4096:  # compact the ring buffer
-            del rob[:head]
-            self._rob_head = 0
-            head = 0
-        budget = self.budget
-        if retired >= budget:
-            self.done = True
-            return now + 1
-
-        # drain queued prefetches into the hierarchy
-        prefetcher = self.prefetcher
-        if prefetcher is not None and len(prefetcher.queue):
-            prefetcher.drain(self.hierarchy, now, cfg.prefetch_drain_rate)
-
-        # decoupled front end: the BPU run-ahead advances every cycle,
-        # including I-miss and redirect stall cycles -- the decoupling
-        frontend = self.frontend
-        if frontend is not None:
-            frontend.tick(now)
-
-        # fetch / dispatch
-        fetched = 0
-        branches_in_group = 0
-        rob_cap = cfg.rob_entries
-        if now >= self.fetch_stall_until:
-            machine_step = self.machine.step
-            dispatch = self._dispatch
-            hierarchy = self.hierarchy
-            l1_latency = hierarchy.config.l1_latency
-            is_branch = _IS_BRANCH
-            demand_ifetch = (
-                hierarchy.ifetch if frontend is None
-                else frontend.demand_fetch
-            )
-            # _rob_head is only moved by retire, so in-flight occupancy
-            # can be tracked locally instead of re-measuring the ROB list
-            # on every loop iteration
-            in_flight = len(rob) - head
-            dispatched_total = retired + in_flight
-            fetch_block = self._fetch_block
-            fetch_shift = self._fetch_shift
-            while (
-                fetched < width
-                and in_flight < rob_cap
-                and dispatched_total < budget
-            ):
-                instr, taken, ea = machine_step()
-                pc = instr.pc
-                block = pc >> fetch_shift
-                if block != fetch_block:
-                    fetch_block = block
-                    ifetch_latency = demand_ifetch(pc, now)
-                    if ifetch_latency > l1_latency:
-                        self.fetch_stall_until = now + ifetch_latency
-                fetched += 1
-                in_flight += 1
-                dispatched_total += 1
-                group_ends = dispatch(instr, taken, ea, now)
-                if is_branch[instr.op]:
-                    branches_in_group += 1
-                if group_ends:
-                    break
-            self._fetch_block = fetch_block
-        if fetched:
-            self.fetch_cycles += 1
-            if branches_in_group:
-                bucket = min(branches_in_group, _FETCH_HIST_BUCKETS)
-                self.fetch_branch_hist[bucket] += 1
-            return now + 1
-
-        # idle: jump to the next event
-        if now < self.fetch_stall_until:
-            self.flush_stall_cycles += 1
-        elif len(rob) - self._rob_head >= rob_cap:
-            self.rob_full_stalls += 1
-        candidates = []
-        if self._rob_head < len(rob):
-            candidates.append(rob[self._rob_head])
-        if now < self.fetch_stall_until:
-            candidates.append(self.fetch_stall_until)
-        if prefetcher is not None and len(prefetcher.queue):
-            return now + 1  # keep draining at full rate
-        if frontend is not None and frontend.busy():
-            return now + 1  # keep the run-ahead and I-drain ticking
-        if not candidates:
-            return now + 1
-        return max(now + 1, min(candidates))
-
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, instr, taken, ea, now):
-        """Dispatch one instruction; returns True if the fetch group ends."""
-        cfg = self.config
-        reg_ready = self.reg_ready
-        op = instr.op
-
-        ready = now + 1
-        ra = instr.ra
-        if ra is not None and reg_ready[ra] > ready:
-            ready = reg_ready[ra]
-        rb = instr.rb
-        if rb is not None and (op == _OP_STORE or _IS_ALU[op]):
-            if reg_ready[rb] > ready:
-                ready = reg_ready[rb]
-
-        group_ends = False
-        prefetcher = self.prefetcher
-
-        if op == _OP_LOAD:
-            if prefetcher is not None and prefetcher.is_perfect:
-                latency = self.hierarchy.access_oracle(ea, ready)
-            else:
-                latency, hit = self.hierarchy.load(ea, ready)
-                if prefetcher is not None:
-                    prefetcher.on_load(instr.pc, ea, hit, now)
-            complete = ready + latency
-            reg_ready[instr.rd] = complete
-        elif op == _OP_STORE:
-            if prefetcher is not None and prefetcher.is_perfect:
-                self.hierarchy.access_oracle(ea, ready)
-            else:
-                self.hierarchy.store(ea, ready)
-                if prefetcher is not None:
-                    prefetcher.on_store(instr.pc, ea, True, now)
-            complete = ready + cfg.store_latency
-        elif _IS_BRANCH[op]:
-            complete = ready + cfg.alu_latency
-            group_ends = self._handle_branch(instr, taken, now, complete)
-            self.branches += 1
-        else:
-            if op == _OP_MUL:
-                complete = ready + cfg.mul_latency
-            else:
-                complete = ready + cfg.alu_latency
-            if instr.rd is not None:
-                reg_ready[instr.rd] = complete
-        self.rob.append(complete)
-        on_commit = self._pf_on_commit
-        if on_commit is not None:
-            machine = self.machine
-            on_commit(instr, ea, taken, machine.pc, machine.regs, complete)
-        on_commit = self._if_on_commit
-        if on_commit is not None:
-            machine = self.machine
-            on_commit(instr, ea, taken, machine.pc, machine.regs, complete)
-        return group_ends
-
-    def _handle_branch(self, instr, taken, now, resolve_time):
-        """Predict, train, trigger B-Fetch, apply flush penalties."""
-        cfg = self.config
-        pc = instr.pc
-        actual_next = self.machine.pc
-        op = instr.op
-        predictor = self.predictor
-        on_branch_decode = self._pf_on_branch_decode
-
-        frontend = self.frontend
-        if_decode = self._if_on_branch_decode
-
-        if _IS_COND_BRANCH[op]:
-            history = predictor.history
-            predicted = predictor.predict(pc)
-            correct = predicted == taken
-            self.cond_branches += 1
-            if not correct:
-                self.mispredicts += 1
-            trace = self._trace_branch
-            if trace is not None:
-                trace.emit("predict", now, pc=pc, taken=taken,
-                           predicted=predicted, correct=correct)
-            self.confidence.update(pc, history, correct, taken)
-            predictor.update(pc, taken)
-            taken_target = pc + 4 * (instr.target - instr.index)
-            if on_branch_decode is not None:
-                on_branch_decode(pc, predicted, taken_target, now)
-            if if_decode is not None:
-                if_decode(pc, predicted, taken_target, now)
-            if frontend is not None and taken:
-                # demand-train the BTB on executed taken direct branches
-                # so the BPU run-ahead walker can see them (off mode
-                # keeps the BTB JR-only, untouched)
-                self.btb.update(pc, taken_target)
-            if not correct:
-                self.fetch_stall_until = resolve_time + cfg.redirect_penalty
-                if frontend is not None:
-                    frontend.redirect(actual_next, now)
-                return True
-            return predicted  # predicted-taken ends the fetch group
-        if op == _OP_JR:
-            predicted_target = self.btb.lookup(pc)
-            self.btb.update(pc, actual_next)
-            correct = predicted_target == actual_next
-            # train the confidence estimator on indirect targets too, so
-            # the lookahead's path confidence reflects JR predictability
-            self.confidence.update(pc, predictor.history, correct, True)
-            if on_branch_decode is not None:
-                on_branch_decode(pc, True, predicted_target, now)
-            if if_decode is not None:
-                if_decode(pc, True, predicted_target, now)
-            if not correct:
-                self.mispredicts += 1
-                self.fetch_stall_until = resolve_time + cfg.redirect_penalty
-                if frontend is not None:
-                    frontend.redirect(actual_next, now)
-            return True
-        # direct unconditional: target known at decode, no mispredict
-        self.confidence.update(pc, predictor.history, True, True)
-        taken_target = pc + 4 * (instr.target - instr.index)
-        if frontend is not None:
-            self.btb.update(pc, taken_target)
-        if on_branch_decode is not None:
-            on_branch_decode(pc, True, taken_target, now)
-        if if_decode is not None:
-            if_decode(pc, True, taken_target, now)
-        return True
-
-    # ------------------------------------------------------------------
+        return self._cycle_loop(now, now + 1, _NEVER)
 
     def run(self, budget):
         """Run standalone until *budget* instructions retire; returns the
         cycle count."""
         self.start(budget)
-        now = self.cycle
-        step = self.step_cycle
-        while not self.done:
-            now = step(now)
+        now = self._cycle_loop(self.cycle, _NEVER, _NEVER)
         self.cycle = now
         return now
 
-    def run_until(self, now, stop_cycle):
+    def run_until(self, now, stop_cycle, retire_mark=None):
         """Run from time *now* until completion or ``stop_cycle``.
 
-        The chunked driver used by checkpointing and the sanitizer: the
-        inner loop is the same tight ``step_cycle`` loop as :meth:`run`,
-        so the step sequence (and therefore every counter) is
-        byte-identical to an uninterrupted run -- the chunk boundaries
-        only decide *when* the caller gets control back.
+        The driver for callers that need control back mid-run: the
+        chunked checkpoint/sanitizer driver, and the CMP scheduler, which
+        runs each core in bursts.  It is the same loop as :meth:`run`, so
+        the step sequence (and therefore every counter) is byte-identical
+        to an uninterrupted run -- the bounds only decide *when* the
+        caller gets control back.  With *retire_mark* the run also stops
+        after the step at which ``retired`` reaches the mark, and that
+        step's time is left in :attr:`mark_cycle`.
         """
-        step = self.step_cycle
-        while not self.done and now < stop_cycle:
-            now = step(now)
-        return now
+        if self.done or now >= stop_cycle:
+            return now
+        return self._cycle_loop(
+            now, stop_cycle, _NEVER if retire_mark is None else retire_mark)
+
+    def _cycle_loop(self, now, stop_cycle, retire_mark):
+        """The pipeline: step from time *now* until the core is done, the
+        next step time reaches *stop_cycle*, or ``retired`` reaches
+        *retire_mark*; at least one step always runs.  Returns the next
+        time the core has work to do.
+
+        Every piece of state a step touches lives in a local for the
+        duration, and is written back on the way out (also when a hook
+        raises).  Per step: retire up to ``width`` completed instructions
+        in order, drain queued prefetches, tick the decoupled front end,
+        then fetch and dispatch up to ``width`` instructions -- or, when
+        nothing can be fetched, jump the clock to the next event.
+        """
+        cfg = self.config
+        width = cfg.width
+        rob_cap = cfg.rob_entries
+        redirect_penalty = cfg.redirect_penalty
+        alu_latency = cfg.alu_latency
+        mul_latency = cfg.mul_latency
+        store_latency = cfg.store_latency
+        drain_rate = cfg.prefetch_drain_rate
+        fetch_shift = self._fetch_shift
+        machine = self.machine
+        machine_step = machine.step
+        hierarchy = self.hierarchy
+        l1_latency = hierarchy.config.l1_latency
+        h_load = hierarchy.load
+        h_store = hierarchy.store
+        h_oracle = hierarchy.access_oracle
+        predictor = self.predictor
+        predict = predictor.predict
+        predictor_update = predictor.update
+        confidence_update = self.confidence.update
+        btb_lookup = self.btb.lookup
+        btb_update = self.btb.update
+        prefetcher = self.prefetcher
+        is_perfect = prefetcher is not None and prefetcher.is_perfect
+        pf_queue = None
+        if prefetcher is not None:
+            pf_queue = prefetcher.queue
+            pf_drain = prefetcher.drain
+        on_load = self._pf_on_load
+        on_store = self._pf_on_store
+        pf_on_commit = self._pf_on_commit
+        pf_on_decode = self._pf_on_branch_decode
+        if_on_commit = self._if_on_commit
+        if_on_decode = self._if_on_branch_decode
+        commit_hooks = pf_on_commit is not None or if_on_commit is not None
+        frontend = self.frontend
+        if frontend is None:
+            demand_ifetch = hierarchy.ifetch
+        else:
+            demand_ifetch = frontend.demand_fetch
+            frontend_tick = frontend.tick
+            frontend_busy = frontend.busy
+            frontend_redirect = frontend.redirect
+        trace = self._trace_branch
+        dispatch_class = _DISPATCH_CLASS
+        reads_rb = _READS_RB
+        hist_top = _FETCH_HIST_BUCKETS
+
+        reg_ready = self.reg_ready
+        rob = self.rob
+        rob_append = rob.append
+        head = self._rob_head
+        retired = self.retired
+        budget = self.budget
+        done = self.done
+        fetch_stall_until = self.fetch_stall_until
+        fetch_block = self._fetch_block
+        cond_branches = self.cond_branches
+        branches = self.branches
+        mispredicts = self.mispredicts
+        fetch_branch_hist = self.fetch_branch_hist
+        fetch_cycles = self.fetch_cycles
+        rob_full_stalls = self.rob_full_stalls
+        flush_stall_cycles = self.flush_stall_cycles
+
+        try:
+            while True:
+                # retire (in order, up to width)
+                limit = head + width
+                rob_len = len(rob)
+                if limit > rob_len:
+                    limit = rob_len
+                while head < limit and rob[head] <= now:
+                    head += 1
+                    retired += 1
+                if head > 4096:  # compact the ring buffer
+                    del rob[:head]
+                    head = 0
+                if retired >= budget:
+                    done = True
+                    next_time = now + 1
+                    break
+
+                # drain queued prefetches into the hierarchy
+                if pf_queue is not None and len(pf_queue):
+                    pf_drain(hierarchy, now, drain_rate)
+
+                # decoupled front end: the BPU run-ahead advances every
+                # cycle, including I-miss and redirect stall cycles --
+                # the decoupling
+                if frontend is not None:
+                    frontend_tick(now)
+
+                # fetch / dispatch
+                fetched = 0
+                branches_in_group = 0
+                if now >= fetch_stall_until:
+                    # a group stops at the fetch width, a full ROB (the
+                    # head only moves at retire) or the budget
+                    in_flight = len(rob) - head
+                    group = width
+                    if rob_cap - in_flight < group:
+                        group = rob_cap - in_flight
+                    if budget - retired - in_flight < group:
+                        group = budget - retired - in_flight
+                    while fetched < group:
+                        instr, taken, ea = machine_step()
+                        pc = instr.pc
+                        block = pc >> fetch_shift
+                        if block != fetch_block:
+                            fetch_block = block
+                            ifetch_latency = demand_ifetch(pc, now)
+                            if ifetch_latency > l1_latency:
+                                fetch_stall_until = now + ifetch_latency
+                        fetched += 1
+
+                        # operands ready
+                        op = instr.op
+                        ready = now + 1
+                        ra = instr.ra
+                        if ra is not None and reg_ready[ra] > ready:
+                            ready = reg_ready[ra]
+                        rb = instr.rb
+                        if (rb is not None and reads_rb[op]
+                                and reg_ready[rb] > ready):
+                            ready = reg_ready[rb]
+
+                        group_ends = False
+                        kind = dispatch_class[op]
+                        if kind == _ALU:
+                            complete = ready + alu_latency
+                            rd = instr.rd
+                            if rd is not None:
+                                reg_ready[rd] = complete
+                        elif kind == _LOAD:
+                            if is_perfect:
+                                latency = h_oracle(ea, ready)
+                            else:
+                                latency, hit = h_load(ea, ready)
+                                if on_load is not None:
+                                    on_load(pc, ea, hit, now)
+                            complete = ready + latency
+                            reg_ready[instr.rd] = complete
+                        elif kind == _STORE:
+                            if is_perfect:
+                                h_oracle(ea, ready)
+                            else:
+                                h_store(ea, ready)
+                                if on_store is not None:
+                                    on_store(pc, ea, True, now)
+                            complete = ready + store_latency
+                        elif kind == _MUL:
+                            complete = ready + mul_latency
+                            rd = instr.rd
+                            if rd is not None:
+                                reg_ready[rd] = complete
+                        else:
+                            # predict, train, trigger B-Fetch, apply the
+                            # flush penalty of a mispredict
+                            complete = ready + alu_latency
+                            branches += 1
+                            branches_in_group += 1
+                            group_ends = True
+                            if kind == _COND:
+                                history = predictor.history
+                                predicted = predict(pc)
+                                correct = predicted == taken
+                                cond_branches += 1
+                                if not correct:
+                                    mispredicts += 1
+                                if trace is not None:
+                                    trace.emit("predict", now, pc=pc,
+                                               taken=taken,
+                                               predicted=predicted,
+                                               correct=correct)
+                                confidence_update(pc, history, correct, taken)
+                                predictor_update(pc, taken)
+                                target = pc + 4 * (instr.target - instr.index)
+                                if pf_on_decode is not None:
+                                    pf_on_decode(pc, predicted, target, now)
+                                if if_on_decode is not None:
+                                    if_on_decode(pc, predicted, target, now)
+                                if frontend is not None and taken:
+                                    # demand-train the BTB on executed
+                                    # taken direct branches so the BPU
+                                    # run-ahead walker can see them (off
+                                    # mode keeps the BTB JR-only)
+                                    btb_update(pc, target)
+                                if not correct:
+                                    fetch_stall_until = (complete
+                                                         + redirect_penalty)
+                                    if frontend is not None:
+                                        frontend_redirect(machine.pc, now)
+                                else:
+                                    # predicted-taken ends the fetch group
+                                    group_ends = predicted
+                            elif kind == _JR:
+                                actual_next = machine.pc
+                                target = btb_lookup(pc)
+                                btb_update(pc, actual_next)
+                                correct = target == actual_next
+                                # train the confidence estimator on
+                                # indirect targets too, so the lookahead's
+                                # path confidence reflects JR
+                                # predictability
+                                confidence_update(pc, predictor.history,
+                                                  correct, True)
+                                if pf_on_decode is not None:
+                                    pf_on_decode(pc, True, target, now)
+                                if if_on_decode is not None:
+                                    if_on_decode(pc, True, target, now)
+                                if not correct:
+                                    mispredicts += 1
+                                    fetch_stall_until = (complete
+                                                         + redirect_penalty)
+                                    if frontend is not None:
+                                        frontend_redirect(actual_next, now)
+                            else:
+                                # direct unconditional: target known at
+                                # decode, no mispredict
+                                confidence_update(pc, predictor.history,
+                                                  True, True)
+                                target = pc + 4 * (instr.target - instr.index)
+                                if frontend is not None:
+                                    btb_update(pc, target)
+                                if pf_on_decode is not None:
+                                    pf_on_decode(pc, True, target, now)
+                                if if_on_decode is not None:
+                                    if_on_decode(pc, True, target, now)
+                        rob_append(complete)
+                        if commit_hooks:
+                            next_pc = machine.pc
+                            if pf_on_commit is not None:
+                                pf_on_commit(instr, ea, taken, next_pc,
+                                             machine.regs, complete)
+                            if if_on_commit is not None:
+                                if_on_commit(instr, ea, taken, next_pc,
+                                             machine.regs, complete)
+                        if group_ends:
+                            break
+                if fetched:
+                    fetch_cycles += 1
+                    if branches_in_group:
+                        if branches_in_group > hist_top:
+                            branches_in_group = hist_top
+                        fetch_branch_hist[branches_in_group] += 1
+                    next_time = now + 1
+                else:
+                    # idle: jump to the next event
+                    if now < fetch_stall_until:
+                        flush_stall_cycles += 1
+                    elif len(rob) - head >= rob_cap:
+                        rob_full_stalls += 1
+                    # queued prefetches keep draining, and a busy front
+                    # end keeps ticking, at full rate
+                    next_time = now + 1
+                    if ((pf_queue is None or not len(pf_queue))
+                            and (frontend is None or not frontend_busy())):
+                        # the earlier of the ROB head's completion and
+                        # the end of the stall
+                        event = next_time
+                        if head < len(rob):
+                            event = rob[head]
+                            if now < fetch_stall_until < event:
+                                event = fetch_stall_until
+                        elif now < fetch_stall_until:
+                            event = fetch_stall_until
+                        if event > next_time:
+                            next_time = event
+                if next_time >= stop_cycle or retired >= retire_mark:
+                    break
+                now = next_time
+        finally:
+            self._rob_head = head
+            self.retired = retired
+            self.done = done
+            self.fetch_stall_until = fetch_stall_until
+            self._fetch_block = fetch_block
+            self.cond_branches = cond_branches
+            self.branches = branches
+            self.mispredicts = mispredicts
+            self.fetch_cycles = fetch_cycles
+            self.rob_full_stalls = rob_full_stalls
+            self.flush_stall_cycles = flush_stall_cycles
+        if retired >= retire_mark:
+            self.mark_cycle = now
+        return next_time
 
     # ------------------------------------------------------------------
     # checkpoint/restore

@@ -4,7 +4,8 @@ One :class:`DecoupledFrontEnd` per core, created at system assembly when
 ``CoreConfig.frontend="ftq"``.  The timing core calls exactly three
 methods:
 
-* :meth:`tick` once per ``step_cycle`` -- the BPU walker advances up to
+* :meth:`tick` once per step of the core's cycle loop
+  (``OutOfOrderCore._cycle_loop``) -- the BPU walker advances up to
   ``fill_width`` fetch blocks down the predicted path (BTB-visible
   branches only, which is what makes shadow-branch fills matter),
   enqueues them into the FTQ, lets the I-side prefetcher scan the queue

@@ -1,12 +1,20 @@
 """Chip-multiprocessor simulation: N cores sharing an LLC and DRAM.
 
-Cores advance on a shared clock via an event heap; each core is stepped at
-the times it asked for, so memory-bound cores skip idle cycles without
-desynchronising the shared LLC state.  Following the paper's methodology,
-when an application finishes its instruction budget it *keeps executing*
-(so contention pressure stays realistic) and only its first ``budget``
-instructions count toward its IPC; the simulation stops once every
-application has reached the budget.
+Cores advance on a shared clock via an event heap ordered by ``(time,
+core index)``; each core is stepped at the times it asked for, so
+memory-bound cores skip idle cycles without desynchronising the shared
+LLC state.  A popped core runs in a *burst* -- one
+:meth:`~repro.cpu.ooo.OutOfOrderCore.run_until` call -- for as long as
+its next step would be popped next anyway, i.e. while its next time
+orders ahead of the heap head; the burst also stops at a chunk boundary
+and at the step that reaches the core's finish target.  Bursts
+therefore replay exactly the pop order of stepping one cycle per pop.
+
+Following the paper's methodology, when an application finishes its
+instruction budget it *keeps executing* (so contention pressure stays
+realistic) and only its first ``budget`` instructions count toward its
+IPC; the simulation stops once every application has reached the
+budget.
 
 Checkpoint support mirrors the single-core :class:`~repro.sim.System`:
 the snapshot captures every per-core system (minus the shared LLC/DRAM,
@@ -18,6 +26,7 @@ resumed CMP run replays the exact interleaving of the original.
 import heapq
 
 from repro.checkpoint import CheckpointError
+from repro.cpu.ooo import _NEVER
 from repro.sim.config import SystemConfig
 from repro.sim.system import _DEFAULT_CHUNK_CYCLES, RunResult, System
 
@@ -68,7 +77,8 @@ class CMPSystem:
         state is re-saved every ``checkpointer.every`` cycles of shared
         clock, sanitizer checks run at their cadence, and a tripped
         *interrupt* saves + flushes before re-raising.  With none active
-        the original tight loop runs unchanged.
+        there are no chunk boundaries, so bursts run until the heap head
+        or the finish target stops them.
         """
         target = instructions_per_app
         chunked = (
@@ -118,8 +128,10 @@ class CMPSystem:
             chunk = min(chunk, sanitizer.interval)
         if corrupt_at is not None:
             chunk = min(chunk, max(1, corrupt_at))
-        next_stop = (heap[0][0] + chunk) if (chunked and heap) else None
+        # no chunk boundaries on an unchunked run
+        next_stop = (heap[0][0] + chunk) if (chunked and heap) else _NEVER
         corrupted = False
+        cores = [system.core for system in self.systems]
         while remaining:
             if chunked and heap[0][0] >= next_stop:
                 now = heap[0][0]
@@ -149,13 +161,30 @@ class CMPSystem:
                     interrupt.raise_pending()
                 next_stop = now + chunk
             now, index = heapq.heappop(heap)
-            core = self.systems[index].core
-            next_time = core.step_cycle(now)
-            if finish_cycle[index] is None and core.retired >= target:
-                finish_cycle[index] = max(now, 1)
-                remaining -= 1
-                if remaining == 0:
-                    break
+            core = cores[index]
+            # burst: keep stepping this core while it would be popped
+            # again -- while its next time still orders ahead of the
+            # heap head under (time, index) -- and stop at the chunk
+            # boundary and at the step that reaches the finish target
+            stop = next_stop
+            if heap:
+                head_time, head_index = heap[0]
+                if index < head_index:
+                    head_time += 1
+                if head_time < stop:
+                    stop = head_time
+            if core.done:
+                # past the keep-running budget: one step per pop
+                next_time = core.step_cycle(now)
+            elif finish_cycle[index] is None:
+                next_time = core.run_until(now, stop, target)
+                if core.retired >= target:
+                    finish_cycle[index] = max(core.mark_cycle, 1)
+                    remaining -= 1
+                    if remaining == 0:
+                        break
+            else:
+                next_time = core.run_until(now, stop)
             heapq.heappush(heap, (next_time, index))
         if checkpointer is not None:
             checkpointer.clear()

@@ -412,10 +412,11 @@ class System:
 
     def _run_chunked(self, instructions, checkpointer, sanitizer,
                      interrupt, corrupt_at):
-        """The checkpoint/sanitizer driver: the same ``step_cycle``
-        sequence as :meth:`OutOfOrderCore.run`, handing control back at
-        chunk boundaries.  Chunk boundaries only decide when snapshots,
-        checks and interrupt polls happen -- every simulated outcome is
+        """The checkpoint/sanitizer driver: the core's one cycle loop,
+        entered through :meth:`OutOfOrderCore.run_until` once per chunk,
+        so the step sequence is that of :meth:`OutOfOrderCore.run`.
+        Chunk boundaries only decide when snapshots, checks and
+        interrupt polls happen -- every simulated outcome is
         byte-identical to the uninterrupted fast path."""
         core = self.core
         if checkpointer is not None:

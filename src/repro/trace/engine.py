@@ -1,13 +1,13 @@
 """Fused replay timing engine.
 
 ``run_replay`` is an exact transcription of the lockstep hot path --
-:meth:`OutOfOrderCore.run` / ``step_cycle`` / ``_dispatch`` /
-``_handle_branch`` -- specialised for a pre-decoded trace *view*: the
-per-step functional interpretation, attribute loads and dispatch
-branching are all hoisted out, leaving one tuple unpack per dynamic
-instruction.  Every stateful operation (hierarchy accesses, predictor
-training, prefetcher hooks, counter updates, stall arithmetic) happens
-in the same order with the same arguments as the lockstep loop, so the
+the core's one cycle loop, ``OutOfOrderCore._cycle_loop``, as driven by
+:meth:`OutOfOrderCore.run` -- specialised for a pre-decoded trace
+*view*: the per-step functional interpretation and dispatch branching
+are hoisted out, leaving one tuple unpack per dynamic instruction.
+Every stateful operation (hierarchy accesses, predictor training,
+prefetcher hooks, counter updates, stall arithmetic) happens in the
+same order with the same arguments as the lockstep loop, so the
 resulting :class:`~repro.sim.system.RunResult` is byte-identical --
 ``tests/test_trace_replay.py`` enforces this for every catalog
 prefetcher.
@@ -262,7 +262,7 @@ def run_replay(system, budget, view, outcomes=None):
                 in_flight += 1
                 dispatched_total += 1
 
-                # ---- dispatch (transcribed from OutOfOrderCore._dispatch)
+                # ---- dispatch (transcribed from OutOfOrderCore._cycle_loop)
                 ready = now + 1
                 if ra >= 0 and reg_ready[ra] > ready:
                     ready = reg_ready[ra]

@@ -15,7 +15,12 @@ highest-contention multiprogrammed mixes.
 
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.workload import Workload
-from repro.workloads.spec import BENCHMARKS, PREFETCH_SENSITIVE, build_workload
+from repro.workloads.spec import (
+    BENCHMARKS,
+    PREFETCH_SENSITIVE,
+    SPEC_BENCHMARKS,
+    build_workload,
+)
 from repro.workloads.mixes import select_mixes
 from repro.workloads.synth import synthesize
 
@@ -24,6 +29,7 @@ __all__ = [
     "Workload",
     "BENCHMARKS",
     "PREFETCH_SENSITIVE",
+    "SPEC_BENCHMARKS",
     "build_workload",
     "select_mixes",
     "synthesize",

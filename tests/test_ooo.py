@@ -1,8 +1,11 @@
 """Out-of-order timing core."""
 
+import pytest
+
+from repro.cpu.ooo import CoreConfig
 from repro.isa import assemble
-from repro.sim import System, SystemConfig
-from repro.workloads import Workload
+from repro.sim import RunResult, System, SystemConfig
+from repro.workloads import Workload, build_workload
 
 
 def build_system(text, memory=None, **config_kwargs):
@@ -143,3 +146,70 @@ def test_budget_respected():
     assert system.core.retired >= 5_000
     assert system.core.retired <= 5_000 + 4  # at most one extra group
     assert cycles == system.core.cycle
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"width": 0},
+    {"rob_entries": -1},
+    {"alu_latency": 1.5},
+    {"redirect_penalty": -1},
+    {"redirect_penalty": 2.5},
+    {"redirect_penalty": None},
+    {"block_bytes": 0},
+    {"block_bytes": 48},
+    {"block_bytes": 48.0},
+    {"block_bytes": 64.0},
+    {"frontend": "warp"},
+])
+def test_core_config_rejects_bad_fields(kwargs):
+    field = next(iter(kwargs))
+    with pytest.raises(ValueError, match="CoreConfig.%s" % field):
+        CoreConfig(**kwargs)
+
+
+def test_core_config_accepts_zero_redirect_penalty():
+    assert CoreConfig(redirect_penalty=0, block_bytes=32).block_shift == 5
+
+
+def _result_by_steps(system, instructions):
+    """Drive the core one ``step_cycle`` at a time, as the reference."""
+    core = system.core
+    core.start(instructions)
+    now = core.cycle
+    while not core.done:
+        now = core.step_cycle(now)
+    core.cycle = now
+    return RunResult.from_core(core, system.workload.name,
+                               system.config.prefetcher).as_dict()
+
+
+@pytest.mark.parametrize("prefetcher", ["none", "bfetch"])
+def test_step_cycle_replays_run_with_frontend(prefetcher):
+    config = SystemConfig(prefetcher=prefetcher, frontend="ftq",
+                          iprefetcher="fdip")
+    ran_system = System(build_workload("nginx"), config)
+    ran = ran_system.run(6_000).as_dict()
+    stepped_system = System(build_workload("nginx"), config)
+    stepped = _result_by_steps(stepped_system, 6_000)
+    assert stepped == ran
+    assert ran["frontend"]["redirects"] > 0
+    for field in ("rob_full_stalls", "flush_stall_cycles"):
+        assert (getattr(stepped_system.core, field)
+                == getattr(ran_system.core, field))
+
+
+def test_run_until_retire_mark_stops_at_the_crossing_step():
+    reference = build_system(COMPUTE)
+    core = reference.core
+    core.start(10_000)
+    now = 0
+    while core.retired < 1_000:
+        step_time, now = now, core.step_cycle(now)
+    system = build_system(COMPUTE)
+    system.core.start(10_000)
+    assert system.core.run_until(0, 10 ** 9, 1_000) == now
+    assert system.core.mark_cycle == step_time
+    assert system.core.retired == core.retired
+    # without a mark it runs on to the stop cycle
+    assert system.core.run_until(now, now + 50) >= now + 50
+    assert system.core.mark_cycle == step_time

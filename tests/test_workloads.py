@@ -6,7 +6,12 @@ import pytest
 
 from repro.cpu import Machine
 from repro.isa import extract_basic_blocks
-from repro.workloads import BENCHMARKS, PREFETCH_SENSITIVE, build_workload
+from repro.workloads import (
+    BENCHMARKS,
+    PREFETCH_SENSITIVE,
+    SPEC_BENCHMARKS,
+    build_workload,
+)
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.patterns import (
     PERSISTENT_REGS,
@@ -38,6 +43,15 @@ def test_benchmark_roster():
     servers = [name for name in BENCHMARKS
                if build_workload(name).profile.klass == "server"]
     assert servers == ["nginx", "postgres", "verilator"]
+
+
+def test_spec_benchmarks_are_the_paper_grid():
+    # the figure grids iterate these: the 18 SPEC stand-ins, no server
+    assert len(SPEC_BENCHMARKS) == 18
+    assert list(SPEC_BENCHMARKS) == sorted(SPEC_BENCHMARKS)
+    assert set(SPEC_BENCHMARKS) < set(BENCHMARKS)
+    assert not [name for name in SPEC_BENCHMARKS
+                if build_workload(name).profile.klass == "server"]
 
 
 def test_prefetch_sensitive_subset():
