@@ -54,24 +54,6 @@ def test_cli_bench_perf_writes_json(tmp_path, capsys):
     assert payload["schema"] == SCHEMA
 
 
-def test_bench_trace_replay_smoke():
-    from repro.perf import bench_trace_replay
-
-    block = bench_trace_replay(("gamess", "libquantum"),
-                               ("none", "stride"), instructions=2_000)
-    assert block["runs"] == 4
-    assert block["results_identical"] is True
-    assert block["lockstep_seconds"] > 0 and block["replay_seconds"] > 0
-    assert block["record_seconds"] > 0
-    assert block["replay_instr_per_sec"] > 0
-    # the replay pass must never have fallen back to lockstep
-    assert block["counters"]["replayed"] == 4
-    assert block["counters"]["lockstep"] == 0
-    assert block["counters"]["recorded"] == 0
-    # everything-warm pass is served from the result cache
-    assert block["warm_cache_seconds"] < block["lockstep_seconds"]
-
-
 def test_bench_serve_smoke():
     from repro.perf import bench_serve
 

@@ -23,7 +23,7 @@ Commands
                metrics registry; ``--workers`` shows the fleet +
                breaker states
 ``bench-perf`` perf micro-harness (simulated instr/sec, BENCH_*.json)
-``cache``      result/trace cache maintenance (``--stats`` per-kind
+``cache``      result cache maintenance (``--stats`` per-kind
                totals, ``--gc --older-than AGE`` safe eviction)
 ``stats``      gem5-style hierarchical stats dump for one fresh run
 ``trace``      structured JSONL event trace for one fresh run
@@ -311,10 +311,6 @@ def cmd_bench_perf(args):
         policy=_make_policy(args),
         serve=args.serve,
         serve_instructions=args.serve_instructions,
-        trace_replay=args.trace_replay,
-        trace_replay_instructions=args.trace_replay_instructions,
-        batch=args.batch,
-        batch_instructions=args.batch_instructions,
         load=args.load,
         load_requests=args.load_requests,
         load_clients=args.load_clients,
@@ -464,7 +460,7 @@ def _duration_seconds(text):
 
 
 def cmd_cache(args):
-    """Inspect or garbage-collect the on-disk result/trace cache."""
+    """Inspect or garbage-collect the on-disk result cache."""
     runner = ExperimentRunner(cache_dir=args.cache_dir)
     if args.gc:
         if args.older_than is None:
@@ -809,21 +805,6 @@ def build_parser():
     bench.add_argument("--serve-instructions", type=_positive_int,
                        default=4_000,
                        help="instruction budget per served job")
-    bench.add_argument("--trace-replay", action="store_true",
-                       help="also bench the trace substrate (record "
-                            "cost, replay speedup, repeated-sweep "
-                            "speedup vs lockstep)")
-    bench.add_argument("--trace-replay-instructions", type=_positive_int,
-                       default=10_000,
-                       help="instruction budget per trace-replay "
-                            "sweep run")
-    bench.add_argument("--batch", action="store_true",
-                       help="also bench the SoA batch kernel (sweep "
-                            "via REPRO_BATCH=on vs lockstep and vs "
-                            "scalar replay, repeated-sweep speedup)")
-    bench.add_argument("--batch-instructions", type=_positive_int,
-                       default=10_000,
-                       help="instruction budget per batch sweep run")
     bench.add_argument("--load", action="store_true",
                        help="also bench the cluster tier under a "
                             "zipf-skewed synthetic client load "
@@ -921,8 +902,8 @@ def build_parser():
 
     cache = sub.add_parser(
         "cache",
-        help="inspect (--stats) or garbage-collect (--gc) the result/"
-             "trace cache",
+        help="inspect (--stats) or garbage-collect (--gc) the result "
+             "cache",
     )
     cache.add_argument("cache_dir", help="cache directory to operate on")
     cache.add_argument("--stats", action="store_true",
@@ -937,7 +918,9 @@ def build_parser():
                             "or bare seconds")
     cache.add_argument("--kind", default=None, metavar="KIND",
                        help="restrict --stats/--gc to one entry kind "
-                            "(e.g. 'single', 'trace')")
+                            "('single' or 'mix'); 'ftrace' blobs left "
+                            "by older trees go with --gc --kind ftrace "
+                            "--older-than 1s")
     cache.set_defaults(func=cmd_cache)
 
     lister = sub.add_parser("list", help="list benchmarks and prefetchers")

@@ -111,45 +111,6 @@ _REG_WRITE_KINDS = frozenset({
     K_OR, K_ANDI, K_SLL, K_SRL, K_SLLI, K_SRLI, K_CMPEQ, K_CMPLT,
 })
 
-# kinds that architecturally write a register after decode-time folding
-# (K_LOAD included, K_LOAD_NODEST/K_NOP excluded) -- the functional-trace
-# recorder captures exactly these write-back values
-WRITE_KINDS = frozenset(_REG_WRITE_KINDS | {K_LOAD})
-
-
-def write_regs_of(program):
-    """Per-static-instruction destination register, or -1 for no write.
-
-    Derived from the same decode the interpreter dispatches on (r31
-    folding included), cached on the program object; the trace codec uses
-    it to delta-encode register write-back values without storing the
-    register number per dynamic instruction.
-    """
-    cached = getattr(program, "_write_regs", None)
-    if cached is not None and len(cached) == len(program.instrs):
-        return cached
-    decoded = decode_program(program)
-    regs = [entry[1] if entry[0] in WRITE_KINDS else -1
-            for entry in decoded]
-    try:
-        program._write_regs = regs
-    except AttributeError:  # pragma: no cover - Program has a plain dict
-        pass
-    return regs
-
-
-def memory_delta(machine, initial_memory):
-    """Memory image delta (``[[addr, value], ...]``) vs *initial_memory*.
-
-    Stores only ever add or overwrite aligned words, so the delta is the
-    set of addresses whose value differs from (or is absent in) the
-    initial workload image -- the compact form the functional-trace
-    trailer persists for live continuation.
-    """
-    get = initial_memory.get
-    return [[addr, value] for addr, value in machine.memory.items()
-            if get(addr) != value]
-
 
 def decode_instr(instr):
     """Decode one static :class:`~repro.isa.Instr` into a dispatch tuple.

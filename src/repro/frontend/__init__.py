@@ -1,4 +1,4 @@
-"""Decoupled front end: FTQ-driven instruction fetch (DESIGN.md §13).
+"""Decoupled front end: FTQ-driven instruction fetch (DESIGN.md §12).
 
 The branch-prediction unit runs ahead of fetch and enqueues predicted
 fetch-block targets into a bounded :class:`FetchTargetQueue`; demand

@@ -35,26 +35,6 @@ def atomic_write_text(path, text):
     return path
 
 
-def atomic_write_bytes(path, blob):
-    """Binary twin of :func:`atomic_write_text` (same guarantees)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-", suffix=os.path.splitext(path)[1]
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def file_signature(stat_result):
     """Identity triple for "is this still the file I read?" checks.
 

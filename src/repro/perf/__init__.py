@@ -6,7 +6,6 @@ from repro.perf.harness import (
     bench_fleet,
     bench_serve,
     bench_sweep,
-    bench_trace_replay,
     default_output_dir,
     run_perf_suite,
     write_bench_json,
@@ -18,7 +17,6 @@ __all__ = [
     "bench_fleet",
     "bench_serve",
     "bench_sweep",
-    "bench_trace_replay",
     "default_output_dir",
     "run_perf_suite",
     "write_bench_json",

@@ -547,261 +547,10 @@ def bench_load(requests=10_000, clients=32, instructions=2_000,
     }
 
 
-def bench_trace_replay(benchmarks=("libquantum", "mcf"),
-                       prefetchers=SWEEP_PREFETCHERS,
-                       instructions=10_000, policy=None):
-    """Record-once / re-time-many numbers for the trace substrate.
-
-    Four measurements over the same ``len(benchmarks) x
-    len(prefetchers)`` sweep, all serial (``jobs=1``) so they time the
-    engine rather than the pool:
-
-    * ``lockstep_seconds`` -- cold sweep with replay off (the baseline);
-    * ``record_seconds`` -- recording one functional trace per
-      benchmark (the one-time cost the substrate amortises);
-    * ``replay_seconds`` -- cold *result* cache but warm *trace* store,
-      process memos cleared first, so every cell re-times off its trace
-      (what a new config sweep over recorded workloads costs);
-    * ``warm_cache_seconds`` -- the identical sweep again with
-      everything warm (what re-running a sweep costs end to end; this
-      is the repeated-sweep number the cache + trace substrate buys).
-
-    ``results_identical`` asserts the replayed sweep's results are
-    byte-identical to the lockstep baseline's; ``replay_instr_per_sec``
-    times one replay-driven system run for the first benchmark.
-    """
-    import shutil
-
-    from repro.trace.store import (
-        TraceStore,
-        clear_memos,
-        replay_counters,
-        reset_counters,
-    )
-
-    requests = [
-        RunRequest(bench, prefetcher, instructions)
-        for bench in benchmarks
-        for prefetcher in prefetchers
-    ]
-
-    def timed_sweep(cache_dir, mode):
-        previous = os.environ.get("REPRO_TRACE_REPLAY")
-        os.environ["REPRO_TRACE_REPLAY"] = mode
-        try:
-            runner = ExperimentRunner(cache_dir=cache_dir, policy=policy)
-            start = time.perf_counter()
-            results = runner.run_many(requests, jobs=1)
-            return time.perf_counter() - start, results
-        finally:
-            if previous is None:
-                del os.environ["REPRO_TRACE_REPLAY"]
-            else:
-                os.environ["REPRO_TRACE_REPLAY"] = previous
-
-    with tempfile.TemporaryDirectory() as lockstep_dir:
-        lockstep_seconds, lockstep_results = timed_sweep(
-            lockstep_dir, "off")
-
-    with tempfile.TemporaryDirectory() as trace_dir:
-        # one-time record cost, measured directly per benchmark
-        store = TraceStore(trace_dir)
-        start = time.perf_counter()
-        for bench in benchmarks:
-            store.record(build_workload(bench), instructions)
-        record_seconds = time.perf_counter() - start
-
-        # replay-driven single run (hot memos) for an instr/s figure
-        workload = build_workload(benchmarks[0])
-        trace = store.load(workload, instructions)
-        from repro.trace.replay import TraceReplaySource
-        system = System(workload, SystemConfig(prefetcher="none"),
-                        replay=TraceReplaySource(workload, trace))
-        start = time.perf_counter()
-        system.run(instructions)
-        replay_run_seconds = time.perf_counter() - start
-
-        # cold result cache + warm trace store, fresh-process memo state
-        clear_memos()
-        reset_counters()
-        shutil.rmtree(os.path.join(trace_dir, "single"),
-                      ignore_errors=True)
-        replay_seconds, replay_results = timed_sweep(trace_dir, "auto")
-        counters = dict(replay_counters)
-
-        # everything warm: the repeated-sweep case
-        warm_cache_seconds, _warm_results = timed_sweep(trace_dir, "auto")
-
-    identical = [r.as_dict() for r in lockstep_results] == [
-        r.as_dict() for r in replay_results
-    ]
-    return {
-        "runs": len(requests),
-        "benchmarks": list(benchmarks),
-        "prefetchers": list(prefetchers),
-        "instructions_per_run": instructions,
-        "lockstep_seconds": lockstep_seconds,
-        "record_seconds": record_seconds,
-        "replay_seconds": replay_seconds,
-        "warm_cache_seconds": warm_cache_seconds,
-        "replay_speedup": (
-            lockstep_seconds / replay_seconds if replay_seconds else 0.0
-        ),
-        "repeated_sweep_speedup": (
-            lockstep_seconds / warm_cache_seconds
-            if warm_cache_seconds else 0.0
-        ),
-        "replay_instr_per_sec": (
-            instructions / replay_run_seconds if replay_run_seconds
-            else 0.0
-        ),
-        "results_identical": identical,
-        "counters": counters,
-    }
-
-
-def bench_batch(benchmarks=("libquantum", "mcf"),
-                prefetchers=SWEEP_PREFETCHERS,
-                instructions=10_000, policy=None):
-    """SoA batch-kernel numbers for the repeated-sweep workflow.
-
-    Same sweep shape as :func:`bench_trace_replay`, all serial, so the
-    two payloads compare directly:
-
-    * ``lockstep_seconds`` -- cold sweep, batch off, replay off (the
-      scalar baseline);
-    * ``record_seconds`` -- recording one functional trace per
-      benchmark (batch implies trace; this is its one-time cost);
-    * ``batch_seconds`` -- cold *result* cache, warm *trace* store,
-      ``REPRO_BATCH=on``: every cell re-times through the batch kernel
-      (what a new config sweep costs with the kernel);
-    * ``replay_seconds`` -- the same warm-trace cold-result sweep
-      through the scalar fused-replay engine, for the honest per-cell
-      ``batch_vs_replay_speedup`` (the kernel's win over the best
-      scalar path, not over lockstep);
-    * ``warm_cache_seconds`` -- the identical batch sweep again with
-      everything warm; ``repeated_sweep_speedup`` is the headline
-      repeated-sweep number (lockstep / warm).
-
-    ``batch_instr_per_sec`` times the kernel alone -- all cells as
-    lanes of one :class:`~repro.batch.BatchKernel`, hot memos -- and
-    ``results_identical`` asserts the batch sweep's payloads are
-    byte-identical to the lockstep baseline's.
-    """
-    import shutil
-
-    from repro.batch import BatchKernel, batch_counters, \
-        reset_batch_counters
-    from repro.trace.replay import TraceReplaySource
-    from repro.trace.store import TraceStore, clear_memos
-
-    requests = [
-        RunRequest(bench, prefetcher, instructions)
-        for bench in benchmarks
-        for prefetcher in prefetchers
-    ]
-
-    def timed_sweep(cache_dir, batch_mode, replay_mode):
-        saved = {
-            name: os.environ.get(name)
-            for name in ("REPRO_BATCH", "REPRO_TRACE_REPLAY")
-        }
-        os.environ["REPRO_BATCH"] = batch_mode
-        os.environ["REPRO_TRACE_REPLAY"] = replay_mode
-        try:
-            runner = ExperimentRunner(cache_dir=cache_dir, policy=policy)
-            start = time.perf_counter()
-            results = runner.run_many(requests, jobs=1)
-            return time.perf_counter() - start, results
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-
-    with tempfile.TemporaryDirectory() as lockstep_dir:
-        lockstep_seconds, lockstep_results = timed_sweep(
-            lockstep_dir, "off", "off")
-
-    with tempfile.TemporaryDirectory() as batch_dir:
-        # one-time record cost (batch implies trace)
-        store = TraceStore(batch_dir)
-        start = time.perf_counter()
-        for bench in benchmarks:
-            store.record(build_workload(bench), instructions)
-        record_seconds = time.perf_counter() - start
-
-        # cold result cache + warm trace store, through the kernel
-        clear_memos()
-        reset_batch_counters()
-        batch_seconds, batch_results = timed_sweep(batch_dir, "on", "off")
-        counters = dict(batch_counters)
-
-        # the same warm-trace cold-result sweep on the scalar replay
-        # engine: the honest per-cell comparison
-        clear_memos()
-        shutil.rmtree(os.path.join(batch_dir, "single"),
-                      ignore_errors=True)
-        replay_seconds, _replay_results = timed_sweep(
-            batch_dir, "off", "auto")
-
-        # everything warm: the repeated-sweep case
-        warm_cache_seconds, _warm_results = timed_sweep(
-            batch_dir, "on", "off")
-
-        # kernel-only instr/s: every cell as a lane, hot memos
-        kernel = BatchKernel()
-        for bench in benchmarks:
-            workload = build_workload(bench)
-            trace = store.load(workload, instructions)
-            for prefetcher in prefetchers:
-                system = System(workload, SystemConfig(
-                    prefetcher=prefetcher),
-                    replay=TraceReplaySource(workload, trace))
-                kernel.add_lane(system, instructions)
-        start = time.perf_counter()
-        kernel.run()
-        kernel_seconds = time.perf_counter() - start
-
-    identical = [r.as_dict() for r in lockstep_results] == [
-        r.as_dict() for r in batch_results
-    ]
-    return {
-        "runs": len(requests),
-        "benchmarks": list(benchmarks),
-        "prefetchers": list(prefetchers),
-        "instructions_per_run": instructions,
-        "lockstep_seconds": lockstep_seconds,
-        "record_seconds": record_seconds,
-        "batch_seconds": batch_seconds,
-        "replay_seconds": replay_seconds,
-        "warm_cache_seconds": warm_cache_seconds,
-        "batch_speedup": (
-            lockstep_seconds / batch_seconds if batch_seconds else 0.0
-        ),
-        "batch_vs_replay_speedup": (
-            replay_seconds / batch_seconds if batch_seconds else 0.0
-        ),
-        "repeated_sweep_speedup": (
-            lockstep_seconds / warm_cache_seconds
-            if warm_cache_seconds else 0.0
-        ),
-        "batch_instr_per_sec": (
-            len(requests) * instructions / kernel_seconds
-            if kernel_seconds else 0.0
-        ),
-        "results_identical": identical,
-        "counters": counters,
-    }
-
-
 def run_perf_suite(benchmark="libquantum", instructions=30_000,
                    sweep_benchmarks=None, sweep_instructions=10_000,
                    jobs=4, label=None, policy=None, serve=False,
-                   serve_instructions=4_000, trace_replay=False,
-                   trace_replay_instructions=10_000, batch=False,
-                   batch_instructions=10_000, load=False,
+                   serve_instructions=4_000, load=False,
                    load_requests=10_000, load_clients=32,
                    load_instructions=2_000):
     """Run the component timings (and optional sweep); returns the payload.
@@ -814,11 +563,6 @@ def run_perf_suite(benchmark="libquantum", instructions=30_000,
         :func:`bench_fleet`, attaching the job-server round-trip
         numbers under ``serve`` and the fleet scaling/chaos phases
         under ``fleet``.
-    :param trace_replay: when true, also run :func:`bench_trace_replay`
-        and attach its record/replay/repeated-sweep numbers under the
-        ``trace_replay`` key.
-    :param batch: when true, also run :func:`bench_batch` and attach
-        the SoA batch-kernel numbers under the ``batch`` key.
     :param load: when true, also run :func:`bench_load` and attach the
         cluster-tier zipf load-generator numbers (jobs/s, p50/p99,
         cache-peer hit rate at 1 vs 2 nodes, with and without chaos)
@@ -843,14 +587,6 @@ def run_perf_suite(benchmark="libquantum", instructions=30_000,
     if serve:
         payload["serve"] = bench_serve(instructions=serve_instructions)
         payload["fleet"] = bench_fleet(instructions=serve_instructions)
-    if trace_replay:
-        payload["trace_replay"] = bench_trace_replay(
-            instructions=trace_replay_instructions, policy=policy,
-        )
-    if batch:
-        payload["batch"] = bench_batch(
-            instructions=batch_instructions, policy=policy,
-        )
     if load:
         payload["load"] = bench_load(
             requests=load_requests, clients=load_clients,
@@ -902,32 +638,6 @@ def render_summary(payload):
             % (sweep["runs"], sweep["serial_seconds"], sweep["jobs"],
                sweep["parallel_seconds"], sweep["parallel_speedup"],
                sweep["results_identical"])
-        )
-    trace_replay = payload.get("trace_replay")
-    if trace_replay:
-        lines.append(
-            "  trace-replay: %d runs  lockstep %.2fs  record %.2fs  "
-            "replay %.2fs (%.2fx)  repeated sweep %.2fs (%.2fx)  "
-            "identical=%s"
-            % (trace_replay["runs"], trace_replay["lockstep_seconds"],
-               trace_replay["record_seconds"],
-               trace_replay["replay_seconds"],
-               trace_replay["replay_speedup"],
-               trace_replay["warm_cache_seconds"],
-               trace_replay["repeated_sweep_speedup"],
-               trace_replay["results_identical"])
-        )
-    batch = payload.get("batch")
-    if batch:
-        lines.append(
-            "  batch: %d runs  lockstep %.2fs  batch %.2fs (%.2fx)  "
-            "vs-replay %.2fx  repeated sweep %.2fs (%.2fx)  identical=%s"
-            % (batch["runs"], batch["lockstep_seconds"],
-               batch["batch_seconds"], batch["batch_speedup"],
-               batch["batch_vs_replay_speedup"],
-               batch["warm_cache_seconds"],
-               batch["repeated_sweep_speedup"],
-               batch["results_identical"])
         )
     serve = payload.get("serve")
     if serve:

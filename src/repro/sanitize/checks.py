@@ -142,8 +142,6 @@ class Sanitizer:
         self._check_prefetcher(system, cycle, full)
         if hasattr(system.prefetcher, "arf"):
             self._check_arf(system, cycle, full)
-        if full and getattr(system, "replay", None) is not None:
-            self._check_replay(system, cycle)
 
     def _check_machine(self, system, cycle):
         machine = system.machine
@@ -291,16 +289,6 @@ class Sanitizer:
                     self._fail(system, cycle, component,
                                "queue-entry-shape",
                                "queued address %r" % (addr,))
-
-    def _check_replay(self, system, cycle):
-        """Differential oracle: cross-validate a chunk of the replayed
-        trace against a shadow lockstep machine (full mode only)."""
-        from repro.trace.format import TraceError
-        try:
-            system.replay.verify_chunk()
-        except TraceError as exc:
-            self._fail(system, cycle, "trace.replay",
-                       "replay-lockstep-divergence", str(exc))
 
     def _check_arf(self, system, cycle, full):
         """B-Fetch ARF: heap ordering, sequence bounds, and (full mode)

@@ -621,10 +621,7 @@ class JobServer(object):
         return {"type": "catalog", "catalog": self.catalog}
 
     async def _on_statz(self, message):
-        from repro.trace.store import replay_counters
-        stats = self.metrics.dump()
-        stats["trace"] = dict(replay_counters)
-        return {"type": "statz", "stats": stats}
+        return {"type": "statz", "stats": self.metrics.dump()}
 
     async def _on_jobs(self, message):
         limit = message.get("limit", 50)

@@ -40,29 +40,18 @@ class CMPSystem:
         core.
     :param config: shared :class:`~repro.sim.SystemConfig`; the LLC is
         sized at ``llc_size_per_core * len(workloads)`` per Table II.
-    :param replays: optional per-core list of
-        :class:`~repro.trace.replay.TraceReplaySource` (or None entries)
-        driving cores off recorded traces; cores stepped past their
-        recorded window live-continue on a real machine, so the
-        keep-running overshoot stays exact.
     """
 
-    def __init__(self, workloads, config=None, replays=None):
+    def __init__(self, workloads, config=None):
         if not workloads:
             raise ValueError("need at least one workload")
-        if replays is not None and len(replays) != len(workloads):
-            raise ValueError(
-                "replays must align with workloads (%d vs %d)"
-                % (len(replays), len(workloads))
-            )
         self.config = config or SystemConfig()
         self.num_cores = len(workloads)
         self.llc = self.config.hierarchy.make_llc(self.num_cores)
         self.dram = self.config.hierarchy.make_dram()
         self.systems = [
-            System(workload, self.config, llc=self.llc, dram=self.dram,
-                   replay=replays[index] if replays is not None else None)
-            for index, workload in enumerate(workloads)
+            System(workload, self.config, llc=self.llc, dram=self.dram)
+            for workload in workloads
         ]
 
     def run(self, instructions_per_app, checkpointer=None, sanitizer=None,

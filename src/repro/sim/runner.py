@@ -96,13 +96,8 @@ from repro.sim.cmp import CMPSystem
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import weighted_speedup
 from repro.sim.system import RunResult, System
-from repro.trace.store import (
-    replay_counters as _replay_counters,
-    replay_mode as _replay_mode,
-    replay_source_for as _replay_source_for,
-)
 from repro.workloads.mixes import foa_from_result
-from repro.workloads.spec import build_workload
+from repro.workloads.spec import build_workload, check_variant
 
 # v2: sharded cache layout (<kind>/<digest prefix>/ subdirectories) with
 # integrity envelopes ({"v", "sha", "data"}) on every entry
@@ -154,6 +149,20 @@ def scaled(budget):
     return max(1000, int(budget * scale))
 
 
+def _check_instructions(instructions):
+    """Return *instructions* if it is a positive ``int`` (not a bool).
+
+    Checked before the cache probe and the retry loop, so a bad budget
+    neither caches a bogus result nor burns the retry budget.
+    """
+    if isinstance(instructions, bool) or not isinstance(instructions, int) \
+            or instructions <= 0:
+        raise ValueError(
+            "instructions must be a positive integer, got %r"
+            % (instructions,))
+    return instructions
+
+
 def default_jobs():
     """Worker count for parallel batches: ``REPRO_JOBS`` or cpu count.
 
@@ -200,7 +209,7 @@ class RunRequest(
 
 
 def _execute_single(benchmark, prefetcher, instructions, config, variant,
-                    attempt=0, fault_key=None, cache_dir=None):
+                    attempt=0, fault_key=None):
     """Worker body: build and run one system; returns the result dict.
 
     Module-level so it pickles for the process pool; simulation is fully
@@ -209,12 +218,6 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
 
     *attempt*/*fault_key* feed the deterministic fault-injection harness
     (``REPRO_FAULTS``); they never influence the simulation itself.
-
-    When ``REPRO_TRACE_REPLAY`` is ``auto``/``on`` the run is driven by
-    a recorded functional trace from the content-addressed store under
-    *cache_dir* (recorded on the first miss), producing byte-identical
-    results at timing-only cost; lockstep execution remains the default
-    and the differential oracle.
 
     When ``REPRO_CKPT_DIR`` and/or ``REPRO_CHECK`` are set the run goes
     through the chunked :meth:`~repro.sim.System.run` path with a
@@ -232,11 +235,7 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
     if plan.active:
         plan.inject_execution_faults(fault_key, attempt)
         corrupt_at = plan.corrupt_state_cycle(fault_key, attempt)
-    workload = build_workload(benchmark, variant)
-    replay = _replay_source_for(workload, instructions, variant,
-                                cache_dir=cache_dir)
-    _replay_counters["replayed" if replay is not None else "lockstep"] += 1
-    system = System(workload, config, replay=replay)
+    system = System(build_workload(benchmark, variant), config)
     sanitizer = Sanitizer.from_env()
     checkpointer = _checkpointer_from_env(
         "single-%s" % hashlib.sha1(str(fault_key).encode()).hexdigest()[:16]
@@ -320,12 +319,6 @@ class ExperimentRunner:
         self.cache_peers = cache_peers
         self.last_report = None
         self._memo = {}
-        # fail fast on a malformed REPRO_TRACE_REPLAY / REPRO_BATCH
-        # instead of letting every task burn its retry budget on the
-        # same config error
-        _replay_mode()
-        from repro.batch import batch_mode
-        batch_mode()
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             # a crashed writer can leave ".tmp-*" droppings behind from
@@ -536,9 +529,9 @@ class ExperimentRunner:
         """Per-kind entry counts and byte totals of the on-disk cache.
 
         Returns ``{kind: {"entries": n, "bytes": b}}`` over every kind
-        directory under ``cache_dir`` (``single``, ``mix``, ``ftrace``,
-        ...), skipping in-flight ``.tmp-`` files.  Empty when caching is
-        off.  *kind* restricts the report to one kind directory.
+        directory under ``cache_dir`` (``single``, ``mix``), skipping
+        in-flight ``.tmp-`` files.  Empty when caching is off.  *kind*
+        restricts the report to one kind directory.
         """
         stats = {}
         if not self.cache_dir or not os.path.isdir(self.cache_dir):
@@ -573,7 +566,7 @@ class ExperimentRunner:
         :func:`repro.obs.io.remove_if_unchanged`, so an entry refreshed
         between the stat and the unlink is left alone.  Empty shard
         directories are pruned opportunistically.  *kind* restricts the
-        sweep to one kind directory (e.g. evict ``ftrace`` blobs while
+        sweep to one kind directory (e.g. evict ``mix`` entries while
         keeping ``single`` results).  Returns ``{"removed": n,
         "bytes": b}``.
         """
@@ -624,6 +617,8 @@ class ExperimentRunner:
         benchmark, prefetcher, instructions, config, variant = request
         if instructions is None:
             instructions = scaled(DEFAULT_SINGLE_BUDGET)
+        _check_instructions(instructions)
+        check_variant(variant)
         config = config or SystemConfig(prefetcher=prefetcher)
         if config.prefetcher != prefetcher:
             raise ValueError("config.prefetcher disagrees with prefetcher arg")
@@ -664,7 +659,6 @@ class ExperimentRunner:
             data, _attempts = call_with_retries(
                 lambda attempt: _execute_single(
                     *job, attempt=attempt, fault_key=fault_key,
-                    cache_dir=self.cache_dir,
                 ),
                 fault_key, policy,
             )
@@ -796,99 +790,12 @@ class ExperimentRunner:
         # second across all misses (each duplicate group simulates once)
         simulated = sum(task.job[2] for task in tasks)
         with profiler.section("execute", items=simulated):
-            from repro.batch import batch_mode
-            mode = batch_mode()
-            if tasks and mode != "off" and (jobs == 1 or mode == "on"):
-                tasks = self._run_batch_kernel(tasks, results, report,
-                                               tracker, mode)
-            if tasks:
-                if jobs == 1:
-                    self._run_serial(tasks, results, report, policy,
-                                     tracker)
-                else:
-                    self._run_pool(tasks, results, report, policy, jobs,
-                                   tracker)
+            if jobs == 1:
+                self._run_serial(tasks, results, report, policy, tracker)
+            else:
+                self._run_pool(tasks, results, report, policy, jobs,
+                               tracker)
         return results, report
-
-    def _batch_replay_source(self, workload, instructions, variant):
-        """Trace source for a batch lane.
-
-        The batch kernel *requires* a recorded trace, so ``REPRO_BATCH``
-        implies recording even when ``REPRO_TRACE_REPLAY`` is off
-        (replay-vs-lockstep identity is already enforced by the trace
-        test suite, so the answer cannot change).  With replay enabled
-        the ordinary source builder runs, honouring its own mode.
-        """
-        if _replay_mode() != "off":
-            return _replay_source_for(workload, instructions, variant,
-                                      cache_dir=self.cache_dir)
-        from repro.trace.replay import TraceReplaySource
-        from repro.trace.store import TraceStore
-        trace = TraceStore(self.cache_dir).get_or_record(
-            workload, instructions, variant)
-        return TraceReplaySource(workload, trace)
-
-    def _run_batch_kernel(self, tasks, results, report, tracker, mode):
-        """Route eligible miss tasks through the SoA batch kernel.
-
-        Returns the tasks the kernel did not serve; in ``auto`` mode
-        that is the ineligible ones (plus everything, counted as
-        fallbacks, when the kernel attempt fails), while in ``on`` mode
-        any gate, ineligible lane or kernel failure raises so CI runs
-        cannot silently measure the scalar path.
-        """
-        from repro.batch import batch_counters, record_fallback
-        from repro.batch.kernel import BatchIneligible, BatchKernel
-        gate = None
-        if get_fault_plan().active:
-            gate = "fault injection is active"
-        elif Sanitizer.from_env() is not None:
-            gate = "the sanitizer is active"
-        elif os.environ.get("REPRO_CKPT_DIR"):
-            gate = "checkpointing is active"
-        if gate is not None:
-            if mode == "on":
-                raise BatchIneligible(gate)
-            return tasks
-        try:
-            kernel = BatchKernel()
-            served = []
-            leftover = []
-            for task in tasks:
-                benchmark, _prefetcher, instructions, config, variant = (
-                    task.job
-                )
-                workload = build_workload(benchmark, variant)
-                replay = self._batch_replay_source(workload, instructions,
-                                                   variant)
-                system = System(workload, config, replay=replay)
-                try:
-                    kernel.add_lane(system, instructions)
-                except BatchIneligible as exc:
-                    if mode == "on":
-                        raise
-                    record_fallback(str(exc))
-                    leftover.append(task)
-                    continue
-                served.append(task)
-            if not served:
-                return tasks
-            kernel.run()
-            lane_results = kernel.results()
-        except BatchIneligible:
-            raise
-        except Exception:
-            if mode == "on":
-                raise
-            for _ in tasks:
-                record_fallback("batch kernel failure")
-            return tasks
-        batch_counters["lanes"] += len(served)
-        _replay_counters["replayed"] += len(served)
-        for task, result in zip(served, lane_results):
-            self._complete(task, result.as_dict(), results, report,
-                           tracker)
-        return leftover
 
     # -- batch internals ------------------------------------------------
 
@@ -910,8 +817,7 @@ class ExperimentRunner:
             report.degradations += 1
             try:
                 data = _execute_single(*task.job, attempt=task.attempts,
-                                       fault_key=task.key,
-                                       cache_dir=self.cache_dir)
+                                       fault_key=task.key)
             except Exception as exc:
                 final = SimulationError(
                     "task %s failed in-process after pool failures: %s"
@@ -944,8 +850,7 @@ class ExperimentRunner:
         for task in tasks:
             def attempt_fn(attempt, _job=task.job, _key=task.key):
                 return _execute_single(*_job, attempt=attempt,
-                                       fault_key=_key,
-                                       cache_dir=self.cache_dir)
+                                       fault_key=_key)
 
             def on_retry(exc, attempt):
                 report.errors += 1
@@ -1012,7 +917,6 @@ class ExperimentRunner:
                         future = pool.submit(
                             _execute_single, *task.job,
                             attempt=task.attempts, fault_key=task.key,
-                            cache_dir=self.cache_dir,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         queue.appendleft(task)
@@ -1144,8 +1048,14 @@ class ExperimentRunner:
 
     def run_mix(self, mix, prefetcher="none", instructions=None, config=None):
         """Run a multiprogrammed mix; returns per-core RunResults."""
+        if not isinstance(mix, (list, tuple)) or not mix \
+                or not all(isinstance(name, str) for name in mix):
+            raise ValueError(
+                "mix must be a non-empty list or tuple of benchmark "
+                "names, got %r" % (mix,))
         if instructions is None:
             instructions = scaled(DEFAULT_MIX_BUDGET)
+        _check_instructions(instructions)
         config = config or SystemConfig(prefetcher=prefetcher)
         payload = [list(mix), instructions, list(config.key())]
         path = self._cache_path("mix", payload)
@@ -1154,73 +1064,20 @@ class ExperimentRunner:
         if cached is not None:
             return [RunResult(dict(entry)) for entry in cached]
         workloads = [build_workload(name) for name in mix]
-        replays = None
-        if _replay_mode() != "off":
-            replays = [
-                _replay_source_for(workload, instructions,
-                                   cache_dir=self.cache_dir)
-                for workload in workloads
-            ]
-            if any(replay is None for replay in replays):
-                replays = None  # all-or-nothing: keep the mix uniform
-        _replay_counters[
-            "replayed" if replays is not None else "lockstep"] += 1
         sanitizer = Sanitizer.from_env()
         checkpointer = _checkpointer_from_env("mix-%s" % memo_key[1][:16])
         corrupt_at = get_fault_plan().corrupt_state_cycle(memo_key[1])
-        plain = (checkpointer is None and sanitizer is None
-                 and corrupt_at is None)
-        results = (
-            self._try_mix_batch(workloads, config, instructions)
-            if plain else None
-        )
-        if results is None:
-            cmp_system = CMPSystem(workloads, config, replays=replays)
-            if plain:
-                results = cmp_system.run(instructions)
-            else:
-                with signal_guard() as interrupt:
-                    results = cmp_system.run(
-                        instructions, checkpointer=checkpointer,
-                        sanitizer=sanitizer, interrupt=interrupt,
-                        corrupt_at=corrupt_at,
-                    )
+        cmp_system = CMPSystem(workloads, config)
+        if checkpointer is None and sanitizer is None and corrupt_at is None:
+            results = cmp_system.run(instructions)
+        else:
+            with signal_guard() as interrupt:
+                results = cmp_system.run(
+                    instructions, checkpointer=checkpointer,
+                    sanitizer=sanitizer, interrupt=interrupt,
+                    corrupt_at=corrupt_at,
+                )
         self._save(path, [result.as_dict() for result in results], memo_key)
-        return results
-
-    def _try_mix_batch(self, workloads, config, instructions):
-        """Attempt the batch-tier CMP runner; returns results or None.
-
-        None means "use the scalar path": batch mode is off, or (in
-        ``auto`` mode) the mix is ineligible or the attempt failed.  The
-        attempt always runs on freshly built systems and replay sources,
-        so a failure cannot leak partially-advanced state into the
-        scalar rerun; ``on`` mode propagates instead of falling back.
-        """
-        from repro.batch import batch_counters, batch_mode, record_fallback
-        mode = batch_mode()
-        if mode == "off":
-            return None
-        from repro.batch.cmp import run_mix_batch
-        from repro.batch.kernel import BatchIneligible
-        try:
-            replays = [
-                self._batch_replay_source(workload, instructions, 0)
-                for workload in workloads
-            ]
-            cmp_system = CMPSystem(workloads, config, replays=replays)
-            results = run_mix_batch(cmp_system, instructions)
-        except BatchIneligible as exc:
-            if mode == "on":
-                raise
-            record_fallback(str(exc))
-            return None
-        except Exception:
-            if mode == "on":
-                raise
-            record_fallback("batch kernel failure")
-            return None
-        batch_counters["cmp"] += 1
         return results
 
     # ------------------------------------------------------------------

@@ -261,22 +261,13 @@ class System:
         (CMP mode); a private one is built when None.
     :param stats_prefix: name prefix for this system's stats when
         sharing a registry (e.g. ``"core0."``).
-    :param replay: optional
-        :class:`~repro.trace.replay.TraceReplaySource`; when given it
-        replaces the functional machine and the run is timed off the
-        recorded trace (byte-identical results, see DESIGN.md "Trace
-        substrate").
     """
 
     def __init__(self, workload, config=None, llc=None, dram=None,
-                 tracer=None, registry=None, stats_prefix="", replay=None):
+                 tracer=None, registry=None, stats_prefix=""):
         self.config = config or SystemConfig()
         self.workload = workload
-        self.replay = replay
-        if replay is not None:
-            self.machine = replay
-        else:
-            self.machine = Machine(workload.program, dict(workload.memory))
+        self.machine = Machine(workload.program, dict(workload.memory))
         self.predictor = self.config.make_predictor()
         self.confidence = CompositeConfidenceEstimator()
         self.btb = BranchTargetBuffer()
@@ -364,10 +355,7 @@ class System:
             or (sanitizer is not None and sanitizer.active)
         )
         if not chunked:
-            if self.replay is not None and self._fusable(instructions):
-                self._run_fused(instructions)
-            else:
-                self.core.run(instructions)
+            self.core.run(instructions)
         else:
             self._run_chunked(instructions, checkpointer, sanitizer,
                               interrupt, corrupt_at)
@@ -376,39 +364,6 @@ class System:
         return RunResult.from_core(
             self.core, self.workload.name, self.config.prefetcher
         )
-
-    def _fusable(self, instructions):
-        """Whether the fused replay engine can serve this run.
-
-        It transcribes the core's hot loop from a fresh pipeline with
-        branch tracing folded out, so it only applies to a pristine
-        system whose budget fits the recorded window; anything else
-        falls back to the drop-in replay-source path (still correct,
-        still functional-execution-free inside the window).
-        """
-        source = self.machine
-        return (
-            source.pos == 0
-            and self.core.retired == 0
-            and self.core.cycle == 0
-            and instructions <= len(source.trace.records)
-            and self.core._trace_branch is None
-            # the fused engine transcribes the frontend-free fetch loop
-            and self.core.frontend is None
-        )
-
-    def _run_fused(self, instructions):
-        """Dispatch to the fused trace-replay engine (byte-identical)."""
-        from repro.trace.engine import run_replay
-        from repro.trace.store import outcomes_for, view_for
-        source = self.machine
-        view = view_for(self.workload, source.trace)
-        outcomes = None
-        # the branch pre-pass is only valid when nothing observes live
-        # predictor state -- the B-Fetch engine attaches to it
-        if not hasattr(self.prefetcher, "attach"):
-            outcomes = outcomes_for(source.trace, self.config, view)
-        run_replay(self, instructions, view, outcomes)
 
     def _run_chunked(self, instructions, checkpointer, sanitizer,
                      interrupt, corrupt_at):
@@ -468,19 +423,12 @@ class System:
         """Identity of this assembly: workload name + config key.
 
         Stored inside every snapshot so a checkpoint can never be
-        restored into a differently-configured system.  Replay-driven
-        systems add an ``engine`` marker: their machine snapshots carry
-        a replay cursor instead of a memory image, so cross-engine
-        restores must be rejected (the chunked driver then drops the
-        stale checkpoint and starts clean).
+        restored into a differently-configured system.
         """
-        state = {
+        return {
             "workload": self.workload.name,
             "config": list(self.config.key()),
         }
-        if self.replay is not None:
-            state["engine"] = "replay"
-        return state
 
     def snapshot(self, include_shared=True):
         """Complete simulation state as a JSON-safe structure.
@@ -514,8 +462,6 @@ class System:
         expected = self.fingerprint()
         found = {"workload": state.get("workload"),
                  "config": state.get("config")}
-        if "engine" in state:
-            found["engine"] = state["engine"]
         if found != expected:
             raise CheckpointError(
                 "checkpoint fingerprint mismatch: saved %r, system is %r"

@@ -276,6 +276,19 @@ SPEC_BENCHMARKS = tuple(sorted(name for name, profile in PROFILES.items()
 _CACHE = {}
 
 
+def check_variant(variant):
+    """Return *variant* if it is a non-negative ``int`` (not a bool).
+
+    The seed string formats it with ``%d``, so ``1.5`` would silently
+    build variant 1 and ``-1`` an unintended ``-v-1`` workload.
+    """
+    if isinstance(variant, bool) or not isinstance(variant, int) \
+            or variant < 0:
+        raise ValueError(
+            "variant must be a non-negative integer, got %r" % (variant,))
+    return variant
+
+
 def build_workload(name, variant=0):
     """Build (and memoise) the named benchmark workload.
 
@@ -283,9 +296,10 @@ def build_workload(name, variant=0):
         (pointer-chain order, predicate patterns, gather indices).
         Variant 0 is the canonical calibrated instance; other variants
         share the same code structure with re-drawn data, for
-        across-seed variability studies.
+        across-seed variability studies.  Must be a non-negative
+        ``int`` (:class:`ValueError` otherwise).
     """
-    key = (name, variant)
+    key = (name, check_variant(variant))
     if key in _CACHE:
         return _CACHE[key]
     profile = PROFILES.get(name)

@@ -1,321 +1,22 @@
-"""Batch timing kernel: byte-identity vs the scalar reference engines.
+"""Latency quantiles and ``--older-than`` duration parsing.
 
-The acceptance bar (DESIGN.md "Batch timing kernel") is byte-identity:
-every stats payload a batch lane produces must equal the scalar
-reference's for the same scenario -- all nine prefetchers, both branch
-predictors, single-core and CMP, cold and restored-from-checkpoint.
-The scalar comparison target here is the fused replay path, itself
-byte-identical to lockstep by the PR 6 guarantee.
-
-Also hosts the regression tests for the two satellite bugfixes that
-rode along with this PR: the nearest-rank percentile truncation in
-``repro.serve.metrics.quantile`` and the permissive duration parser in
-``repro.cli._duration_seconds``.
+Regression tests for ``repro.serve.metrics.quantile`` (type-7 linear
+interpolation) and ``repro.cli._duration_seconds``.  The module name
+is historical: these tests sat beside the batch timing kernel's suite,
+which went with the kernel; the file keeps its name so their test ids
+stay stable.
 """
 
 import argparse
 
 import pytest
 
-from repro.batch import (
-    BatchIneligible,
-    BatchKernel,
-    batch_counters,
-    batch_mode,
-    batchable,
-    reset_batch_counters,
-)
-from repro.batch.cmp import batchable_mix, run_mix_batch
-from repro.batch.feed import clear_feed_memo
-from repro.batch.fuzz import run_fuzz
 from repro.cli import _duration_seconds
 from repro.serve.metrics import quantile
-from repro.sim.cmp import CMPSystem
-from repro.sim.config import PREFETCHER_NAMES, SystemConfig
-from repro.sim.runner import ExperimentRunner, RunRequest
-from repro.sim.system import System
-from repro.trace.replay import TraceReplaySource
-from repro.trace.store import TraceStore, clear_memos, reset_counters
-from repro.workloads.spec import build_workload
-
-STEPS = 2_500
-
-
-@pytest.fixture(autouse=True)
-def _fresh_batch_state(monkeypatch):
-    """Isolate every test from process-local memos and env knobs."""
-    clear_memos()
-    clear_feed_memo()
-    reset_counters()
-    reset_batch_counters()
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_REPLAY", raising=False)
-    yield
-    clear_memos()
-    clear_feed_memo()
-    reset_counters()
-    reset_batch_counters()
-
-
-@pytest.fixture(scope="module")
-def cache(tmp_path_factory):
-    """Module-shared trace store so each (workload, steps) records once."""
-    return str(tmp_path_factory.mktemp("batch-traces"))
-
-
-def _system(benchmark, prefetcher, steps, cache,
-            predictor="tournament", variant=0):
-    workload = build_workload(benchmark, variant)
-    config = SystemConfig(prefetcher=prefetcher,
-                          branch_predictor=predictor)
-    trace = TraceStore(cache).get_or_record(workload, steps, variant)
-    return System(workload, config,
-                  replay=TraceReplaySource(workload, trace))
-
-
-def _cmp(mix, prefetcher, predictor, steps, cache):
-    workloads = [build_workload(name) for name in mix]
-    store = TraceStore(cache)
-    replays = [
-        TraceReplaySource(workload, store.get_or_record(workload, steps, 0))
-        for workload in workloads
-    ]
-    config = SystemConfig(prefetcher=prefetcher,
-                          branch_predictor=predictor)
-    return CMPSystem(workloads, config, replays=replays)
 
 
 # ----------------------------------------------------------------------
-# single-core byte-identity
-
-
-@pytest.mark.parametrize("prefetcher", PREFETCHER_NAMES)
-def test_single_lane_identity(prefetcher, cache):
-    """One lane per kernel: every catalog prefetcher, byte-identical."""
-    expected = _system("mcf", prefetcher, STEPS, cache).run(STEPS).as_dict()
-    system = _system("mcf", prefetcher, STEPS, cache)
-    kernel = BatchKernel()
-    kernel.add_lane(system, STEPS)
-    assert kernel.run() is True
-    assert kernel.results()[0].as_dict() == expected
-
-
-@pytest.mark.parametrize("prefetcher", ("none", "bfetch", "stems"))
-def test_single_lane_identity_perceptron(prefetcher, cache):
-    expected = _system("libquantum", prefetcher, STEPS, cache,
-                       predictor="perceptron").run(STEPS).as_dict()
-    system = _system("libquantum", prefetcher, STEPS, cache,
-                     predictor="perceptron")
-    kernel = BatchKernel()
-    kernel.add_lane(system, STEPS)
-    assert kernel.run() is True
-    assert kernel.results()[0].as_dict() == expected
-
-
-@pytest.mark.parametrize("lanes", (4, 16))
-def test_heterogeneous_lanes_identity(lanes, cache):
-    """Mixed benchmarks/prefetchers sharing one BatchState: a
-    lane-indexing bug cannot hide behind homogeneous neighbours."""
-    benches = ("mcf", "libquantum", "soplex", "astar")
-    cells = [
-        (benches[i % len(benches)],
-         PREFETCHER_NAMES[i % len(PREFETCHER_NAMES)])
-        for i in range(lanes)
-    ]
-    expected = [
-        _system(bench, pf, STEPS, cache).run(STEPS).as_dict()
-        for bench, pf in cells
-    ]
-    kernel = BatchKernel()
-    for bench, pf in cells:
-        kernel.add_lane(_system(bench, pf, STEPS, cache), STEPS)
-    assert kernel.run() is True
-    got = [result.as_dict() for result in kernel.results()]
-    assert got == expected
-
-
-# ----------------------------------------------------------------------
-# CMP byte-identity
-
-
-@pytest.mark.parametrize("prefetcher", ("none", "stride", "bfetch"))
-def test_cmp_mix_identity(prefetcher, cache):
-    mix = ["mcf", "libquantum"]
-    steps = 3_000
-    scalar = [r.as_dict() for r in
-              _cmp(mix, prefetcher, "tournament", steps, cache).run(steps)]
-    batch = [r.as_dict() for r in run_mix_batch(
-        _cmp(mix, prefetcher, "tournament", steps, cache), steps)]
-    assert batch == scalar
-
-
-def test_cmp_delegation_resume(cache):
-    """Pinned fuzzer find: the CMP delegation rewind bug.
-
-    A core crossing its recorded window *mid-burst* must hand off to
-    the scalar stepper at the cycle the burst reached, not the
-    burst-entry cycle.  The original bug resumed at burst entry,
-    re-simulating already-counted cycles; on this exact scenario it
-    drifted ``fetch_cycles`` by one on the mcf core while every other
-    key stayed equal -- the kind of divergence only the differential
-    fuzzer catches.  See ``repro/batch/cmp.py`` ``_CoreLane.burst``.
-    """
-    mix = ["mcf", "libquantum", "soplex", "astar"]
-    steps = 6_000
-    scalar = [r.as_dict() for r in
-              _cmp(mix, "nextn", "tournament", steps, cache).run(steps)]
-    batch = [r.as_dict() for r in run_mix_batch(
-        _cmp(mix, "nextn", "tournament", steps, cache), steps)]
-    assert batch == scalar
-
-
-# ----------------------------------------------------------------------
-# checkpoint / restore mid-batch
-
-
-def test_checkpoint_restore_mid_batch(cache):
-    """Interrupt the kernel between slices, snapshot, restore into a
-    fresh system, re-attach warm: the final payload is byte-identical
-    to an uninterrupted scalar run."""
-    steps = 3_000
-    expected = _system("mcf", "stride", steps, cache).run(steps).as_dict()
-
-    interrupted = _system("mcf", "stride", steps, cache)
-    kernel = BatchKernel(slice_instructions=512)
-    kernel.add_lane(interrupted, steps)
-    assert kernel.run(max_slices=2) is False
-    assert 0 < interrupted.core.retired < steps
-    state = interrupted.snapshot()
-
-    resumed = _system("mcf", "stride", steps, cache)
-    resumed.restore(state)
-    warm = BatchKernel()
-    warm.add_lane(resumed, steps)
-    assert warm.run() is True
-    assert warm.results()[0].as_dict() == expected
-
-
-# ----------------------------------------------------------------------
-# eligibility
-
-
-def test_batchable_requires_replay():
-    workload = build_workload("mcf")
-    system = System(workload, SystemConfig(prefetcher="none"))
-    assert batchable(system, 1_000) == "no trace replay source"
-    with pytest.raises(BatchIneligible):
-        BatchKernel().add_lane(system, 1_000)
-
-
-def test_batchable_rejects_overlong_budget(cache):
-    system = _system("mcf", "none", STEPS, cache)
-    assert "budget exceeds" in batchable(system, STEPS + 1)
-    assert batchable(system, STEPS) is None
-
-
-def test_add_lane_after_run_rejected(cache):
-    kernel = BatchKernel()
-    kernel.add_lane(_system("mcf", "none", STEPS, cache), STEPS)
-    kernel.run()
-    with pytest.raises(BatchIneligible, match="sealed"):
-        kernel.add_lane(_system("mcf", "stride", STEPS, cache), STEPS)
-
-
-def test_batchable_mix_rejects_missing_replay():
-    workloads = [build_workload("mcf"), build_workload("libquantum")]
-    cmp_system = CMPSystem(workloads, SystemConfig(prefetcher="none"))
-    reason = batchable_mix(cmp_system)
-    assert reason is not None and "core 0" in reason
-    with pytest.raises(BatchIneligible):
-        run_mix_batch(cmp_system, 1_000)
-
-
-# ----------------------------------------------------------------------
-# REPRO_BATCH routing through ExperimentRunner
-
-
-def _requests(steps=STEPS):
-    return [RunRequest(bench, prefetcher, steps)
-            for bench in ("mcf", "libquantum")
-            for prefetcher in ("none", "bfetch")]
-
-
-@pytest.mark.parametrize("mode", ("auto", "on"))
-def test_runner_batch_routing_identical(mode, tmp_path, monkeypatch):
-    expected = [r.as_dict() for r in
-                ExperimentRunner().run_many(_requests(), jobs=1)]
-    reset_batch_counters()
-    monkeypatch.setenv("REPRO_BATCH", mode)
-    runner = ExperimentRunner(cache_dir=str(tmp_path))
-    got = [r.as_dict() for r in runner.run_many(_requests(), jobs=1)]
-    assert got == expected
-    assert batch_counters["lanes"] == len(_requests())
-    assert batch_counters["fallback"] == 0
-
-
-def test_runner_mix_batch_routing_identical(tmp_path, monkeypatch):
-    mix = ["mcf", "libquantum"]
-    expected = [r.as_dict() for r in
-                ExperimentRunner().run_mix(mix, "bfetch", 3_000)]
-    reset_batch_counters()
-    monkeypatch.setenv("REPRO_BATCH", "auto")
-    runner = ExperimentRunner(cache_dir=str(tmp_path))
-    got = [r.as_dict() for r in runner.run_mix(mix, "bfetch", 3_000)]
-    assert got == expected
-    assert batch_counters["cmp"] == 1
-
-
-def test_runner_auto_falls_back_when_gated(tmp_path, monkeypatch):
-    """Checkpointing is a batch gate: auto silently takes the scalar
-    path and still produces the baseline payloads."""
-    expected = [r.as_dict() for r in
-                ExperimentRunner().run_many(_requests(), jobs=1)]
-    monkeypatch.setenv("REPRO_BATCH", "auto")
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / "ckpt"))
-    runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
-    got = [r.as_dict() for r in runner.run_many(_requests(), jobs=1)]
-    assert got == expected
-    assert batch_counters["lanes"] == 0
-
-
-def test_runner_on_mode_raises_when_gated(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "on")
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / "ckpt"))
-    runner = ExperimentRunner(cache_dir=str(tmp_path / "cache"))
-    with pytest.raises(BatchIneligible):
-        runner.run_many(_requests(), jobs=1)
-
-
-def test_runner_rejects_malformed_batch_mode(monkeypatch):
-    """The knob fails fast at runner construction (like replay's)."""
-    monkeypatch.setenv("REPRO_BATCH", "bogus")
-    with pytest.raises(ValueError, match="off/auto/on"):
-        ExperimentRunner()
-
-
-def test_batch_mode_parsing(monkeypatch):
-    for raw, want in (("", "off"), ("off", "off"), ("0", "off"),
-                      ("auto", "auto"), ("on", "on"), ("ON", "on")):
-        monkeypatch.setenv("REPRO_BATCH", raw)
-        assert batch_mode() == want
-    monkeypatch.delenv("REPRO_BATCH")
-    assert batch_mode() == "off"
-    monkeypatch.setenv("REPRO_BATCH", "yes")
-    with pytest.raises(ValueError, match="off/auto/on"):
-        batch_mode()
-
-
-# ----------------------------------------------------------------------
-# differential fuzzer
-
-
-def test_fuzz_smoke(cache):
-    """A short seeded fuzz run (including a CMP mix round) is clean."""
-    assert run_fuzz(seed=5, rounds=3, mix_every=3, cache_dir=cache) == []
-
-
-# ----------------------------------------------------------------------
-# satellite regression: serve.metrics quantile interpolation
+# serve.metrics quantile interpolation
 
 
 def test_quantile_worked_example():
@@ -350,7 +51,7 @@ def test_quantile_edge_cases():
 
 
 # ----------------------------------------------------------------------
-# satellite regression: CLI duration parsing
+# CLI duration parsing
 
 
 @pytest.mark.parametrize("text,want", [

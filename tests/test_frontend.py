@@ -39,6 +39,13 @@ GOLDEN_MIX = \
     "73f6a5c1f70208d3eeda5281b4afbb8a2c1bacf5a6a6972386a39613e25dfb1a"
 GOLDEN_ALL_PREFETCHERS = \
     "ece484816c1690281dec5f4f8d6d3ac67cfe3a9cc388f590991f7abfb3521a7e"
+# pinned when the trace-replay and batch engines were removed, on the
+# tree that still had them: they cover the perceptron predictor and the
+# CMP path for every prefetcher, as those engines' identity suites did
+GOLDEN_ALL_PREFETCHERS_PERCEPTRON = \
+    "a0c677b48587984eaffb5d7eed6874cf69821b374643fa4fdda345956033292f"
+GOLDEN_MIX_ALL_PREFETCHERS = \
+    "9b8761d1acfd20bf1ecfb9c03adfdc52851d794a5b45154dcac115b449878907"
 
 
 def _digest(payload):
@@ -66,6 +73,30 @@ def test_off_mode_all_prefetchers_match_pre_frontend_golden():
         data = runner.run_single("mcf", prefetcher, 6_000).data
         combo.update(json.dumps(data, sort_keys=True).encode())
     assert combo.hexdigest() == GOLDEN_ALL_PREFETCHERS
+
+
+def test_off_mode_all_prefetchers_perceptron_match_golden():
+    """The same sweep under the perceptron branch predictor."""
+    runner = ExperimentRunner(cache_dir=None)
+    combo = hashlib.sha256()
+    for prefetcher in PREFETCHER_NAMES:
+        config = SystemConfig(prefetcher=prefetcher,
+                              branch_predictor="perceptron")
+        data = runner.run_single("mcf", prefetcher, 6_000,
+                                 config=config).data
+        combo.update(json.dumps(data, sort_keys=True).encode())
+    assert combo.hexdigest() == GOLDEN_ALL_PREFETCHERS_PERCEPTRON
+
+
+def test_off_mode_mix_all_prefetchers_match_golden():
+    """Every D-side prefetcher on the 2-core shared-LLC CMP."""
+    runner = ExperimentRunner(cache_dir=None)
+    combo = hashlib.sha256()
+    for prefetcher in PREFETCHER_NAMES:
+        results = runner.run_mix(["mcf", "libquantum"], prefetcher, 6_000)
+        combo.update(json.dumps([r.data for r in results],
+                                sort_keys=True).encode())
+    assert combo.hexdigest() == GOLDEN_MIX_ALL_PREFETCHERS
 
 
 def test_off_mode_payload_has_no_frontend_keys():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +127,70 @@ def test_config_prefetcher_mismatch_rejected():
     with pytest.raises(ValueError):
         runner.run_single("gamess", "stride", 5_000,
                           config=SystemConfig(prefetcher="sms"))
+
+
+@pytest.mark.parametrize("instructions", [-5, 0, 2.5, "100", True])
+def test_run_single_rejects_bad_instructions(tmp_path, instructions):
+    """A bad budget fails fast, before the cache probe and the retry
+    loop (a plain ValueError, not a retried SimulationError), and
+    nothing is cached."""
+    runner = ExperimentRunner(cache_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="instructions"):
+        runner.run_single("mcf", "none", instructions)
+    with pytest.raises(ValueError, match="instructions"):
+        runner.run_many([("mcf", "none", instructions)], jobs=1)
+    assert cache_files(tmp_path) == [] and runner._memo == {}
+
+
+@pytest.mark.parametrize("instructions", [-1, 0, 2.5, "100", False])
+def test_run_mix_rejects_bad_instructions(tmp_path, instructions):
+    runner = ExperimentRunner(cache_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="instructions"):
+        runner.run_mix(["mcf", "astar"], "none", instructions)
+    assert cache_files(tmp_path) == [] and runner._memo == {}
+
+
+@pytest.mark.parametrize("variant", [-1, 1.5, "1", True])
+def test_run_single_rejects_bad_variant(tmp_path, variant):
+    runner = ExperimentRunner(cache_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="variant"):
+        runner.run_single("mcf", "none", 2_000, variant=variant)
+    assert cache_files(tmp_path) == [] and runner._memo == {}
+
+
+@pytest.mark.parametrize("variant", [-1, 1.5, True])
+def test_build_workload_rejects_bad_variant(variant):
+    from repro.workloads import build_workload
+    with pytest.raises(ValueError, match="variant"):
+        build_workload("mcf", variant)
+
+
+@pytest.mark.parametrize("mix", ["mcf", [], (), None, ["mcf", 3]])
+def test_run_mix_rejects_bad_mix(tmp_path, mix):
+    runner = ExperimentRunner(cache_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="mix"):
+        runner.run_mix(mix, "none", 2_000)
+    assert cache_files(tmp_path) == [] and runner._memo == {}
+
+
+def test_default_path_does_not_import_numpy():
+    """Building a runner and running a single and a mix loads no
+    numpy: the simulator is stdlib-only.  A fresh interpreter, so no
+    other test's imports leak in."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    script = "\n".join((
+        "import sys",
+        "sys.path.insert(0, %r)" % src,
+        "from repro.sim import ExperimentRunner",
+        "runner = ExperimentRunner(cache_dir=None)",
+        "runner.run_single('mcf', 'bfetch', 2000)",
+        "runner.run_mix(['mcf', 'libquantum'], 'bfetch', 1000)",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_speedup_of_baseline_is_one():
