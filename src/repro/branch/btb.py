@@ -42,9 +42,9 @@ class BranchTargetBuffer:
 
     def peek(self, pc):
         """Like :meth:`lookup` but without touching the hit/miss
-        counters -- the front-end BPU walker probes every instruction
-        slot of a fetch block, which would otherwise drown the demand
-        hit rate."""
+        counters -- the front-end BPU walker probes every branch slot of
+        each fetch block it runs ahead through, which would otherwise
+        drown the demand hit rate."""
         index, tag = self._slot(pc)
         if self.tags[index] == tag:
             return self.targets[index]

@@ -68,13 +68,13 @@ def _noop_hook(unbound, bound):
     return func is unbound
 
 
-def _bound_hook(prefetcher, name):
+def _bound_hook(prefetcher, name, base=_BasePrefetcher):
     """*prefetcher*'s bound ``name`` hook, or None when there is no
-    prefetcher or the hook is the base-class no-op."""
+    prefetcher or the hook is *base*'s no-op."""
     if prefetcher is None:
         return None
     hook = getattr(prefetcher, name)
-    if _noop_hook(getattr(_BasePrefetcher, name), hook):
+    if _noop_hook(getattr(base, name), hook):
         return None
     return hook
 
@@ -264,6 +264,7 @@ class OutOfOrderCore:
         fetch_shift = self._fetch_shift
         machine = self.machine
         machine_step = machine.step
+        pc_of = machine.program.pc_of
         hierarchy = self.hierarchy
         l1_latency = hierarchy.config.l1_latency
         h_load = hierarchy.load
@@ -277,9 +278,10 @@ class OutOfOrderCore:
         btb_update = self.btb.update
         prefetcher = self.prefetcher
         is_perfect = prefetcher is not None and prefetcher.is_perfect
-        pf_queue = None
+        # the prefetch queue's deque, probed by truth value every step
+        pf_queue = ()
         if prefetcher is not None:
-            pf_queue = prefetcher.queue
+            pf_queue = prefetcher.queue._queue
             pf_drain = prefetcher.drain
         on_load = self._pf_on_load
         on_store = self._pf_on_store
@@ -337,7 +339,7 @@ class OutOfOrderCore:
                     break
 
                 # drain queued prefetches into the hierarchy
-                if pf_queue is not None and len(pf_queue):
+                if pf_queue:
                     pf_drain(hierarchy, now, drain_rate)
 
                 # decoupled front end: the BPU run-ahead advances every
@@ -484,7 +486,7 @@ class OutOfOrderCore:
                                     if_on_decode(pc, True, target, now)
                         rob_append(complete)
                         if commit_hooks:
-                            next_pc = machine.pc
+                            next_pc = pc_of(machine.index)
                             if pf_on_commit is not None:
                                 pf_on_commit(instr, ea, taken, next_pc,
                                              machine.regs, complete)
@@ -509,8 +511,8 @@ class OutOfOrderCore:
                     # queued prefetches keep draining, and a busy front
                     # end keeps ticking, at full rate
                     next_time = now + 1
-                    if ((pf_queue is None or not len(pf_queue))
-                            and (frontend is None or not frontend_busy())):
+                    if not pf_queue and (frontend is None
+                                         or not frontend_busy()):
                         # the earlier of the ROB head's completion and
                         # the end of the stall
                         event = next_time

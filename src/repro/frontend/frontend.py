@@ -18,6 +18,8 @@ methods:
   run-ahead and restarts the walker at the resolved target.
 """
 
+from bisect import bisect_left
+
 
 class DecoupledFrontEnd:
     """FTQ + predecode + I-side prefetch, wired between BPU and L1-I.
@@ -34,8 +36,10 @@ class DecoupledFrontEnd:
 
     def __init__(self, config, hierarchy, predictor, btb, program,
                  iprefetcher, core_config):
+        from repro.cpu.ooo import _bound_hook
         from repro.frontend.ftq import FetchTargetQueue
-        from repro.frontend.predecode import Predecoder
+        from repro.frontend.iprefetch import IPrefetcher
+        from repro.frontend.predecode import Predecoder, branch_tables
         block_bytes = hierarchy.config.block_bytes
         if core_config.block_bytes != block_bytes:
             raise ValueError(
@@ -55,6 +59,19 @@ class DecoupledFrontEnd:
         self.predecoder = Predecoder(program, btb, block_bytes)
         self.iprefetcher = iprefetcher
         iprefetcher.predecode = self.predecoder.on_fill
+        # per-cycle probes read the queues' deques directly (restore
+        # refills them in place, so these bindings stay live)
+        self._ftq_queue = self.ftq._queue
+        self._iq_queue = iprefetcher.queue._queue
+        # the I-prefetcher's FTQ hook, None when it is the base no-op
+        self._on_ftq = _bound_hook(iprefetcher, "on_ftq", IPrefetcher)
+        # the walker's static view: the program's branch slots, and the
+        # shared BTB/predictor read ports it probes at each of them
+        self._base_pc = program.base_pc
+        self._branches, self._kinds, _ = branch_tables(program)
+        self._peek = btb.peek
+        self._predict = predictor.predict
+        self._note_hit = self.predecoder.note_hit
         # BPU run-ahead cursor: the next PC the walker predicts from;
         # None = stalled (ran past the program) until the next resteer
         self._bpu_pc = program.pc_of(0)
@@ -86,29 +103,39 @@ class DecoupledFrontEnd:
 
     def tick(self, now):
         """Advance the BPU run-ahead and the I-side prefetcher."""
-        ftq = self.ftq
-        self.occupancy_sum += len(ftq)
+        queue = self._ftq_queue
+        occupancy = len(queue)
+        self.occupancy_sum += occupancy
         self.occupancy_samples += 1
         pc = self._bpu_pc
         if pc is None:
             self.bpu_stalls += 1
         else:
-            fill = self.config.fill_width
-            trace = self._trace
-            while fill > 0 and pc is not None and not ftq.full():
-                block_pc = pc & self._block_mask
-                ftq.push(block_pc)
-                self.ftq_enqueued += 1
-                if trace is not None:
-                    trace.emit("ftq", now, action="enqueue", block=block_pc,
-                               occupancy=len(ftq))
-                pc = self._walk_next(pc)
-                fill -= 1
-            self._bpu_pc = pc
-        iprefetcher = self.iprefetcher
-        iprefetcher.on_ftq(ftq, now)
-        if len(iprefetcher.queue):
-            iprefetcher.drain(self.hierarchy, now, self.config.drain_rate)
+            config = self.config
+            fill = config.ftq_entries - occupancy  # free FTQ room
+            if fill > config.fill_width:
+                fill = config.fill_width
+            if fill > 0:
+                push = self.ftq.push
+                block_mask = self._block_mask
+                walk_next = self._walk_next
+                trace = self._trace
+                while fill > 0 and pc is not None:
+                    block_pc = pc & block_mask
+                    push(block_pc)
+                    self.ftq_enqueued += 1
+                    if trace is not None:
+                        trace.emit("ftq", now, action="enqueue",
+                                   block=block_pc, occupancy=len(queue))
+                    pc = walk_next(pc)
+                    fill -= 1
+                self._bpu_pc = pc
+        on_ftq = self._on_ftq
+        if on_ftq is not None:
+            on_ftq(self.ftq, now)
+        if self._iq_queue:
+            self.iprefetcher.drain(self.hierarchy, now,
+                                   self.config.drain_rate)
 
     def _walk_next(self, pc):
         """One walker step: from *pc*, return the entry PC of the next
@@ -117,28 +144,31 @@ class DecoupledFrontEnd:
         Only BTB-visible branches steer the walk -- a branch that never
         executed and was never shadow-filled is invisible, the walker
         falls through it, and the FTQ flushes when it turns out taken.
+        The walk visits only the block's branch slots at or after *pc*
+        (the program's static branch index), probing the BTB and the
+        predictor exactly where a slot-by-slot scan of the block would.
         """
-        predecoder = self.predecoder
-        branch_kind = predecoder.branch_kind
-        peek = self.btb.peek
-        predict = self.predictor.predict
         block_end = (pc | (self.block_bytes - 1)) + 1
-        last_pc = self._last_pc
-        p = pc
-        while p < block_end:
-            if p > last_pc:
-                return None  # ran past the program image
-            kind = branch_kind(p)
-            if kind is not None:
-                target = peek(p)
-                if target is not None:
-                    predecoder.note_hit(p)
-                    if kind == "u" or predict(p):
-                        return target
-                # BTB-invisible branch, or predicted not-taken: fall
-                # through and keep scanning the block
-            p += 4
-        return block_end if block_end <= last_pc else None
+        # the branches among the instruction slots from pc to block_end
+        first = (pc - self._base_pc) >> 2
+        branches = self._branches
+        start = bisect_left(branches, first)
+        stop = bisect_left(branches, first + ((block_end - pc + 3) >> 2),
+                           start)
+        kinds = self._kinds
+        peek = self._peek
+        for slot in range(start, stop):
+            p = pc + ((branches[slot] - first) << 2)
+            target = peek(p)
+            if target is not None:
+                self._note_hit(p)
+                if kinds[slot] == "u" or self._predict(p):
+                    return target
+            # BTB-invisible branch, or predicted not-taken: fall through
+            # to the next branch slot of the block
+        # the next block, or None when this block holds the end of the
+        # image (or lies past it): the walker stalls
+        return block_end if block_end <= self._last_pc else None
 
     # ------------------------------------------------------------------
     # demand fetch path
@@ -193,9 +223,10 @@ class DecoupledFrontEnd:
     def busy(self):
         """Whether the front end still has same-cycle work (keeps the
         core from idle-skipping over run-ahead and drain cycles)."""
-        if len(self.iprefetcher.queue):
+        if self._iq_queue:
             return True
-        return self._bpu_pc is not None and not self.ftq.full()
+        return (self._bpu_pc is not None
+                and len(self._ftq_queue) < self.config.ftq_entries)
 
     # ------------------------------------------------------------------
     # reporting

@@ -8,6 +8,7 @@ cycle.
 """
 
 from collections import deque
+from itertools import islice
 
 
 class FetchTargetQueue:
@@ -52,9 +53,7 @@ class FetchTargetQueue:
         (the FDIP scan window); the returned entries are live -- set
         ``entry[1] = True`` to mark them issued."""
         picked = []
-        for index, entry in enumerate(self._queue):
-            if index < skip:
-                continue
+        for entry in islice(self._queue, skip, None):
             if not entry[1]:
                 picked.append(entry)
                 if len(picked) >= limit:
@@ -69,5 +68,7 @@ class FetchTargetQueue:
         return [[addr, bool(issued)] for addr, issued in self._queue]
 
     def restore(self, state):
-        self._queue = deque([int(addr), bool(issued)]
-                            for addr, issued in state)
+        """Refill the existing deque (the front end holds it)."""
+        self._queue.clear()
+        self._queue.extend([int(addr), bool(issued)]
+                           for addr, issued in state)

@@ -13,13 +13,54 @@ the FTQ flushes when the branch is actually taken.
 Only direct branches (conditional + ``BR``) are installed -- their taken
 target is static; ``JR`` targets stay last-target-predicted by the
 normal execution-time BTB update.
+
+The same static view, :func:`branch_tables` (every branch's position,
+kind and taken target, built once per program), is the BPU walker's
+branch index: it visits only the branch slots of a fetch block.
 """
+
+from bisect import bisect_left
 
 from repro.isa.opcodes import COND_BRANCHES, Op
 
 _OP_JR = int(Op.JR)
 _OP_BR = int(Op.BR)
 _COND_OPS = frozenset(int(op) for op in COND_BRANCHES)
+
+
+def branch_tables(program):
+    """Static branch tables of *program* (cached on the program).
+
+    Returns ``(branches, kinds, targets)``: the ascending instruction
+    indices of every branch and, per branch, its kind (``"c"``
+    conditional, ``"u"`` ``BR``/``JR``) and its static taken-target PC
+    (None for ``JR``).  Branch positions are static, so the tables are
+    built once per program and shared by every front end that runs it
+    (``build_workload`` memoizes programs), as
+    :func:`~repro.cpu.functional.decode_program` shares its decode.
+    """
+    cached = getattr(program, "_branch_tables", None)
+    if cached is not None:
+        return cached
+    base = program.base_pc
+    branches = []
+    kinds = []
+    targets = []
+    for index, instr in enumerate(program.instrs):
+        op = int(instr.op)
+        if op in _COND_OPS:
+            kind, target = "c", base + 4 * instr.target
+        elif op == _OP_BR:
+            kind, target = "u", base + 4 * instr.target
+        elif op == _OP_JR:
+            kind, target = "u", None
+        else:
+            continue
+        branches.append(index)
+        kinds.append(kind)
+        targets.append(target)
+    program._branch_tables = (branches, kinds, targets)
+    return program._branch_tables
 
 
 class Predecoder:
@@ -40,26 +81,10 @@ class Predecoder:
         self.btb = btb
         self.block_bytes = block_bytes
         self.block_shift = shift
-        base = program.base_pc
-        self._base_pc = base
-        self._limit_pc = program.pc_of(len(program) - 1)
-        # static per-instruction branch classification and direct taken
-        # targets, precomputed once: the BPU walker probes these every
-        # cycle and the scan must cost O(1) per instruction
-        kinds = [None] * len(program)
-        targets = [None] * len(program)
-        for index, instr in enumerate(program.instrs):
-            op = int(instr.op)
-            if op in _COND_OPS:
-                kinds[index] = "c"
-                targets[index] = base + 4 * instr.target
-            elif op == _OP_BR:
-                kinds[index] = "u"
-                targets[index] = base + 4 * instr.target
-            elif op == _OP_JR:
-                kinds[index] = "u"
-        self._kinds = kinds
-        self._targets = targets
+        self._base_pc = program.base_pc
+        # the program's static branch tables (shared, never mutated):
+        # the fill scan visits only a block's branch slots
+        self._branches, self._kinds, self._targets = branch_tables(program)
         self._scanned = set()   # block numbers already predecoded
         self._shadow = set()    # shadow-installed branch PCs not yet seen
         # counters
@@ -74,8 +99,10 @@ class Predecoder:
         """``"c"``/``"u"``/None for the instruction at *pc* (None when
         *pc* is outside the program or not a branch)."""
         index = (pc - self._base_pc) >> 2
-        if 0 <= index < len(self._kinds):
-            return self._kinds[index]
+        branches = self._branches
+        slot = bisect_left(branches, index)
+        if slot < len(branches) and branches[slot] == index:
+            return self._kinds[slot]
         return None
 
     def note_hit(self, pc):
@@ -104,21 +131,19 @@ class Predecoder:
         scanned.add(block)
         self.blocks += 1
         base = self._base_pc
-        kinds = self._kinds
+        branches = self._branches
         targets = self._targets
-        block_bytes = self.block_bytes
         first_pc = block << self.block_shift
-        start = (max(first_pc, base) - base) >> 2
-        stop = min((first_pc + block_bytes - base) >> 2, len(kinds))
+        first = bisect_left(branches, (first_pc - base) >> 2)
+        stop = bisect_left(branches,
+                           (first_pc + self.block_bytes - base) >> 2, first)
         btb_update = self.btb.update
         shadow = self._shadow
-        for index in range(max(start, 0), stop):
-            if kinds[index] is None:
-                continue
-            target = targets[index]
+        for slot in range(first, stop):
+            target = targets[slot]
             if target is None:
                 continue  # indirect: no static taken target
-            pc = base + index * 4
+            pc = base + branches[slot] * 4
             if pc == entry_pc:
                 continue  # the entry point is not a shadow branch
             btb_update(pc, target)

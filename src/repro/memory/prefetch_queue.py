@@ -17,7 +17,7 @@ class PrefetchQueue:
     travels with the block into the cache line for feedback.
     """
 
-    def __init__(self, capacity=100, drops_counter=None):
+    def __init__(self, capacity=100):
         self.capacity = capacity
         self._queue = deque()
         self.drops = 0
@@ -56,9 +56,11 @@ class PrefetchQueue:
         }
 
     def restore(self, state):
-        """Restore queue contents from :meth:`snapshot` output."""
+        """Restore queue contents from :meth:`snapshot` output, into
+        the existing deque (callers may hold it)."""
         from repro.checkpoint.state import decode_meta
-        self._queue = deque(
+        self._queue.clear()
+        self._queue.extend(
             (addr, decode_meta(meta)) for addr, meta in state["entries"]
         )
         self.drops = state["drops"]

@@ -7,6 +7,9 @@ in the evaluation overrides exactly one field (pipeline width for Fig. 14,
 B-Fetch storage for Fig. 15).
 """
 
+from operator import attrgetter
+from types import SimpleNamespace
+
 from repro.branch.perceptron import PerceptronPredictor
 from repro.branch.tournament import TournamentConfig, TournamentPredictor
 from repro.core.bfetch import BFetchPrefetcher
@@ -37,6 +40,39 @@ PREFETCHER_NAMES = (
 )
 
 PREDICTOR_NAMES = ("tournament", "perceptron")
+
+# sub-config fields the fixed part of SystemConfig.key() carries (the
+# I-MSHR count with the front end on; without it the count is unused),
+# fields an implicit core takes from SystemConfig (compared in key()),
+# and fields derived from others
+_FIXED_KEY_FIELDS = frozenset((
+    "hierarchy.llc_size_per_core", "hierarchy.llc_policy",
+    "hierarchy.mshr_entries", "hierarchy.imshr_entries",
+    "bfetch.brtc_entries", "bfetch.mht_entries",
+    "bfetch.path_confidence_threshold", "bfetch.use_filter",
+    "bfetch.loop_prefetch", "bfetch.pattern_prefetch", "bfetch.arf_mode",
+    "bfetch.arf_delay", "bfetch.filter_threshold",
+    "bfetch.instruction_prefetch",
+    "sms.region_bytes", "sms.blocks_per_region",
+    "core.width", "core.rob_entries", "core.block_bytes",
+    "core.block_shift", "core.frontend",
+))
+_DEFAULTS = {
+    "hierarchy": HierarchyConfig(),
+    "core": CoreConfig(),
+    "bfetch": BFetchConfig(),
+    "sms": SMSConfig(),
+}
+# every other sub-config field, read in one call, and its defaults: such
+# a field enters the key only when it leaves its default
+_OPTIONAL_KEY_FIELDS = tuple(
+    name + "." + field
+    for name, config in _DEFAULTS.items()
+    for field in sorted(vars(config))
+    if name + "." + field not in _FIXED_KEY_FIELDS
+)
+_optional_key_values = attrgetter(*_OPTIONAL_KEY_FIELDS)
+_OPTIONAL_KEY_DEFAULTS = _optional_key_values(SimpleNamespace(**_DEFAULTS))
 
 
 class SystemConfig:
@@ -145,15 +181,33 @@ class SystemConfig:
         """Stable identity tuple for result caching.
 
         Front-end fields are appended only when the decoupled front end
-        is enabled, so every pre-front-end cached digest keeps its key.
+        is enabled, and every other sub-config field only when it leaves
+        its default, so a default config keeps the key it had before
+        those fields were keyed and cached results stay addressable.
         """
+        key = self._base_key()
         if self.frontend != "off":
-            return self._base_key() + (
+            key += (
                 self.frontend,
                 self.iprefetcher,
                 self.hierarchy.imshr_entries,
             ) + self.frontend_cfg.key()
-        return self._base_key()
+        values = _optional_key_values(self)
+        if values != _OPTIONAL_KEY_DEFAULTS:
+            for field, value, default in zip(_OPTIONAL_KEY_FIELDS, values,
+                                             _OPTIONAL_KEY_DEFAULTS):
+                if value != default:
+                    key += (field, value)
+        # an explicit core may disagree with what an implicit one takes
+        # from width, rob_entries and the line size
+        core = self.core
+        if core.width != self.width:
+            key += ("core.width", core.width)
+        if core.rob_entries != self.rob_entries:
+            key += ("core.rob_entries", core.rob_entries)
+        if core.block_bytes != self.hierarchy.block_bytes:
+            key += ("core.block_bytes", core.block_bytes)
+        return key
 
     def _base_key(self):
         bf = self.bfetch

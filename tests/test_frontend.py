@@ -46,6 +46,12 @@ GOLDEN_ALL_PREFETCHERS_PERCEPTRON = \
     "a0c677b48587984eaffb5d7eed6874cf69821b374643fa4fdda345956033292f"
 GOLDEN_MIX_ALL_PREFETCHERS = \
     "9b8761d1acfd20bf1ecfb9c03adfdc52851d794a5b45154dcac115b449878907"
+# frontend="ftq" payloads, pinned on the tree whose BPU walker still
+# probed every instruction slot of a fetch block: the three server
+# workloads under every I-prefetcher
+GOLDEN_FTQ_SERVERS = \
+    "9a0629f989d06a9958dd0d7d1603d30e80408ba33760cd8d83e3c856459b0ca5"
+SERVER_BENCHMARKS = ("nginx", "postgres", "verilator")
 
 
 def _digest(payload):
@@ -97,6 +103,18 @@ def test_off_mode_mix_all_prefetchers_match_golden():
         combo.update(json.dumps([r.data for r in results],
                                 sort_keys=True).encode())
     assert combo.hexdigest() == GOLDEN_MIX_ALL_PREFETCHERS
+
+
+def test_ftq_mode_servers_all_iprefetchers_match_golden():
+    """Every I-prefetcher on every server workload, front end on."""
+    combo = hashlib.sha256()
+    for benchmark in SERVER_BENCHMARKS:
+        for iprefetcher in IPREFETCHER_NAMES:
+            config = SystemConfig(prefetcher="none", frontend="ftq",
+                                  iprefetcher=iprefetcher)
+            data = System(build_workload(benchmark), config).run(6_000).data
+            combo.update(json.dumps(data, sort_keys=True).encode())
+    assert combo.hexdigest() == GOLDEN_FTQ_SERVERS
 
 
 def test_off_mode_payload_has_no_frontend_keys():
@@ -261,6 +279,187 @@ def test_predecoder_rejects_non_power_of_two_blocks():
 
 
 # ----------------------------------------------------------------------
+# BPU walker: branch-to-branch walk against the slot-by-slot scan
+
+def reference_walk_next(frontend, pc):
+    """The walker step as it was before the static branch index: probe
+    every instruction slot of the fetch block from *pc* on, through the
+    front end's own predecoder, BTB and predictor."""
+    predecoder = frontend.predecoder
+    branch_kind = predecoder.branch_kind
+    peek = frontend.btb.peek
+    predict = frontend.predictor.predict
+    block_end = (pc | (frontend.block_bytes - 1)) + 1
+    last_pc = frontend._last_pc
+    p = pc
+    while p < block_end:
+        if p > last_pc:
+            return None  # ran past the program image
+        kind = branch_kind(p)
+        if kind is not None:
+            target = peek(p)
+            if target is not None:
+                predecoder.note_hit(p)
+                if kind == "u" or predict(p):
+                    return target
+        p += 4
+    return block_end if block_end <= last_pc else None
+
+
+def _assert_walks_agree(walked, reference, pcs, logs=None):
+    """Step both front ends from every PC in *pcs*; the walks must agree
+    on the next PC and on the shadow-hit credit, and (given *logs*) on
+    every BTB and predictor probe, in order."""
+    for pc in pcs:
+        got = walked._walk_next(pc)
+        expected = reference_walk_next(reference, pc)
+        assert got == expected, "pc 0x%x: %r != %r" % (pc, got, expected)
+        assert walked.predecoder.shadow_hits == \
+            reference.predecoder.shadow_hits, "pc 0x%x" % pc
+        assert walked.predecoder._shadow == reference.predecoder._shadow
+        if logs is not None:
+            assert logs[0] == logs[1], "pc 0x%x" % pc
+
+
+def test_walker_matches_slot_scan_on_warm_server_front_end():
+    """Every PC of nginx's image (and one block past it) on a warmed
+    front end whose BTB holds executed and shadow-filled branches."""
+    config = SystemConfig(prefetcher="none", frontend="ftq",
+                          iprefetcher="fdip")
+    system = System(build_workload("nginx"), config)
+    system.run(6_000)
+    copy = System(build_workload("nginx"), config)
+    copy.restore(json.loads(json.dumps(system.snapshot())))
+    walked, reference = system.core.frontend, copy.core.frontend
+    program = walked.predecoder.program
+    shadow = walked.predecoder._shadow
+    visible = {instr.pc for instr in program.instrs
+               if walked.btb.peek(instr.pc) is not None}
+    assert visible & shadow and visible - shadow
+    hits = walked.predecoder.shadow_hits
+    pcs = range(program.pc_of(0), program.pc_of(len(program)) + 64, 4)
+    _assert_walks_agree(walked, reference, pcs)
+    assert walked.predecoder.shadow_hits > hits
+
+
+class _RecordingBTB(BranchTargetBuffer):
+    def __init__(self, log):
+        super().__init__(entries=64)
+        self.log = log
+
+    def peek(self, pc):
+        self.log.append(("peek", pc))
+        return super().peek(pc)
+
+
+class _StubPredictor:
+    """Direction predictor answering from a fixed taken-PC set."""
+
+    def __init__(self, log, taken):
+        self.log = log
+        self.taken = taken
+        self.history = 0
+
+    def predict(self, pc):
+        self.log.append(("predict", pc))
+        return pc in self.taken
+
+
+def _walk_fixture_program(base_pc=0x1000):
+    """20 instructions, 64B blocks: at the default base block 0 is
+    full, block 1 (16-19) is partial, so walks from it run off the end
+    of the image."""
+    b = ProgramBuilder("walk-fixture")
+    b.label("top")
+    b.nop()                  # 0
+    b.bnez(1, "mid")         # 1: conditional, shadow-filled
+    b.nop()                  # 2
+    b.beqz(2, "top")         # 3: conditional, shadow-filled
+    b.nop()                  # 4
+    b.jr(3)                  # 5: indirect, BTB-trained at "execution"
+    b.nop(); b.nop()         # 6-7
+    b.br("tail")             # 8: unconditional, shadow-filled
+    b.label("mid")
+    for _ in range(7):
+        b.nop()              # 9-15
+    b.label("tail")
+    b.nop()                  # 16: block 1 starts
+    b.bnez(4, "top")         # 17: BTB-invisible (never filled or run)
+    b.beqz(5, "mid")         # 18: conditional, BTB-trained
+    b.halt()                 # 19: the last instruction
+    return b.build(base_pc=base_pc)
+
+
+def _walk_fixture_front_end(program, log, taken):
+    from repro.cpu.ooo import CoreConfig
+    from repro.frontend import DecoupledFrontEnd
+    from repro.memory.hierarchy import MemoryHierarchy
+    btb = _RecordingBTB(log)
+    front_end = DecoupledFrontEnd(
+        FrontendConfig(), MemoryHierarchy(HierarchyConfig()),
+        _StubPredictor(log, taken), btb, program,
+        make_iprefetcher("none", FrontendConfig()), CoreConfig())
+    # shadow fills, as predecoding their blocks would install them
+    # (a fill of a whole block would also expose the branch at 17)
+    for index in (1, 3, 8):
+        pc = program.pc_of(index)
+        btb.update(pc, program.pc_of(program[index].target))
+        front_end.predecoder._shadow.add(pc)
+    btb.update(program.pc_of(5), program.pc_of(9))   # the JR's last target
+    btb.update(program.pc_of(18), program.pc_of(9))  # an executed branch
+    del log[:]
+    return front_end
+
+
+# image bases: on a block boundary; mid-block, so the last instruction
+# opens a block of its own; and off 4-byte alignment, so the BR at 8
+# straddles a block boundary
+@pytest.mark.parametrize("base_pc", [0x1000, 0x1034, 0x101e])
+@pytest.mark.parametrize("taken", ["none", "all", "some"])
+def test_walker_matches_slot_scan_on_hand_built_program(taken, base_pc):
+    """Entries mid-block, an invisible branch, predicted-not-taken
+    conditionals, a JR, a partial last block and PCs past the end."""
+    program = _walk_fixture_program(base_pc)
+    taken_pcs = {
+        "none": set(),
+        "all": {program.pc_of(index) for index in range(len(program))},
+        "some": {program.pc_of(3), program.pc_of(18)},
+    }[taken]
+    logs = ([], [])
+    walked = _walk_fixture_front_end(program, logs[0], taken_pcs)
+    reference = _walk_fixture_front_end(program, logs[1], taken_pcs)
+    # from just below the image to one block past its last instruction
+    pcs = range(program.pc_of(0) - 8, program.pc_of(len(program)) + 64, 4)
+    _assert_walks_agree(walked, reference, pcs, logs)
+
+
+def test_walker_exits_on_hand_built_program():
+    """The walk's exits, one by one, with a never-taken predictor."""
+    program = _walk_fixture_program()
+    log = []
+    front_end = _walk_fixture_front_end(program, log, set())
+    pc_of = program.pc_of
+    # from 0: BTB-visible conditionals at 1 and 3 are predicted not
+    # taken, the visible JR at 5 redirects to its last target
+    assert front_end._walk_next(pc_of(0)) == pc_of(9)
+    assert [entry for entry in log if entry[0] == "predict"] == [
+        ("predict", pc_of(1)), ("predict", pc_of(3))]
+    # mid-block entry past the JR: the BR at 8 is taken
+    assert front_end._walk_next(pc_of(6)) == pc_of(16)
+    # no branch left in the block: fall into the next block
+    assert front_end._walk_next(pc_of(9)) == pc_of(16)
+    # the invisible branch at 17 is skipped, 18 is predicted not taken
+    # and the partial last block runs off the image
+    del log[:]
+    assert front_end._walk_next(pc_of(16)) is None
+    assert log == [("peek", pc_of(17)), ("peek", pc_of(18)),
+                   ("predict", pc_of(18))]
+    # past the end of the image
+    assert front_end._walk_next(pc_of(20)) is None
+    assert front_end._walk_next(pc_of(19) + 64) is None
+
+
+# ----------------------------------------------------------------------
 # I-prefetcher family
 
 def test_iprefetcher_catalog_is_complete():
@@ -333,6 +532,21 @@ def test_ftq_mode_snapshot_round_trip():
     fresh = System(build_workload("nginx"), _ftq_config("combined"))
     fresh.restore(state)
     assert fresh.snapshot() == system.snapshot()
+
+
+def test_ftq_mode_restore_keeps_the_front_end_queues_live():
+    """The front end reads the FTQ and I-side queue deques it bound at
+    construction; a restore must refill those deques, not replace them."""
+    system = System(build_workload("nginx"), _ftq_config("combined"))
+    system.run(6_000)
+    state = json.loads(json.dumps(system.snapshot()))
+    fresh = System(build_workload("nginx"), _ftq_config("combined"))
+    frontend = fresh.core.frontend
+    fresh.restore(state)
+    assert frontend._ftq_queue is frontend.ftq._queue
+    assert frontend._iq_queue is frontend.iprefetcher.queue._queue
+    assert [list(entry) for entry in frontend._ftq_queue] == \
+        state["frontend"]["ftq"]
 
 
 # ----------------------------------------------------------------------

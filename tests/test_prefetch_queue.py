@@ -30,3 +30,18 @@ def test_len_and_clear():
     assert len(queue) == 5
     queue.clear()
     assert len(queue) == 0
+
+
+def test_restore_refills_the_same_deque():
+    """Restore keeps the queue's deque, so a holder of it (the cycle
+    loop, the front end) sees the restored entries."""
+    queue = PrefetchQueue(capacity=8)
+    queue.push(1, "a")
+    state = queue.snapshot()
+    other = PrefetchQueue(capacity=8)
+    held = other._queue
+    other.push(9)
+    other.restore(state)
+    assert other._queue is held
+    assert list(held) == [(1, "a")]
+    assert other.snapshot() == state

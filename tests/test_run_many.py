@@ -158,3 +158,108 @@ def test_cache_key_includes_variant():
     assert runner._memo_key("single", base) != runner._memo_key(
         "single", variant
     )
+
+
+# every sub-config field the key used to leave out, each with a
+# non-default value: (sub-config, field, value)
+_FORMERLY_UNKEYED = [
+    ("hierarchy", "l1i_size", 32 * 1024),
+    ("hierarchy", "l1i_assoc", 4),
+    ("hierarchy", "l1d_size", 32 * 1024),
+    ("hierarchy", "l1d_assoc", 4),
+    ("hierarchy", "l1_latency", 3),
+    ("hierarchy", "l2_size", 512 * 1024),
+    ("hierarchy", "l2_assoc", 16),
+    ("hierarchy", "l2_latency", 12),
+    ("hierarchy", "llc_assoc", 8),
+    ("hierarchy", "llc_latency", 30),
+    ("hierarchy", "dram_latency", 400),
+    ("hierarchy", "dram_cycles_per_transfer", 0),
+    ("hierarchy", "block_bytes", 32),
+    ("bfetch", "mht_reg_slots", 2),
+    ("bfetch", "offset_bits", 12),
+    ("bfetch", "loopdelta_bits", 12),
+    ("bfetch", "pattern_bits", 3),
+    ("bfetch", "max_lookahead", 8),
+    ("bfetch", "filter_tables", 2),
+    ("bfetch", "filter_entries", 1024),
+    ("bfetch", "filter_counter_bits", 2),
+    ("bfetch", "filter_initial", 1),
+    ("bfetch", "queue_capacity", 50),
+    ("bfetch", "max_instr_blocks", 4),
+    ("bfetch", "block_bytes", 32),
+    ("sms", "agt_entries", 32),
+    ("sms", "pht_entries", 8192),
+    ("sms", "block_bytes", 32),
+    ("sms", "pht_tag_bits", 6),
+    ("core", "width", 2),
+    ("core", "rob_entries", 96),
+    ("core", "redirect_penalty", 5),
+    ("core", "alu_latency", 2),
+    ("core", "mul_latency", 4),
+    ("core", "store_latency", 2),
+    ("core", "prefetch_drain_rate", 4),
+    ("core", "block_bytes", 32),
+]
+
+
+def _config_with(sub_config, field, value):
+    from repro.core.config import BFetchConfig
+    from repro.cpu.ooo import CoreConfig
+    from repro.memory.hierarchy import HierarchyConfig
+    from repro.prefetchers import SMSConfig
+
+    make = {"hierarchy": HierarchyConfig, "bfetch": BFetchConfig,
+            "sms": SMSConfig, "core": CoreConfig}[sub_config]
+    return SystemConfig(prefetcher="bfetch",
+                        **{sub_config: make(**{field: value})})
+
+
+def test_every_sub_config_field_reaches_the_key():
+    """A non-default value of any field that changes results gives a
+    distinct key -- including an explicit CoreConfig, whose width and
+    ROB size the fixed key reads from SystemConfig."""
+    default = SystemConfig(prefetcher="bfetch").key()
+    keys = {}
+    for sub_config, field, value in _FORMERLY_UNKEYED:
+        key = _config_with(sub_config, field, value).key()
+        assert key != default, "%s.%s is not keyed" % (sub_config, field)
+        keys[key] = "%s.%s" % (sub_config, field)
+    assert len(keys) == len(_FORMERLY_UNKEYED)
+
+
+def test_default_sub_configs_keep_their_key():
+    """Explicit sub-configs at their defaults key like implicit ones, so
+    cache entries written before the fields were keyed stay valid."""
+    from repro.core.config import BFetchConfig
+    from repro.cpu.ooo import CoreConfig
+    from repro.memory.hierarchy import HierarchyConfig
+    from repro.prefetchers import SMSConfig
+
+    default = SystemConfig(prefetcher="bfetch")
+    explicit = SystemConfig(prefetcher="bfetch", hierarchy=HierarchyConfig(),
+                            bfetch=BFetchConfig(), sms=SMSConfig(),
+                            core=CoreConfig())
+    assert explicit.key() == default.key() == (
+        4, 192, 1.0, "tournament", "bfetch", 2097152, "lru", 8, 8, 4,
+        2048, 256, 128, 0.75, True, True, True, "execute", 6, 3, False)
+    narrow = SystemConfig(width=2, rob_entries=96)
+    assert narrow.key() == SystemConfig(
+        width=2, rob_entries=96,
+        core=CoreConfig(width=2, rob_entries=96)).key()
+
+
+def test_runner_never_serves_another_machines_result():
+    """One runner, two machines that differ only in DRAM latency: the
+    second run must be computed, not answered from the first's entry."""
+    from repro.memory.hierarchy import HierarchyConfig
+
+    slow = SystemConfig(prefetcher="bfetch",
+                        hierarchy=HierarchyConfig(dram_latency=400))
+    runner = ExperimentRunner(cache_dir=None)
+    first = runner.run_single("mcf", "bfetch", BUDGET)
+    second = runner.run_single("mcf", "bfetch", BUDGET, config=slow)
+    fresh = ExperimentRunner(cache_dir=None).run_single(
+        "mcf", "bfetch", BUDGET, config=slow)
+    assert second.as_dict() == fresh.as_dict()
+    assert second.ipc != first.ipc
