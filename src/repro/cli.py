@@ -311,10 +311,6 @@ def cmd_bench_perf(args):
         policy=_make_policy(args),
         serve=args.serve,
         serve_instructions=args.serve_instructions,
-        load=args.load,
-        load_requests=args.load_requests,
-        load_clients=args.load_clients,
-        load_instructions=args.load_instructions,
     )
     print(render_summary(payload))
     if not args.no_write:
@@ -529,10 +525,6 @@ def cmd_serve(args):
             stats_path=args.stats_out, trace_path=args.trace_out,
             drain_grace=args.drain_grace,
             workers=args.workers, beat_interval=args.beat_interval,
-            cluster=(True if args.cluster else None),
-            cluster_max_local=args.cluster_max_local,
-            cluster_min_local=args.cluster_min_local,
-            peer_port=args.peer_port, shard_tasks=args.shard_tasks,
         )
         await server.start()
         loop = asyncio.get_running_loop()
@@ -550,26 +542,6 @@ def cmd_serve(args):
 
     asyncio.run(body())
     return 0
-
-
-def cmd_node(args):
-    """Run one remote cluster worker node against a coordinator."""
-    from repro.serve.cluster.node import node_main
-
-    argv = ["--connect", args.connect]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.node_id:
-        argv += ["--node-id", args.node_id]
-    argv += ["--beat-interval", str(args.beat_interval),
-             "--batch-jobs", str(args.batch_jobs),
-             "--peer-host", args.peer_host,
-             "--peer-port", str(args.peer_port),
-             "--replicas", str(args.replicas),
-             "--reconnect-attempts", str(args.reconnect_attempts)]
-    if args.max_entries is not None:
-        argv += ["--max-entries", str(args.max_entries)]
-    return node_main(argv)
 
 
 def cmd_submit(args):
@@ -670,39 +642,16 @@ def cmd_jobs(args):
 
 
 def _print_fleet(reply):
-    """Render the ``fleet`` endpoint: worker/node rows + breakers."""
-    workers = reply.get("workers") or []
-    mode = reply.get("mode")
-    if mode not in ("fleet", "cluster"):
-        print("server is running the in-process tier (no fleet); "
-              "start it with --workers N", file=sys.stderr)
-    else:
-        print("%-7s %-8s %-9s %-8s %7s %9s %9s"
-              % ("WORKER", "PID", "STATE", "JOB", "MISSED", "RESPAWNS",
-                 "DONE"))
-        for row in workers:
-            print("%-7d %-8s %-9s %-8s %7d %9d %9d"
-                  % (row["worker"], row.get("pid") or "-", row["state"],
-                     row.get("job") or "-", row["beats_missed"],
-                     row["respawns"], row["jobs_done"]))
-    if mode == "cluster":
-        nodes = reply.get("nodes") or []
-        if reply.get("degraded"):
-            print("cluster DEGRADED: no live nodes "
-                  "(running as a local fleet)", file=sys.stderr)
-        if nodes:
-            print("%-16s %-14s %-9s %-10s %8s %6s %6s %8s"
-                  % ("NODE", "HOST", "STATE", "JOB", "RTT_MS",
-                     "DONE", "STEAL", "PEER_HIT"))
-            for row in nodes:
-                rtt = row.get("rtt_ms")
-                rate = row.get("peer_hit_rate")
-                print("%-16s %-14s %-9s %-10s %8s %6d %6d %8s"
-                      % (row["node"], row.get("host") or "-",
-                         row["state"], row.get("job") or "-",
-                         "%.2f" % rtt if rtt is not None else "-",
-                         row["jobs_done"], row.get("steals", 0),
-                         "%.2f" % rate if rate is not None else "-"))
+    """Render the ``fleet`` endpoint: one row per member + breakers."""
+    print("mode: %s" % reply.get("mode"), file=sys.stderr)
+    print("%-7s %-8s %-9s %-8s %7s %9s %9s"
+          % ("WORKER", "PID", "STATE", "JOB", "MISSED", "RESPAWNS",
+             "DONE"))
+    for row in reply.get("workers") or []:
+        print("%-7d %-8s %-9s %-8s %7d %9d %9d"
+              % (row["worker"], row.get("pid") or "-", row["state"],
+                 row.get("job") or "-", row["beats_missed"],
+                 row["respawns"], row["jobs_done"]))
     breakers = reply.get("breakers") or {}
     open_ones = {name: snap for name, snap in breakers.items()
                  if snap.get("state") != "closed"}
@@ -805,22 +754,6 @@ def build_parser():
     bench.add_argument("--serve-instructions", type=_positive_int,
                        default=4_000,
                        help="instruction budget per served job")
-    bench.add_argument("--load", action="store_true",
-                       help="also bench the cluster tier under a "
-                            "zipf-skewed synthetic client load "
-                            "(jobs/s, p50/p99, cache-peer hit rate at "
-                            "1 vs 2 nodes, with and without chaos)")
-    bench.add_argument("--load-requests", type=_positive_int,
-                       default=10_000,
-                       help="synthetic client submissions per load "
-                            "phase (default: 10000)")
-    bench.add_argument("--load-clients", type=_positive_int, default=32,
-                       help="concurrent synthetic client threads "
-                            "(default: 32)")
-    bench.add_argument("--load-instructions", type=_positive_int,
-                       default=2_000,
-                       help="instruction budget per loaded job "
-                            "(default: 2000)")
     bench.add_argument("-j", "--jobs", type=_positive_int, default=None,
                        help="worker processes for the parallel sweep pass")
     bench.add_argument("--label", default=None,
@@ -950,29 +883,6 @@ def build_parser():
     serve.add_argument("--beat-interval", type=_positive_float,
                        default=1.0, metavar="SECONDS",
                        help="fleet worker heartbeat period (default: 1)")
-    serve.add_argument("--cluster", action="store_true",
-                       help="run as a cluster coordinator: adopt remote "
-                            "'repro node' workers, shard jobs with work "
-                            "stealing, autoscale local workers, export "
-                            "the cache over the cache-peer protocol "
-                            "(REPRO_CLUSTER=1 works too; --workers sets "
-                            "the initial local worker count)")
-    serve.add_argument("--cluster-max-local", type=_positive_int,
-                       default=4, metavar="N",
-                       help="autoscaler ceiling for local workers in "
-                            "cluster mode (default: 4)")
-    serve.add_argument("--cluster-min-local", type=int, default=0,
-                       metavar="N",
-                       help="autoscaler floor for local workers in "
-                            "cluster mode (default: 0)")
-    serve.add_argument("--peer-port", type=int, default=0,
-                       metavar="PORT",
-                       help="cache-peer listener port in cluster mode "
-                            "(default: 0 = ephemeral)")
-    serve.add_argument("--shard-tasks", type=_positive_int, default=None,
-                       metavar="N",
-                       help="fixed shard size in cluster mode (default: "
-                            "auto from live member count)")
     serve.add_argument("--batch-jobs", type=_positive_int, default=1,
                        help="worker processes per job batch "
                             "(default: 1 = in-thread serial)")
@@ -993,38 +903,6 @@ def build_parser():
                             "('serve' category)")
     _add_resilience(serve)
     serve.set_defaults(func=cmd_serve)
-
-    node = sub.add_parser(
-        "node",
-        help="run a remote cluster worker node (dials a --cluster "
-             "coordinator, executes shards, replays after partitions)",
-    )
-    node.add_argument("--connect", required=True, metavar="HOST:PORT",
-                      help="coordinator serve address to dial")
-    node.add_argument("--cache-dir", default=None,
-                      help="local result cache (default: a temp dir); "
-                           "also exported over the cache-peer protocol")
-    node.add_argument("--node-id", default=None,
-                      help="stable node name (default: hostname-pid)")
-    node.add_argument("--beat-interval", type=_positive_float, default=1.0,
-                      metavar="SECONDS",
-                      help="heartbeat period to the coordinator "
-                           "(default: 1)")
-    node.add_argument("--batch-jobs", type=_positive_int, default=1,
-                      help="worker processes per shard batch (default: 1)")
-    node.add_argument("--peer-host", default="127.0.0.1",
-                      help="cache-peer listener bind address")
-    node.add_argument("--peer-port", type=int, default=0,
-                      help="cache-peer listener port (default: ephemeral)")
-    node.add_argument("--replicas", type=_positive_int, default=2,
-                      help="cache write replication factor (default: 2)")
-    node.add_argument("--max-entries", type=_positive_int, default=None,
-                      help="cache-peer eviction bound (entries)")
-    node.add_argument("--reconnect-attempts", type=_positive_int,
-                      default=20,
-                      help="coordinator reconnect attempts before giving "
-                           "up (default: 20)")
-    node.set_defaults(func=cmd_node)
 
     submit = sub.add_parser(
         "submit",
@@ -1069,11 +947,9 @@ def build_parser():
     jobs.add_argument("--stats", action="store_true",
                       help="dump the server's serve.* metrics instead")
     jobs.add_argument("--workers", action="store_true",
-                      help="show the worker fleet (id, state, current "
-                           "job, missed beats, respawns), any adopted "
-                           "cluster nodes (host, rtt, steals, cache-peer "
-                           "hit rate) and any non-closed circuit "
-                           "breakers instead")
+                      help="show one row per supervisor member (id, "
+                           "state, current job, missed beats, respawns) "
+                           "and any non-closed circuit breakers instead")
     _add_server_address(jobs)
     jobs.set_defaults(func=cmd_jobs)
     return parser

@@ -351,208 +351,10 @@ def bench_fleet(benchmarks=("libquantum", "mcf"),
     }
 
 
-def bench_load(requests=10_000, clients=32, instructions=2_000,
-               benchmarks=("libquantum", "mcf"),
-               prefetchers=("none", "stride", "bfetch"),
-               variants=16, zipf_s=1.1, seed=7,
-               chaos="host-kill:0.25:seed=11,cache-peer-corrupt:0.2:"
-                     "seed=12"):
-    """Cluster tier under a zipf-skewed synthetic client load.
-
-    Builds a universe of ``len(benchmarks) x len(prefetchers) x
-    variants`` distinct jobs and draws *requests* submissions from it
-    under a Zipf(s) popularity law (rank-weighted ``1/rank**s``), the
-    standard skew model for request traffic: a few hot cells dominate,
-    a long tail stays cold.  The skew is what makes the cache tiers
-    measurable -- hot cells coalesce on the server and hit the result
-    cache; tail cells exercise compute and, across nodes, the
-    cache-peer read-through path.
-
-    Three phases, each on a fresh coordinator (cold cache) driven by
-    *clients* concurrent client threads:
-
-    * **1 node, clean** -- baseline throughput;
-    * **2 nodes, clean** -- scaling plus cache-peer traffic;
-    * **2 nodes, chaos** -- same under ``host-kill`` (nodes die at
-      shard boundaries; a keeper thread respawns them, exercising
-      requeue + reconnect replay) and ``cache-peer-corrupt`` (served
-      replicas are corrupted on the wire and must be rejected by
-      envelope verification, never trusted).
-
-    Each phase records submissions/s, completed jobs/s, the server's
-    own p50/p99 latency, coalesce rate, cache-peer hit rate, steals,
-    requeues and degraded transitions.  Every submission must end
-    ``done`` -- lost work fails the bench.
-    """
-    import random
-    import threading
-
-    from repro.serve import ServeClient, ServerThread
-    from repro.serve.cluster.node import spawn_node
-
-    universe = [
-        (bench, prefetcher, variant)
-        for bench in benchmarks
-        for prefetcher in prefetchers
-        for variant in range(variants)
-    ]
-    rng = random.Random(seed)
-    weights = [1.0 / (rank + 1) ** zipf_s for rank in range(len(universe))]
-    schedule = rng.choices(universe, weights=weights, k=requests)
-
-    def phase(node_count, faults):
-        previous = os.environ.pop("REPRO_FAULTS", None)
-        if faults:
-            os.environ["REPRO_FAULTS"] = faults
-        nodes = []
-        keeper_stop = threading.Event()
-        respawns = [0]
-        try:
-            with tempfile.TemporaryDirectory() as cache_dir:
-                with ServerThread(cache_dir=cache_dir, cluster=True,
-                                  workers=1, beat_interval=0.25,
-                                  heartbeat_interval=0,
-                                  high_water=max(256, clients * 4),
-                                  drain_grace=5.0) as server:
-                    host, port = server.address
-                    nodes.extend(
-                        spawn_node((host, port), node_id="load-n%d" % i)
-                        for i in range(node_count)
-                    )
-
-                    def keeper():
-                        # a host supervisor: respawn dead node agents so
-                        # chaos kills become churn, not permanent loss
-                        while not keeper_stop.wait(0.5):
-                            for i, proc in enumerate(nodes):
-                                if proc.poll() is not None:
-                                    respawns[0] += 1
-                                    nodes[i] = spawn_node(
-                                        (host, port),
-                                        node_id="load-n%d" % i,
-                                    )
-
-                    threading.Thread(target=keeper, daemon=True).start()
-                    with ServeClient(host, port, timeout=600.0) as probe:
-                        for _ in range(200):
-                            if len(probe.fleet().get("nodes") or []) \
-                                    >= node_count:
-                                break
-                            time.sleep(0.1)
-                        errors = []
-
-                        def worker(idx):
-                            try:
-                                with ServeClient(host, port,
-                                                 timeout=600.0,
-                                                 busy_retries=8) as conn:
-                                    for j, cell in enumerate(schedule):
-                                        if j % clients != idx:
-                                            continue
-                                        bench, prefetcher, variant = cell
-                                        ticket = conn.submit(
-                                            bench, prefetcher,
-                                            instructions=instructions,
-                                            variant=variant,
-                                        )
-                                        reply = conn.result(
-                                            ticket["job_id"], wait=True)
-                                        assert reply["state"] == "done", \
-                                            reply
-                            except Exception as exc:
-                                errors.append(exc)
-
-                        threads = [
-                            threading.Thread(target=worker, args=(idx,))
-                            for idx in range(clients)
-                        ]
-                        start = time.perf_counter()
-                        for thread in threads:
-                            thread.start()
-                        for thread in threads:
-                            thread.join()
-                        seconds = time.perf_counter() - start
-                        if errors:
-                            raise errors[0]
-                        stats = probe.statz()
-                        fleet = probe.fleet()
-                    keeper_stop.set()
-        finally:
-            keeper_stop.set()
-            for proc in nodes:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in nodes:
-                try:
-                    proc.wait(timeout=10)
-                except Exception:  # noqa: BLE001
-                    proc.kill()
-            if previous is None:
-                os.environ.pop("REPRO_FAULTS", None)
-            else:
-                os.environ["REPRO_FAULTS"] = previous
-        latency = {
-            key[len("serve.latency.all."):]: value
-            for key, value in stats.items()
-            if key.startswith("serve.latency.all.")
-        }
-        peer = fleet.get("peer_totals") or {}
-        peer_lookups = peer.get("hits", 0) + peer.get("misses", 0)
-        submitted = stats.get("serve.jobs.submitted", 0)
-        completed = stats.get("serve.jobs.completed", 0)
-        return {
-            "nodes": node_count,
-            "chaos": bool(faults),
-            "submissions": submitted,
-            "jobs_completed": completed,
-            "seconds": seconds,
-            "submissions_per_sec": submitted / seconds if seconds else 0.0,
-            "jobs_per_sec": completed / seconds if seconds else 0.0,
-            "coalesce_rate": (
-                stats.get("serve.jobs.coalesced", 0) / submitted
-                if submitted else 0.0
-            ),
-            "latency_p50": latency.get("p50"),
-            "latency_p99": latency.get("p99"),
-            "cache_hit_ratio": stats.get("serve.cache.hit_ratio"),
-            "peer_hits": peer.get("hits", 0),
-            "peer_corrupt_rejected": peer.get("corrupt", 0),
-            "peer_hit_rate": (
-                peer.get("hits", 0) / peer_lookups if peer_lookups
-                else None
-            ),
-            "steals": stats.get("serve.cluster.steals"),
-            "requeues": stats.get("serve.cluster.requeues"),
-            "replayed": stats.get("serve.cluster.replayed"),
-            "nodes_lost": stats.get("serve.cluster.nodes_lost"),
-            "degraded_transitions": stats.get(
-                "serve.cluster.degraded_transitions"),
-            "node_respawns": respawns[0],
-        }
-
-    phases = [
-        phase(1, None),
-        phase(2, None),
-        phase(2, chaos),
-    ]
-    return {
-        "requests": requests,
-        "clients": clients,
-        "instructions_per_run": instructions,
-        "universe": len(universe),
-        "zipf_s": zipf_s,
-        "seed": seed,
-        "chaos_spec": chaos,
-        "phases": phases,
-    }
-
-
 def run_perf_suite(benchmark="libquantum", instructions=30_000,
                    sweep_benchmarks=None, sweep_instructions=10_000,
                    jobs=4, label=None, policy=None, serve=False,
-                   serve_instructions=4_000, load=False,
-                   load_requests=10_000, load_clients=32,
-                   load_instructions=2_000):
+                   serve_instructions=4_000):
     """Run the component timings (and optional sweep); returns the payload.
 
     :param sweep_benchmarks: iterable of benchmark names to include in the
@@ -563,10 +365,6 @@ def run_perf_suite(benchmark="libquantum", instructions=30_000,
         :func:`bench_fleet`, attaching the job-server round-trip
         numbers under ``serve`` and the fleet scaling/chaos phases
         under ``fleet``.
-    :param load: when true, also run :func:`bench_load` and attach the
-        cluster-tier zipf load-generator numbers (jobs/s, p50/p99,
-        cache-peer hit rate at 1 vs 2 nodes, with and without chaos)
-        under the ``load`` key.
     """
     payload = {
         "schema": SCHEMA,
@@ -587,11 +385,6 @@ def run_perf_suite(benchmark="libquantum", instructions=30_000,
     if serve:
         payload["serve"] = bench_serve(instructions=serve_instructions)
         payload["fleet"] = bench_fleet(instructions=serve_instructions)
-    if load:
-        payload["load"] = bench_load(
-            requests=load_requests, clients=load_clients,
-            instructions=load_instructions,
-        )
     return payload
 
 
@@ -669,27 +462,5 @@ def render_summary(payload):
                    "chaos" if row["chaos"] else "clean",
                    row["jobs_per_sec"], row["latency_p50"] or 0.0,
                    row["latency_p99"] or 0.0, row["respawns"])
-            )
-    load = payload.get("load")
-    if load:
-        lines.append(
-            "  load: %d submissions  %d clients  zipf(s=%.2f) over "
-            "%d cells  chaos=%s"
-            % (load["requests"], load["clients"], load["zipf_s"],
-               load["universe"], load["chaos_spec"])
-        )
-        for row in load["phases"]:
-            rate = row.get("peer_hit_rate")
-            lines.append(
-                "    %d node%s %-7s %8.2f subs/s  %6.2f jobs/s  "
-                "p50 %.4fs  p99 %.4fs  coalesce %.2f  peer-hit %s  "
-                "steals %s  requeues %s"
-                % (row["nodes"], "s" if row["nodes"] != 1 else " ",
-                   "chaos" if row["chaos"] else "clean",
-                   row["submissions_per_sec"], row["jobs_per_sec"],
-                   row["latency_p50"] or 0.0, row["latency_p99"] or 0.0,
-                   row["coalesce_rate"],
-                   "%.2f" % rate if rate is not None else "-",
-                   row["steals"], row["requeues"])
             )
     return "\n".join(lines)

@@ -21,7 +21,7 @@ Each spec is ``kind:probability[:opt=value...]``.  Supported kinds:
   exercising the ``REPRO_CHECK`` invariant sanitizer and the
   checkpoint-replay auto-bisect.
 
-Fleet verbs (consulted only by the serve tier's worker subprocesses,
+Fleet verbs (consulted only by the fleet's worker subprocesses,
 see :mod:`repro.serve.supervisor`):
 
 * ``worker-kill``    -- the worker process hard-exits (``os._exit``) at
@@ -34,20 +34,6 @@ see :mod:`repro.serve.supervisor`):
   :data:`DEFAULT_SLOW_MS`) at each boundary, simulating a straggler
   host without killing anything.
 
-Cluster verbs (consulted only by remote node processes and the
-cache-peer tier, see :mod:`repro.serve.cluster`):
-
-* ``host-kill``      -- a remote node process hard-exits (``os._exit``)
-  at a deterministic shard/task boundary, exercising node-loss
-  detection and shard requeue on the coordinator;
-* ``host-partition`` -- a remote node deliberately drops its
-  coordinator connection at a task boundary but *keeps computing* its
-  in-flight shard into the local cache, then reconnects and replays
-  the completed digests -- the partition-tolerance drill;
-* ``cache-peer-corrupt`` -- a cache peer serves a corrupted entry over
-  the wire, exercising the never-trust-the-wire envelope check on the
-  fetching side (detected entries count as misses and are recomputed).
-
 Options: ``seed=N`` (per-spec decision seed, default 0), ``dur=F``
 (hang duration, seconds), ``cycle=N`` (corrupt-state trigger cycle)
 and ``ms=F`` (worker-slow delay, milliseconds).
@@ -58,12 +44,11 @@ recovery:
 * whether a fault fires for a given job is a pure function of
   ``(seed, kind, task key)`` (SHA-1 threshold test), so the same sweep
   under the same ``REPRO_FAULTS`` always injects the same faults;
-* ``crash``/``hang``/``worker-kill``/``worker-hang``/``host-kill``/
-  ``host-partition`` fire only on a job's *first* attempt, so a retried
-  (or requeued) job always converges;
-* ``corrupt-cache`` and ``cache-peer-corrupt`` fire at most once per
-  cache path per process, so a detected-and-recomputed entry is
-  rewritten (or re-served) clean.
+* ``crash``/``hang``/``worker-kill``/``worker-hang`` fire only on a
+  job's *first* attempt, so a retried (or requeued) job always
+  converges;
+* ``corrupt-cache`` fires at most once per cache path per process, so
+  a detected-and-recomputed entry is rewritten clean.
 """
 
 import hashlib
@@ -71,8 +56,7 @@ import os
 import time
 
 FAULT_KINDS = ("crash", "hang", "corrupt-cache", "corrupt-state",
-               "worker-kill", "worker-hang", "worker-slow",
-               "host-kill", "host-partition", "cache-peer-corrupt")
+               "worker-kill", "worker-hang", "worker-slow")
 
 ENV_FAULTS = "REPRO_FAULTS"
 
@@ -187,7 +171,6 @@ class FaultPlan(object):
         self.specs = dict(specs or {})
         self._corrupted = set()
         self._state_corrupted = set()
-        self._peer_corrupted = set()
 
     @property
     def active(self):
@@ -237,29 +220,6 @@ class FaultPlan(object):
     def should_worker_hang(self, key, attempt=0):
         """Worker-hang faults fire only on a job's first assignment."""
         return attempt == 0 and self._fires("worker-hang", key)
-
-    def should_host_kill(self, key, attempt=0):
-        """Host-kill faults fire only on a shard's first assignment."""
-        return attempt == 0 and self._fires("host-kill", key)
-
-    def should_host_partition(self, key, attempt=0):
-        """Host-partition faults fire only on a shard's first
-        assignment, so a requeued shard (and the partitioned node's own
-        replay) always converges."""
-        return attempt == 0 and self._fires("host-partition", key)
-
-    def peer_corrupt_payload(self, key):
-        """Garbage for a cache peer to serve instead of the real entry,
-        or ``None``.
-
-        Fires at most once per *key* per plan (per process), so a
-        re-fetch after the detected corruption sees the clean entry.
-        """
-        if key in self._peer_corrupted \
-                or not self._fires("cache-peer-corrupt", key):
-            return None
-        self._peer_corrupted.add(key)
-        return CORRUPT_PAYLOAD
 
     def worker_slow_seconds(self, key):
         """Straggler delay (seconds) for this boundary, or 0.0.

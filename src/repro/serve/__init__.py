@@ -7,38 +7,28 @@ service:
 * :class:`JobServer` -- asyncio TCP server speaking a length-prefixed
   JSON frame protocol; validates submissions against the shared
   catalog, coalesces identical in-flight requests, admits through a
-  bounded priority queue with backpressure, executes on a worker tier
-  and streams per-job lifecycle events.
+  bounded priority queue with backpressure, executes on one
+  :class:`WorkerSupervisor` and streams per-job lifecycle events.
 * :class:`ServeClient` -- pure-stdlib blocking client used by scripts,
   tests and the ``repro submit`` / ``repro jobs`` CLI.
 * :class:`ServerThread` -- run a server on a background thread with
   its own event loop (tests, benchmarks, notebooks).
-* :class:`WorkerSupervisor` -- the fleet backend (``--workers N``):
-  supervised worker subprocesses with heartbeat liveness, respawn
-  under deterministic backoff, and worker-loss requeue
-  (``docs/fleet.md``).
+* :class:`WorkerSupervisor` -- the server's only executor: dispatch,
+  deadlines, cancellation, respawn under deterministic backoff and
+  worker-loss requeue over a list of members, either in-process
+  :class:`ThreadWorker` threads (the default tier) or supervised
+  :class:`WorkerProcess` subprocesses with heartbeat liveness (the
+  fleet, ``--workers N``; ``docs/fleet.md``).  Both kinds run one job
+  body, :func:`~repro.serve.workers.execute_job`.
 * :class:`BreakerBoard` -- per-benchmark circuit breakers shedding
   persistently-failing workloads with typed ``circuit-open`` errors.
-* :class:`ClusterSupervisor` -- the cluster backend (``--cluster``):
-  remote worker nodes (``repro node --connect``), a replicated
-  content-addressed cache tier (:class:`CachePeerServer` /
-  :class:`PeerSet`), shard scheduling with work stealing, and
-  degraded-mode fallback (``docs/cluster.md``).
 
-See ``docs/serving.md``, ``docs/fleet.md`` and ``docs/cluster.md``
-for worked examples.
+See ``docs/serving.md`` and ``docs/fleet.md`` for worked examples.
 """
 
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.cluster import (
-    CachePeerServer,
-    ClusterSupervisor,
-    NodeAgent,
-    NodeHandle,
-    PeerSet,
-)
-from repro.serve.fleet import DeadlineExceeded, WorkerSupervisor
+from repro.serve.fleet import WorkerSupervisor
 from repro.serve.health import WorkerHealth
 from repro.serve.jobs import Job, JobTable
 from repro.serve.metrics import ServeMetrics
@@ -54,16 +44,13 @@ from repro.serve.protocol import (
 from repro.serve.queue import AdmissionQueue, QueueFull
 from repro.serve.server import JobServer, ServerThread
 from repro.serve.supervisor import WorkerLost, WorkerProcess
-from repro.serve.workers import JobCancelled, WorkerTier
+from repro.serve.workers import JobCancelled, ThreadWorker
 
 __all__ = [
     "AdmissionQueue",
     "BUSY_CLASS_CODES",
     "BreakerBoard",
-    "CachePeerServer",
     "CircuitBreaker",
-    "ClusterSupervisor",
-    "DeadlineExceeded",
     "ERROR_CODES",
     "FrameDecoder",
     "Job",
@@ -71,20 +58,17 @@ __all__ = [
     "JobServer",
     "JobTable",
     "MAX_FRAME_BYTES",
-    "NodeAgent",
-    "NodeHandle",
-    "PeerSet",
     "ProtocolError",
     "QueueFull",
     "ServeClient",
     "ServeError",
     "ServeMetrics",
     "ServerThread",
+    "ThreadWorker",
     "WorkerHealth",
     "WorkerLost",
     "WorkerProcess",
     "WorkerSupervisor",
-    "WorkerTier",
     "decode_payload",
     "encode_frame",
 ]

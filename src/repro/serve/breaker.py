@@ -151,8 +151,8 @@ class BreakerBoard(object):
     change (the server bumps ``serve.fleet.breaker.*`` counters there).
 
     The board is thread-safe: every state read or verdict fold holds
-    one lock, so concurrent recorders (bench harnesses, cluster-side
-    callers off the loop thread) cannot tear a breaker's window or
+    one lock, so concurrent recorders (bench harnesses, or any caller
+    off the loop thread) cannot tear a breaker's window or
     double-create a breaker.  ``on_transition`` fires outside the lock
     -- a callback that re-enters the board must not deadlock.
     """

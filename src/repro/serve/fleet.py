@@ -1,40 +1,52 @@
-"""The worker fleet: supervision, loss recovery, and requeue.
+"""The one supervisor: dispatch, loss recovery and requeue over members.
 
-A :class:`WorkerSupervisor` is the fleet-mode drop-in for
-:class:`~repro.serve.workers.WorkerTier`: the server calls the same
-``run_job(loop, job, progress_cb)`` coroutine, but execution happens in
-N supervised worker *subprocesses* (:mod:`repro.serve.supervisor`)
-instead of server threads.  What that buys:
+A :class:`WorkerSupervisor` is the server's only executor.  It schedules
+jobs onto a list of *members* of either kind:
+
+* :class:`~repro.serve.workers.ThreadWorker` -- the in-process tier
+  (the default): the job runs on a server thread against the server's
+  own runner;
+* :class:`~repro.serve.supervisor.WorkerProcess` -- the fleet
+  (``--workers N``): the job runs in a supervised worker subprocess.
+
+Both kinds run the same job body
+(:func:`~repro.serve.workers.execute_job`) and answer the same member
+contract -- ``execute(job, attempt, policy, on_progress) -> (outcome,
+detail)``, ``spawn``, ``reap``, ``kill``, ``request_shutdown``,
+``alive``, ``snapshot`` -- so dispatch, deadlines, cancellation and
+failures take one path whichever kind runs the job.  What the fleet
+adds on top:
 
 * **isolation** -- a worker crash, hang, or injected fault never
   touches the server process; the blast radius of ``worker-kill:0.3``
   is one job attempt, not the service;
 * **liveness** -- every worker heartbeats; ``max_missed`` silent
-  intervals and the supervisor kills + replaces it
+  intervals and the worker is killed and replaced
   (:mod:`repro.serve.health`);
 * **recovery** -- a job in flight on a dead worker is *requeued* onto
-  the next free worker with ``attempt + 1``.  Because every completed
-  task is persisted in the shared result cache (cache-as-checkpoint,
-  PR 2/4) and the lethal chaos verbs fire only on ``attempt == 0``,
-  the re-execution resumes from the kill point and converges
+  the next free member with ``attempt + 1``.  Because every completed
+  task is persisted in the shared result cache (cache-as-checkpoint)
+  and the lethal chaos verbs fire only on ``attempt == 0``, the
+  re-execution resumes from the kill point and converges
   byte-identically to the serial reference -- the acceptance bar the
   chaos tests assert;
 * **bounded respawn** -- replacement workers come up under the
   deterministic exponential backoff of :mod:`repro.resilience.retry`
-  (keyed by worker slot), so a crash-looping fleet cannot hot-spin.
+  (keyed by member slot), so a crash-looping fleet cannot hot-spin.
 
 Deadlines terminate here too: a job whose ``deadline_ms`` expired while
-queued or between requeues raises :class:`DeadlineExceeded` instead of
-burning a worker on an answer nobody is waiting for.
+queued or between requeues is shed with a ``deadline-exceeded`` error
+instead of burning a member on an answer nobody is waiting for; a
+running job is re-checked at every task boundary by the job body.
 """
 
 import asyncio
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from repro.resilience import FailurePolicy, SimulationError, backoff_delay
-from repro.serve.supervisor import WorkerLost, WorkerProcess
-from repro.serve.workers import JobCancelled
+from repro.serve.supervisor import WorkerLost
+from repro.serve.workers import deadline_error, failure_error
 
 #: requeues tolerated per job before it is failed outright (defensive:
 #: lethal faults fire only on attempt 0, so >1 losses means real,
@@ -47,83 +59,56 @@ RESPAWN_POLICY = FailurePolicy(retries=0, backoff_base=0.05,
                                jitter=0.5, seed=0)
 
 
-class DeadlineExceeded(Exception):
-    """The job's deadline expired before (or between) execution."""
-
-
 class WorkerSupervisor(object):
-    """Owns N worker subprocesses and schedules jobs onto them.
+    """Schedules jobs onto members, one job per member at a time.
 
-    :param cache_dir: shared result-cache directory handed to every
-        worker (the checkpoint substrate that makes requeue a resume).
-    :param workers: fleet size (``REPRO_WORKERS`` /
-        ``repro serve --workers N`` upstream).
-    :param beat_interval: worker heartbeat period, seconds.
-    :param max_missed: missed beats before a worker is declared dead.
-    :param policy: default :class:`FailurePolicy` (same semantics as
-        :class:`WorkerTier`); per-job overrides layer on top.
-    :param batch_jobs: process-pool width *inside* each worker.
+    :param members: thread or process members (see the module doc).
+    :param policy: default :class:`FailurePolicy`; None defers to the
+        ``REPRO_*`` environment.  Per-job overrides layer on top.
     :param metrics: :class:`~repro.serve.metrics.ServeMetrics` for the
         ``fleet.*`` counters (respawns / requeues); optional.
-    :param max_requeues: worker losses tolerated per job.
+    :param max_requeues: member losses tolerated per job.
     """
 
-    def __init__(self, cache_dir=None, workers=2, beat_interval=1.0,
-                 max_missed=4, policy=None, batch_jobs=1, metrics=None,
+    def __init__(self, members, policy=None, metrics=None,
                  max_requeues=DEFAULT_MAX_REQUEUES,
-                 respawn_policy=RESPAWN_POLICY, spawn_timeout=30.0):
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %r" % (workers,))
-        self.cache_dir = cache_dir
+                 respawn_policy=RESPAWN_POLICY):
+        if not members:
+            raise ValueError("a supervisor needs at least one member")
+        self.members = list(members)
         self.policy = policy
         self.metrics = metrics
         self.max_requeues = max_requeues
         self.respawn_policy = respawn_policy
-        self.workers = [
-            WorkerProcess(index, cache_dir=cache_dir,
-                          beat_interval=beat_interval,
-                          max_missed=max_missed, batch_jobs=batch_jobs,
-                          spawn_timeout=spawn_timeout)
-            for index in range(workers)
-        ]
-        self._idle = None     # asyncio.Queue of WorkerProcess
-        self._stopping = False
+        self._idle = None     # asyncio.Queue of members
 
     @property
     def max_concurrent(self):
-        """Concurrency the server should admit (one job per worker)."""
-        return len(self.workers)
+        """Concurrency the server should admit (one job per member)."""
+        return len(self.members)
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self):
         self._idle = asyncio.Queue()
-        await asyncio.gather(*(worker.spawn() for worker in self.workers))
-        for worker in self.workers:
-            self._idle.put_nowait(worker)
+        await asyncio.gather(*(member.spawn() for member in self.members))
+        for member in self.members:
+            self._idle.put_nowait(member)
         return self
 
     async def shutdown(self, timeout=10.0):
-        """Drain the fleet: graceful shutdown frames, then the hammer.
+        """Drain the members: graceful shutdown requests, then the hammer.
 
         Must terminate promptly even when workers are already dead or
-        frozen -- every worker gets a best-effort shutdown frame, a
-        bounded wait, then a kill.
+        frozen -- every member gets a best-effort shutdown request, then
+        a bounded reap that kills whatever is still running.
         """
-        self._stopping = True
-        await asyncio.gather(*(worker.request_shutdown()
-                               for worker in self.workers))
+        await asyncio.gather(*(member.request_shutdown()
+                               for member in self.members))
         deadline = time.monotonic() + timeout
-        for worker in self.workers:
-            proc = worker._proc
-            if proc is not None and proc.returncode is None:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    await asyncio.wait_for(proc.wait(), remaining)
-                except asyncio.TimeoutError:
-                    worker.kill()
-            await worker.reap()
-            worker.state = "stopped"
+        for member in self.members:
+            await member.reap(max(0.1, deadline - time.monotonic()))
+            member.state = "stopped"
 
     # -- policy --------------------------------------------------------
 
@@ -144,98 +129,79 @@ class WorkerSupervisor(object):
             self.metrics.bump(name, n)
 
     async def _acquire(self):
-        """Next live worker, respawning dead slots under backoff."""
+        """Next live member, respawning dead slots under backoff."""
         while True:
-            worker = await self._idle.get()
-            if worker.alive:
-                return worker
-            await self._respawn(worker)
-            if worker.alive:
-                return worker
+            member = await self._idle.get()
+            if member.alive:
+                return member
+            await self._respawn(member)
+            if member.alive:
+                return member
             # spawn failed: push to the back and keep trying others
-            self._idle.put_nowait(worker)
+            self._idle.put_nowait(member)
             await asyncio.sleep(0.05)
 
-    async def _respawn(self, worker):
-        """Replace a dead worker's subprocess (deterministic backoff)."""
-        await worker.reap()
-        delay = backoff_delay(self.respawn_policy, "worker-%d" % worker.id,
-                              min(worker.respawns, 6))
+    async def _respawn(self, member):
+        """Replace a dead member (deterministic backoff)."""
+        await member.reap()
+        delay = backoff_delay(self.respawn_policy, "worker-%d" % member.id,
+                              min(member.respawns, 6))
         if delay > 0:
             await asyncio.sleep(delay)
-        worker.respawns += 1
+        member.respawns += 1
         self._bump("fleet.respawns")
         try:
-            await worker.spawn()
+            await member.spawn()
         except WorkerLost:
-            worker.state = "dead"
+            member.state = "dead"
 
-    def _release(self, worker):
-        self._idle.put_nowait(worker)
+    def _release(self, member):
+        self._idle.put_nowait(member)
 
-    async def run_job(self, loop, job, progress_cb=None):
-        """Execute *job* on the fleet; returns ``(results, report)``.
+    async def run_job(self, job, on_progress=None):
+        """Execute *job* on the next free member.
 
-        Same contract as :meth:`WorkerTier.run_job`: raises
-        :class:`JobCancelled` on cooperative cancel,
-        :class:`SimulationError` on structured failure -- plus
-        :class:`DeadlineExceeded` when the job's deadline expires
-        before a worker can finish it.
+        Returns ``("done", (payload, report))``, ``("error", error)``
+        (*error* is the job's wire ``error`` dict) or ``("cancelled",
+        None)``.  *on_progress(job, done, total)* runs on the event loop.
+        A member lost mid-job requeues it onto the next free member.
         """
-        policy_fields = asdict(self.job_policy(job))
+        policy = self.job_policy(job)
         attempt = 0
         while True:
             if job.deadline_expired:
-                raise DeadlineExceeded(job.id)
-            worker = await self._acquire()
+                return "error", deadline_error(
+                    "before the job could finish (completed work is "
+                    "checkpointed in the cache)")
+            member = await self._acquire()
             if job.cancel_requested:
-                self._release(worker)
-                raise JobCancelled(job.id)
-
-            def on_progress(job_, done, total):
-                if progress_cb is not None:
-                    progress_cb(job_, done, total)
-
-            outcome, detail = await worker.execute(
-                job, attempt, policy_fields, on_progress
-            )
+                self._release(member)
+                return "cancelled", None
+            try:
+                outcome, detail = await member.execute(job, attempt,
+                                                       policy, on_progress)
+            finally:
+                # a member killed to interrupt a job (or lost with it)
+                # respawns lazily on the next acquire
+                self._release(member)
             if outcome == "done":
-                self._release(worker)
-                payload, report = detail
-                return payload, report
-            if outcome == "cancelled":
-                # the worker was killed to interrupt the job; respawn
-                # happens lazily on next acquire
-                self._release(worker)
-                raise JobCancelled(job.id)
-            if outcome == "error":
-                self._release(worker)
-                info = detail or {}
-                if info.get("code") == "deadline-exceeded":
-                    raise DeadlineExceeded(job.id)
-                error = SimulationError(
-                    "worker %d: %s" % (worker.id,
-                                       info.get("message", "job failed")),
-                    attempts=info.get("attempts", attempt + 1),
-                )
-                error.worker_error_type = info.get("error_type")
-                raise error
-            # lost: the worker died (or went silent) holding the job
-            self._release(worker)   # dead slot; _acquire respawns it
+                member.jobs_done += 1
+            if outcome != "lost":
+                return outcome, detail
             self._bump("fleet.requeues")
             attempt += 1
             if attempt > self.max_requeues:
-                raise SimulationError(
+                return "error", failure_error(SimulationError(
                     "job %s lost %d workers (last: %s); giving up"
                     % (job.id, attempt, detail),
                     attempts=attempt,
-                )
+                ))
 
     # -- observability -------------------------------------------------
 
     def snapshot(self):
-        """Per-worker rows for the ``fleet`` endpoint."""
-        return [worker.snapshot() for worker in self.workers]
+        """Per-member rows for the ``fleet`` endpoint."""
+        return [member.snapshot() for member in self.members]
 
     def live_count(self):
-        return sum(1 for worker in self.workers if worker.alive)
+        return sum(1 for member in self.members if member.alive)

@@ -27,7 +27,7 @@ Taxonomy::
     serve.uptime_seconds / serve.jobs_per_second   throughput
     serve.fleet.respawns / requeues / sheds  worker-loss recovery events
     serve.fleet.breaker.{opened,half_open,closed}  breaker transitions
-    serve.fleet.workers / workers_live       fleet size / live workers
+    serve.fleet.workers / workers_live       supervisor members / live ones
     serve.jobs.rejected_circuit              breaker-bounced submissions
 
 Latency quantiles are computed over a bounded sliding window
@@ -73,16 +73,6 @@ _COUNTERS = (
     ("fleet.breaker.opened", "circuit breakers tripped open"),
     ("fleet.breaker.half_open", "breaker cooldowns expired into a probe"),
     ("fleet.breaker.closed", "breakers closed by a successful probe"),
-    ("cluster.nodes_joined", "remote nodes adopted by the coordinator"),
-    ("cluster.nodes_lost", "remote nodes dropped (EOF or silent beats)"),
-    ("cluster.shards", "job shards scattered across the member pool"),
-    ("cluster.steals", "shards stolen from stragglers by idle members"),
-    ("cluster.requeues", "shards requeued after losing their member"),
-    ("cluster.replayed", "cache entries replayed from reconnecting nodes"),
-    ("cluster.scale_up", "local workers spawned by the autoscaler"),
-    ("cluster.scale_down", "surplus local workers retired when idle"),
-    ("cluster.degraded_transitions",
-     "times the cluster lost its last node and went local-only"),
 )
 
 
@@ -228,46 +218,15 @@ class ServeMetrics(object):
 
     # ------------------------------------------------------------------
 
-    def attach_fleet(self, fleet):
-        """Register derived gauges over a live WorkerSupervisor."""
+    def attach_fleet(self, supervisor):
+        """Register derived gauges over the live WorkerSupervisor."""
         self.registry.derived(
-            "serve.fleet.workers", lambda: len(fleet.workers),
-            "configured fleet size",
+            "serve.fleet.workers", lambda: len(supervisor.members),
+            "supervisor members (threads or worker processes)",
         )
         self.registry.derived(
-            "serve.fleet.workers_live", lambda: fleet.live_count(),
-            "fleet workers currently alive",
-        )
-
-    def attach_cluster(self, cluster):
-        """Register derived gauges over a live ClusterSupervisor."""
-        self.registry.derived(
-            "serve.cluster.nodes", lambda: len(cluster.live_nodes()),
-            "remote nodes currently adopted and alive",
-        )
-        self.registry.derived(
-            "serve.cluster.local_workers",
-            lambda: len(cluster.live_locals()),
-            "local workers currently alive (autoscaled)",
-        )
-        self.registry.derived(
-            "serve.cluster.degraded", lambda: cluster.degraded(),
-            "1 while zero nodes are live (running as a local fleet)",
-        )
-        self.registry.derived(
-            "serve.cluster.peer_hits",
-            lambda: cluster.peer_totals().get("hits", 0),
-            "cache-peer fetches that found a replica",
-        )
-        self.registry.derived(
-            "serve.cluster.peer_misses",
-            lambda: cluster.peer_totals().get("misses", 0),
-            "cache-peer fetches that found nothing",
-        )
-        self.registry.derived(
-            "serve.cluster.peer_corrupt",
-            lambda: cluster.peer_totals().get("corrupt", 0),
-            "cache-peer replies rejected by envelope verification",
+            "serve.fleet.workers_live", lambda: supervisor.live_count(),
+            "supervisor members currently alive",
         )
 
     def bump(self, name, n=1):

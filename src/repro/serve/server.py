@@ -8,19 +8,23 @@ network service.  Life of a submission::
         -> coalesce: identical live submission?  attach, don't recompute
         -> admit: bounded priority queue; past the high-water mark the
            reply is a typed "busy" error (backpressure, HTTP-429 style)
-        -> dispatch: a bounded number of jobs execute concurrently on
-           the WorkerTier (ExperimentRunner.run_batch: process fan-out,
-           retries, timeouts, pool rebuilds, cache-as-checkpoint)
+        -> dispatch: one job per supervisor member at a time
+           (ExperimentRunner.run_batch: process fan-out, retries,
+           timeouts, pool rebuilds, cache-as-checkpoint)
         -> progress/heartbeat events stream to subscribed clients
         -> terminal state (done / failed / cancelled) + metrics + trace
 
-Execution backends: by default jobs run on the in-process
-:class:`~repro.serve.workers.WorkerTier`; with ``workers >= 1``
-(``REPRO_WORKERS`` / ``repro serve --workers N``) they run on a
-supervised subprocess fleet (:mod:`repro.serve.fleet`) with
-heartbeat liveness, automatic respawn and worker-loss requeue.
-Client-supplied ``deadline_ms`` propagates submit -> queue -> worker
-(expired jobs are shed with a typed ``deadline-exceeded`` error) and a
+Execution: one :class:`~repro.serve.fleet.WorkerSupervisor` over
+members of one kind.  By default they are ``max_concurrent`` in-process
+:class:`~repro.serve.workers.ThreadWorker` threads (the "tier"); with
+``workers >= 1`` (``REPRO_WORKERS`` / ``repro serve --workers N``) they
+are supervised worker subprocesses (the "fleet") with heartbeat
+liveness, automatic respawn and worker-loss requeue.  Both kinds run
+the same job body, so the server has one path for dispatch, requeue,
+deadlines, cancellation and failures.
+Client-supplied ``deadline_ms`` propagates submit -> queue -> member
+-> every task boundary (expired jobs are shed with a typed
+``deadline-exceeded`` error) and a
 per-benchmark circuit breaker (:mod:`repro.serve.breaker`) rejects
 persistently-failing workloads with a busy-class ``circuit-open``.
 
@@ -54,15 +58,16 @@ import time
 
 from repro.obs import Tracer
 from repro.obs.io import atomic_write_text
-from repro.resilience import ON_ERROR_MODES, SimulationError
+from repro.resilience import ON_ERROR_MODES
 from repro.serve import protocol
 from repro.serve.breaker import BreakerBoard
-from repro.serve.fleet import DeadlineExceeded, WorkerSupervisor
+from repro.serve.fleet import WorkerSupervisor
 from repro.serve.jobs import JobTable
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import ProtocolError, error_message
 from repro.serve.queue import AdmissionQueue, QueueFull
-from repro.serve.workers import JobCancelled, WorkerTier
+from repro.serve.supervisor import WorkerProcess
+from repro.serve.workers import deadline_error, failure_error, thread_members
 from repro.sim.catalog import catalog as build_catalog
 from repro.sim.runner import ExperimentRunner, RunRequest
 
@@ -85,9 +90,6 @@ _DEADLINE_MS_RANGE = (1, 86_400_000)
 
 #: environment knob for the fleet size (``repro serve --workers`` wins)
 ENV_WORKERS = "REPRO_WORKERS"
-
-#: environment knob enabling the cluster tier (``--cluster`` wins)
-ENV_CLUSTER = "REPRO_CLUSTER"
 
 
 def _bad(message, **extra):
@@ -115,7 +117,8 @@ class JobServer(object):
     :param runner: pre-built :class:`ExperimentRunner` (tests); when
         None one is built over *cache_dir*.
     :param high_water: admission-queue bound (backpressure threshold).
-    :param max_concurrent: jobs executing simultaneously.
+    :param max_concurrent: jobs executing simultaneously on the
+        in-process tier (one thread member each).
     :param batch_jobs: process-pool width per job batch (1 = in-thread).
     :param policy: default :class:`~repro.resilience.FailurePolicy`.
     :param max_requests_per_job: sweep size cap per submission.
@@ -130,7 +133,7 @@ class JobServer(object):
         cooperative cancellation of still-running jobs.
     :param workers: fleet size; ``None`` reads ``REPRO_WORKERS`` and
         ``0`` keeps the in-process tier.  With a fleet,
-        ``max_concurrent`` is ignored (one job per worker).
+        ``max_concurrent`` is ignored (one job per worker process).
     :param beat_interval: fleet worker heartbeat period, seconds.
     :param max_missed: missed beats before a worker is declared dead.
     :param breaker: pre-configured
@@ -149,9 +152,7 @@ class JobServer(object):
                  drain_grace=DEFAULT_DRAIN_GRACE,
                  max_frame_bytes=protocol.MAX_FRAME_BYTES,
                  workers=None, beat_interval=DEFAULT_BEAT_INTERVAL,
-                 max_missed=4, breaker=None, cluster=None,
-                 cluster_min_local=0, cluster_max_local=4,
-                 peer_port=0, shard_tasks=None):
+                 max_missed=4, breaker=None):
         self.host = host
         self.port = port
         self.max_requests_per_job = max_requests_per_job
@@ -163,11 +164,8 @@ class JobServer(object):
         self.max_frame_bytes = max_frame_bytes
         if workers is None:
             workers = int(os.environ.get(ENV_WORKERS, "0") or 0)
-        if cluster is None:
-            cluster = bool(int(os.environ.get(ENV_CLUSTER, "0") or 0))
         self._tmp_cache = None
-        if (workers >= 1 or cluster) and cache_dir is None \
-                and runner is None:
+        if workers >= 1 and cache_dir is None and runner is None:
             # fleet workers are separate processes: they need a real
             # shared on-disk cache (it is also the requeue checkpoint)
             import tempfile
@@ -182,48 +180,24 @@ class JobServer(object):
         self.queue = AdmissionQueue(high_water=high_water,
                                     on_shed=self._shed_expired)
         self.metrics = ServeMetrics(queue=self.queue, table=self.table)
-        self.cluster = None
-        if cluster:
-            from repro.serve.cluster.supervisor import ClusterSupervisor
-
-            fleet_cache = cache_dir
-            if fleet_cache is None:
-                fleet_cache = getattr(self.runner, "cache_dir", None)
-            self.tier = None
-            self.fleet = None
-            self.cluster = ClusterSupervisor(
-                cache_dir=fleet_cache, runner=self.runner,
-                local_workers=workers, beat_interval=beat_interval,
-                max_missed=max_missed, policy=policy,
-                batch_jobs=batch_jobs, metrics=self.metrics,
-                min_local=cluster_min_local, max_local=cluster_max_local,
-                queue_depth=lambda: len(self.queue),
-                high_water=high_water, dispatch_width=max_concurrent,
-                shard_tasks=shard_tasks, peer_port=peer_port,
-                on_degraded=self._on_degraded,
-            )
-            self.executor = self.cluster
-            self.metrics.attach_cluster(self.cluster)
-        elif workers >= 1:
-            fleet_cache = cache_dir
-            if fleet_cache is None:
-                # a pre-built runner: share its disk cache when it has one
-                fleet_cache = getattr(self.runner, "cache_dir", None)
-            self.tier = None
-            self.fleet = WorkerSupervisor(
-                cache_dir=fleet_cache, workers=workers,
-                beat_interval=beat_interval, max_missed=max_missed,
-                policy=policy, batch_jobs=batch_jobs,
-                metrics=self.metrics,
-            )
-            self.executor = self.fleet
-            self.metrics.attach_fleet(self.fleet)
+        if workers >= 1:
+            # a pre-built runner: share its disk cache when it has one
+            fleet_cache = cache_dir if cache_dir is not None \
+                else getattr(self.runner, "cache_dir", None)
+            self.mode = "fleet"
+            members = [
+                WorkerProcess(index, cache_dir=fleet_cache,
+                              beat_interval=beat_interval,
+                              max_missed=max_missed, batch_jobs=batch_jobs)
+                for index in range(workers)
+            ]
         else:
-            self.tier = WorkerTier(self.runner,
-                                   max_concurrent=max_concurrent,
-                                   batch_jobs=batch_jobs, policy=policy)
-            self.fleet = None
-            self.executor = self.tier
+            self.mode = "tier"
+            members = thread_members(self.runner, max_concurrent,
+                                     batch_jobs)
+        self.supervisor = WorkerSupervisor(members, policy=policy,
+                                           metrics=self.metrics)
+        self.metrics.attach_fleet(self.supervisor)
         self.breakers = breaker if breaker is not None else BreakerBoard()
         self.breakers.on_transition = self._breaker_transition
         self.catalog = build_catalog()
@@ -251,11 +225,8 @@ class JobServer(object):
     async def start(self):
         """Bind, start the dispatcher and heartbeat; returns *self*."""
         self.loop = asyncio.get_running_loop()
-        if self.fleet is not None:
-            await self.fleet.start()
-        if self.cluster is not None:
-            await self.cluster.start()
-        self._slots = asyncio.Semaphore(self.executor.max_concurrent)
+        await self.supervisor.start()
+        self._slots = asyncio.Semaphore(self.supervisor.max_concurrent)
         self._closed = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.host, port=self.port
@@ -319,12 +290,7 @@ class JobServer(object):
             self._heartbeat.cancel()
         self._server.close()
         await self._server.wait_closed()
-        if self.tier is not None:
-            self.tier.shutdown(wait=False)
-        if self.fleet is not None:
-            await self.fleet.shutdown()
-        if self.cluster is not None:
-            await self.cluster.shutdown()
+        await self.supervisor.shutdown()
         self.flush()
         if self._tmp_cache is not None:
             import shutil
@@ -366,7 +332,7 @@ class JobServer(object):
         return event
 
     def _on_progress(self, job, done, total):
-        """Trampolined onto the loop by the worker tier."""
+        """Per-slot progress, always delivered on the event loop."""
         job.done_count = done
         self._publish(job, "progress", done=done, total=total)
 
@@ -405,52 +371,32 @@ class JobServer(object):
     async def _execute(self, job):
         self._publish(job, "started", runs=job.done_total)
         try:
-            results, report = await self.executor.run_job(
-                self.loop, job, self._on_progress
-            )
-        except JobCancelled:
-            job.mark_terminal("cancelled")
-            self._publish(job, "cancelled", done=job.done_count,
-                          total=job.done_total)
-        except DeadlineExceeded:
-            job.error = {
-                "code": "deadline-exceeded",
-                "error_type": "DeadlineExceeded",
-                "message": "deadline expired before the job could finish "
-                           "(completed work is checkpointed in the cache)",
-            }
-            job.mark_terminal("failed")
-            self.metrics.bump("fleet.sheds")
-            self._publish(job, "failed", error=job.error)
-        except SimulationError as exc:
-            job.error = {
-                "code": "simulation-error",
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "attempts": getattr(exc, "attempts", 0),
-                "request": repr(getattr(exc, "request", None)),
-            }
-            job.mark_terminal("failed")
-            self._publish(job, "failed", error=job.error)
-        except Exception as exc:  # noqa: BLE001 - server must survive
-            job.error = {
-                "code": "internal",
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-            }
-            job.mark_terminal("failed")
-            self._publish(job, "failed", error=job.error)
-        else:
-            job.result = results
-            job.report = report
-            job.done_count = job.done_total
-            job.mark_terminal("done")
-            self._publish(
-                job, "done", runs=job.done_total,
-                cache_hits=report.get("hits", 0),
-                computed=report.get("misses", 0),
-                latency=round(job.latency, 6),
-            )
+            try:
+                outcome, detail = await self.supervisor.run_job(
+                    job, self._on_progress
+                )
+            except Exception as exc:  # noqa: BLE001 - server must survive
+                outcome, detail = "error", failure_error(exc)
+            if outcome == "done":
+                job.result, job.report = detail
+                job.done_count = job.done_total
+                job.mark_terminal("done")
+                self._publish(
+                    job, "done", runs=job.done_total,
+                    cache_hits=job.report.get("hits", 0),
+                    computed=job.report.get("misses", 0),
+                    latency=round(job.latency, 6),
+                )
+            elif outcome == "cancelled":
+                job.mark_terminal("cancelled")
+                self._publish(job, "cancelled", done=job.done_count,
+                              total=job.done_total)
+            else:
+                job.error = detail
+                job.mark_terminal("failed")
+                if detail.get("code") == "deadline-exceeded":
+                    self.metrics.bump("fleet.sheds")
+                self._publish(job, "failed", error=job.error)
         finally:
             self.table.finish(job)
             self.metrics.record_job(job)
@@ -468,11 +414,7 @@ class JobServer(object):
         The job never reaches a worker; waiting clients get a typed
         ``deadline-exceeded`` failure immediately.
         """
-        job.error = {
-            "code": "deadline-exceeded",
-            "error_type": "DeadlineExceeded",
-            "message": "deadline expired while queued",
-        }
+        job.error = deadline_error("while queued")
         job.mark_terminal("failed")
         self.metrics.bump("fleet.sheds")
         self._publish(job, "failed", error=job.error)
@@ -489,15 +431,6 @@ class JobServer(object):
             self._serve_channel.emit(
                 "breaker", self._trace_seq, job="-", benchmark=benchmark,
                 old=old, new=new,
-            )
-
-    def _on_degraded(self, live_nodes):
-        """Cluster callback: the live-node count crossed zero (either way)."""
-        if self._serve_channel is not None:
-            self._trace_seq += 1
-            self._serve_channel.emit(
-                "cluster-degraded", self._trace_seq, job="-",
-                nodes=live_nodes, degraded=int(live_nodes == 0),
             )
 
     def _record_breaker(self, job):
@@ -524,7 +457,6 @@ class JobServer(object):
 
     async def _handle_conn(self, reader, writer):
         self.metrics.bump("connections.opened")
-        adopted = False
         try:
             while True:
                 try:
@@ -541,26 +473,17 @@ class JobServer(object):
                     continue  # framing intact (bad-json/bad-frame)
                 if message is None:
                     break  # clean EOF
-                if message.get("type") == "node-hello" \
-                        and self.cluster is not None \
-                        and not self.draining:
-                    # hand the connection to the cluster supervisor; the
-                    # NodeHandle's reader task owns it from here on
-                    await self.cluster.adopt_node(message, reader, writer)
-                    adopted = True
-                    break
                 if not await self._serve_one(message, reader, writer):
                     break
         except (ConnectionError, OSError):
             pass  # peer vanished; the server marches on
         finally:
-            if not adopted:
-                self.metrics.bump("connections.closed")
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+            self.metrics.bump("connections.closed")
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
 
     async def _serve_one(self, message, reader, writer):
         """Dispatch one message; returns False to close the connection."""
@@ -673,23 +596,11 @@ class JobServer(object):
         return {"type": "cancelling", "job_id": job.id, "state": job.state}
 
     async def _on_fleet(self, message):
-        """Fleet observability: worker/node rows + breaker states."""
-        if self.cluster is not None:
-            return {
-                "type": "fleet",
-                "mode": "cluster",
-                "workers": self.cluster.snapshot(),
-                "nodes": self.cluster.node_snapshot(),
-                "degraded": self.cluster.degraded(),
-                "peer_totals": self.cluster.peer_totals(),
-                "breakers": self.breakers.snapshot(),
-            }
-        workers = self.fleet.snapshot() if self.fleet is not None else []
+        """Fleet observability: one row per member + breaker states."""
         return {
             "type": "fleet",
-            "mode": "fleet" if self.fleet is not None else "tier",
-            "workers": workers,
-            "nodes": [],
+            "mode": self.mode,
+            "workers": self.supervisor.snapshot(),
             "breakers": self.breakers.snapshot(),
         }
 

@@ -1,12 +1,13 @@
 """Fleet worker subprocess: protocol, child entry point, parent handle.
 
 A fleet worker is a separate OS process (``python -m
-repro.serve.supervisor``) speaking the repository's length-prefixed
+repro.serve.worker_main``) speaking the repository's length-prefixed
 JSON framing (:mod:`repro.serve.protocol`) over its stdin/stdout pipes.
 Worker loss is therefore a *first-class, observable* event -- the pipe
 breaks or the heartbeats stop -- instead of a wedged thread, and the
 supervisor can kill/respawn workers without poisoning the server
-process.
+process.  The child runs the same job body as an in-process member
+(:func:`repro.serve.workers.execute_job`); only the transport differs.
 
 Wire protocol (parent -> worker)::
 
@@ -21,8 +22,8 @@ Worker -> parent::
     {"type": "beat"}                               every beat_interval s
     {"type": "progress", "job_id", "done", "total"}
     {"type": "result", "job_id", "payload", "report"}
-    {"type": "job-error", "job_id", "code"?, "error_type", "message",
-     "attempts"}
+    {"type": "job-error", "job_id", "error": {"code", "error_type",
+                                              "message", ...}}
 
 Heartbeats come from a dedicated daemon thread so a busy simulation
 keeps beating; a genuinely frozen worker (injected ``worker-hang`` or a
@@ -48,6 +49,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 from repro.serve import protocol
 from repro.serve.health import (
@@ -56,6 +58,7 @@ from repro.serve.health import (
     WorkerHealth,
 )
 from repro.serve.protocol import ProtocolError
+from repro.serve.workers import execute_job, failure_error, frame_outcome
 
 #: seconds a worker-hang fault freezes the child (the supervisor kills
 #: it long before: max_missed * beat_interval)
@@ -63,10 +66,6 @@ HANG_FREEZE_SECONDS = 600.0
 
 #: how long the parent waits for a fresh worker's ``ready`` frame
 DEFAULT_SPAWN_TIMEOUT = 30.0
-
-
-class _DeadlineHit(Exception):
-    """Raised inside the child's batch when the job's deadline passes."""
 
 
 # ----------------------------------------------------------------------
@@ -151,13 +150,11 @@ class _Worker(object):
     # -- job execution -------------------------------------------------
 
     def run_job(self, frame):
-        from repro.resilience import FailurePolicy, SimulationError
+        from repro.resilience import FailurePolicy
         from repro.sim.runner import RunRequest
 
         job = frame["job"]
         job_id = job["id"]
-        job_key = job["key"]
-        attempt = int(job.get("attempt", 0))
         remaining = job.get("deadline")
         deadline_at = (time.monotonic() + remaining
                        if remaining is not None else None)
@@ -165,56 +162,23 @@ class _Worker(object):
             requests = [RunRequest(*fields) for fields in job["requests"]]
             policy = FailurePolicy(**(job.get("policy") or {}))
         except (TypeError, ValueError) as exc:
+            error = failure_error(exc)
+            error["message"] = "bad job frame: %s" % exc
             self.send({"type": "job-error", "job_id": job_id,
-                       "error_type": type(exc).__name__,
-                       "message": "bad job frame: %s" % exc, "attempts": 0})
+                       "error": error})
             return
-        if deadline_at is not None and remaining <= 0:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "code": "deadline-exceeded",
-                       "error_type": "DeadlineExceeded",
-                       "message": "deadline expired before execution",
-                       "attempts": 0})
-            return
-        self._fault_point(job_key, attempt, "start")
+        attempt = int(job.get("attempt", 0))
+
+        def boundary(stage):
+            self._fault_point(job["key"], attempt, stage)
 
         def progress(done, total):
-            # fault first so an injected kill/hang never emits a frame
-            # for work it is about to lose
-            self._fault_point(job_key, attempt, "t%d" % done)
-            if deadline_at is not None and time.monotonic() > deadline_at:
-                raise _DeadlineHit(job_id)
             self.send({"type": "progress", "job_id": job_id,
                        "done": done, "total": total})
 
-        try:
-            results, report = self.runner.run_batch(
-                requests, jobs=self.batch_jobs, policy=policy,
-                progress=progress,
-            )
-        except _DeadlineHit:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "code": "deadline-exceeded",
-                       "error_type": "DeadlineExceeded",
-                       "message": "deadline expired at a task boundary "
-                                  "(completed work is checkpointed)",
-                       "attempts": attempt + 1})
-            return
-        except SimulationError as exc:
-            self.send({"type": "job-error", "job_id": job_id,
-                       "error_type": type(exc).__name__,
-                       "message": str(exc),
-                       "attempts": getattr(exc, "attempts", 0)})
-            return
-        except Exception as exc:  # noqa: BLE001 - worker must report, not die
-            self.send({"type": "job-error", "job_id": job_id,
-                       "error_type": type(exc).__name__,
-                       "message": str(exc), "attempts": attempt + 1})
-            return
-        payload = [None if result is None else result.as_dict()
-                   for result in results]
-        self.send({"type": "result", "job_id": job_id,
-                   "payload": payload, "report": report.as_dict()})
+        self.send(execute_job(self.runner, job_id, requests, policy,
+                              self.batch_jobs, deadline_at, progress,
+                              boundary))
 
     def serve_forever(self):
         self.beats.start()
@@ -359,15 +323,18 @@ class WorkerProcess(object):
                 pass
         self.state = "dead"
 
-    async def reap(self):
-        """Await subprocess exit and the reader task (after kill/EOF)."""
+    async def reap(self, timeout=10.0):
+        """Await subprocess exit -- hard-killing it once *timeout*
+        seconds pass -- and then the reader task."""
         import asyncio
 
         if self._proc is not None:
-            try:
-                await asyncio.wait_for(self._proc.wait(), 10.0)
-            except asyncio.TimeoutError:
-                pass
+            for _ in range(2):
+                try:
+                    await asyncio.wait_for(self._proc.wait(), timeout)
+                    break
+                except asyncio.TimeoutError:
+                    self.kill()
         if self._reader is not None:
             self._reader.cancel()
             try:
@@ -392,19 +359,19 @@ class WorkerProcess(object):
 
     # -- job execution -------------------------------------------------
 
-    async def execute(self, job, attempt, policy_fields=None,
-                      on_progress=None, poll_interval=0.05):
+    async def execute(self, job, attempt, policy, on_progress=None,
+                      poll_interval=0.05):
         """Run *job* on this worker; returns ``(outcome, detail)``.
 
-        *policy_fields* is the effective :class:`FailurePolicy` as a
-        plain dict (the supervisor resolves env defaults + per-job
-        overrides once, so every attempt runs under the same policy).
+        *policy* is the job's effective
+        :class:`~repro.resilience.FailurePolicy`; it crosses the pipe as
+        a plain dict.
 
         Outcomes:
 
         * ``("done", (payload, report))``  -- completed normally;
-        * ``("error", info)``              -- the worker reported a
-          structured failure (*info* is the job-error frame);
+        * ``("error", error)``             -- the job failed or was shed;
+          *error* is the ``error`` dict of the worker's job-error frame;
         * ``("cancelled", None)``          -- the job's cancel flag went
           up mid-run; the worker is killed (its loop cannot be
           interrupted) and the slot respawned by the supervisor;
@@ -424,7 +391,7 @@ class WorkerProcess(object):
                 "id": job.id, "key": job.key, "attempt": attempt,
                 "deadline": remaining,
                 "requests": [list(request) for request in job.requests],
-                "policy": policy_fields or {},
+                "policy": asdict(policy),
             }})
         except WorkerLost:
             self.kill()
@@ -458,12 +425,9 @@ class WorkerProcess(object):
                     if on_progress is not None:
                         on_progress(job, frame.get("done", 0),
                                     frame.get("total", job.done_total))
-                elif kind == "result" and frame.get("job_id") == job.id:
-                    self.jobs_done += 1
-                    return "done", (frame.get("payload"),
-                                    frame.get("report") or {})
-                elif kind == "job-error" and frame.get("job_id") == job.id:
-                    return "error", frame
+                elif kind in ("result", "job-error") \
+                        and frame.get("job_id") == job.id:
+                    return frame_outcome(frame)
                 # stale frames from a previous assignment are dropped
         finally:
             self.current_job = None

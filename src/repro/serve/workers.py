@@ -1,116 +1,233 @@
-"""Worker tier: executes jobs on the fault-tolerant batch engine.
+"""The one job body, and the in-process thread member.
 
-One :class:`WorkerTier` owns a small thread pool; each admitted job
-occupies one thread for the duration of one
-:meth:`~repro.sim.ExperimentRunner.run_batch` call.  The heavy lifting
--- process-pool fan-out, per-task retries with deterministic backoff,
-hung-task timeouts, broken-pool rebuilds, serial degradation,
-save-as-completed checkpointing into the shared result cache -- is the
-batch engine's existing machinery; the tier adds only the asyncio
-bridging:
+Every job the server runs goes through :func:`execute_job`: one
+:meth:`~repro.sim.ExperimentRunner.run_batch` call wrapped in the checks
+that make it a *job* -- the deadline re-check at every task boundary,
+the progress fan-out, and the translation of the outcome into one
+terminal frame (``result`` or ``job-error``).  Both kinds of
+:class:`~repro.serve.fleet.WorkerSupervisor` member call it:
 
-* the event loop awaits ``run_in_executor`` so the server keeps
-  serving status/stream/statz traffic while simulations run;
-* the batch engine's ``progress`` callback is trampolined back onto the
-  loop (``call_soon_threadsafe``) to fan out per-job progress events to
-  streaming subscribers;
-* the same callback implements **cooperative cancellation**: when a
-  job's ``cancel_requested`` flag is up, the next progress tick raises
+* :class:`ThreadWorker` runs it on a server thread against the server's
+  own runner, so the in-memory memo and the disk cache are shared by
+  every job;
+* a fleet worker subprocess (:mod:`repro.serve.supervisor`) runs it
+  against its own runner over the same cache directory, and passes the
+  ``boundary`` chaos hook -- the ``worker-*`` fault verbs therefore fire
+  only there, never in the server process.
+
+The batch engine does the heavy lifting (process-pool fan-out, per-task
+retries with deterministic backoff, hung-task timeouts, save-as-completed
+checkpointing into the shared result cache); a thread member adds only
+the asyncio bridging:
+
+* the event loop awaits ``run_in_executor`` so the server keeps serving
+  status/stream/statz traffic while simulations run;
+* progress ticks are trampolined back onto the loop
+  (``call_soon_threadsafe``) to fan out per-job progress events;
+* the same tick implements **cooperative cancellation**: when a job's
+  ``cancel_requested`` flag is up, the next tick raises
   :class:`JobCancelled` inside the batch, aborting at a task boundary.
   Everything already computed is persisted (the cache is the
   checkpoint), so a cancelled-then-resubmitted job resumes instead of
   restarting.
 
-A worker crash (``REPRO_FAULTS`` or a real segfault) never reaches the
-server loop as anything but a structured
-:class:`~repro.resilience.SimulationError` -- the server stays up and
-the job is marked failed.
+A simulation failure (``REPRO_FAULTS`` or a real bug) never reaches the
+server loop as anything but a ``job-error`` frame whose ``error`` dict
+is built here, once, by :func:`failure_error` -- the same bytes whichever
+kind of member ran the job.
 """
 
+import asyncio
+import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.resilience import FailurePolicy
+from repro.resilience import SimulationError
 
 
 class JobCancelled(Exception):
     """Raised inside a batch to abort a cancelled job at a task boundary."""
 
 
-class WorkerTier(object):
-    """Thread-pool bridge between the asyncio loop and the batch engine.
+class _DeadlineHit(Exception):
+    """Raised inside a batch when the job's deadline passes."""
 
-    :param runner: shared :class:`~repro.sim.ExperimentRunner` (its disk
-        cache and in-memory memo deduplicate across jobs).
-    :param max_concurrent: jobs executing simultaneously; additional
-        admitted jobs wait in the dispatcher.
+
+def deadline_error(when):
+    """The ``error`` dict of a job shed because its deadline expired."""
+    return {"code": "deadline-exceeded", "error_type": "DeadlineExceeded",
+            "message": "deadline expired %s" % when}
+
+
+def failure_error(exc):
+    """The ``error`` dict of a job that ended in exception *exc*.
+
+    ``request`` names the failing run as ``[benchmark, prefetcher,
+    instructions, variant]`` (null when no single run is to blame).
+    """
+    if not isinstance(exc, SimulationError):
+        return {"code": "internal", "error_type": type(exc).__name__,
+                "message": str(exc)}
+    request = exc.request
+    if request is not None:
+        benchmark, prefetcher, instructions, _config, variant = request
+        request = [benchmark, prefetcher, instructions, variant]
+    return {"code": "simulation-error", "error_type": type(exc).__name__,
+            "message": str(exc), "attempts": exc.attempts,
+            "request": request}
+
+
+def execute_job(runner, job_id, requests, policy, batch_jobs, deadline_at,
+                on_progress, boundary=None):
+    """Run one job's batch; returns its terminal frame.
+
+    :param deadline_at: absolute :func:`time.monotonic` deadline, or
+        None; re-checked before the batch and at every task boundary.
+    :param on_progress: ``fn(done, total)`` after every resolved slot;
+        an exception it raises (:class:`JobCancelled`) aborts the batch
+        and propagates.
+    :param boundary: optional ``fn(stage)`` chaos hook called with
+        ``"start"`` and then ``"t<done>"`` at every task boundary,
+        before the deadline check.
+    :returns: ``{"type": "result", "job_id", "payload", "report"}`` or
+        ``{"type": "job-error", "job_id", "error"}``.
+    """
+    if deadline_at is not None and time.monotonic() > deadline_at:
+        return {"type": "job-error", "job_id": job_id,
+                "error": deadline_error("before execution")}
+    if boundary is not None:
+        boundary("start")
+
+    def progress(done, total):
+        # the chaos hook goes first so an injected kill/hang never
+        # reports work it is about to lose
+        if boundary is not None:
+            boundary("t%d" % done)
+        if deadline_at is not None and time.monotonic() > deadline_at:
+            raise _DeadlineHit(job_id)
+        on_progress(done, total)
+
+    try:
+        results, report = runner.run_batch(
+            requests, jobs=batch_jobs, policy=policy, progress=progress,
+        )
+    except _DeadlineHit:
+        error = deadline_error("at a task boundary (completed work is "
+                               "checkpointed)")
+    except JobCancelled:
+        raise
+    except Exception as exc:  # noqa: BLE001 - a job reports, never crashes
+        error = failure_error(exc)
+    else:
+        payload = [None if result is None else result.as_dict()
+                   for result in results]
+        return {"type": "result", "job_id": job_id, "payload": payload,
+                "report": report.as_dict()}
+    return {"type": "job-error", "job_id": job_id, "error": error}
+
+
+def frame_outcome(frame):
+    """``(outcome, detail)`` of a terminal frame from :func:`execute_job`."""
+    if frame["type"] == "result":
+        return "done", (frame["payload"], frame["report"])
+    return "error", frame["error"]
+
+
+def thread_members(runner, count, batch_jobs=1):
+    """*count* :class:`ThreadWorker` members sharing one thread pool."""
+    if count < 1:
+        raise ValueError("max_concurrent must be >= 1, got %r" % (count,))
+    if batch_jobs < 1:
+        raise ValueError("batch_jobs must be >= 1, got %r" % (batch_jobs,))
+    pool = ThreadPoolExecutor(max_workers=count,
+                              thread_name_prefix="serve-worker")
+    return [ThreadWorker(index, runner, pool, batch_jobs)
+            for index in range(count)]
+
+
+class ThreadWorker(object):
+    """Supervisor member running :func:`execute_job` on a server thread.
+
+    :param runner: the server's :class:`~repro.sim.ExperimentRunner`
+        (its disk cache and in-memory memo deduplicate across jobs).
+    :param pool: the thread pool shared by every thread member.
     :param batch_jobs: worker processes per batch (``1`` = in-thread
         serial execution -- the safe default for a server process; raise
         it to fan each sweep out over a process pool).
-    :param policy: default :class:`~repro.resilience.FailurePolicy`;
-        per-job overrides (``retries`` / ``on_error`` / ``task_timeout``
-        in the submission spec) are layered on top.
     """
 
-    def __init__(self, runner, max_concurrent=2, batch_jobs=1, policy=None):
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1, got %r"
-                             % (max_concurrent,))
-        if batch_jobs < 1:
-            raise ValueError("batch_jobs must be >= 1, got %r"
-                             % (batch_jobs,))
+    pid = None  # runs inside the server process
+
+    def __init__(self, worker_id, runner, pool, batch_jobs=1):
+        self.id = worker_id
         self.runner = runner
-        self.max_concurrent = max_concurrent
         self.batch_jobs = batch_jobs
-        self.policy = policy
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_concurrent, thread_name_prefix="serve-worker"
-        )
+        self._pool = pool
+        self.state = "starting"
+        self.current_job = None
+        self.respawns = 0
+        self.jobs_done = 0
 
-    def job_policy(self, job):
-        """The effective :class:`FailurePolicy` for *job*.
+    async def spawn(self):
+        """Arm the slot; the pool starts its thread on first use."""
+        self.state = "idle"
+        return self
 
-        Starts from the tier default (or the ``REPRO_*`` environment)
-        and applies any validated per-job overrides from the submission
-        spec.
+    @property
+    def alive(self):
+        return self.state not in ("dead", "stopped")
+
+    def kill(self):
+        """Mark the slot dead; a thread cannot be killed, so a running
+        batch finishes on its own."""
+        self.state = "dead"
+
+    async def reap(self, timeout=None):
+        """Nothing to wait for: a hung simulation thread is left behind."""
+
+    async def request_shutdown(self):
+        """Stop the shared pool taking work; idle threads exit."""
+        self._pool.shutdown(wait=False)
+
+    async def execute(self, job, attempt, policy, on_progress=None):
+        """Run *job* on a pool thread; returns ``(outcome, detail)``.
+
+        Outcomes are ``("done", (payload, report))``, ``("error",
+        error)`` and ``("cancelled", None)``; a thread member is never
+        ``"lost"``.  *attempt* is unused: the lethal chaos verbs it
+        gates never fire in the server process.
         """
-        base = self.policy
-        if base is None:
-            base = FailurePolicy.from_env()
-        overrides = job.spec.get("policy") or {}
-        if overrides:
-            from dataclasses import replace
-
-            base = replace(base, **overrides)
-        return base
-
-    async def run_job(self, loop, job, progress_cb=None):
-        """Execute *job*; returns ``(results, report)`` dicts.
-
-        *progress_cb(job, done, total)* is invoked on the event loop
-        after every resolved slot.  Raises :class:`JobCancelled` when
-        the job's cancel flag interrupts the batch; any simulation
-        failure propagates as the batch engine's structured error.
-        """
-        policy = self.job_policy(job)
+        loop = asyncio.get_running_loop()
 
         def progress(done, total):
             if job.cancel_requested:
                 raise JobCancelled(job.id)
-            if progress_cb is not None:
-                loop.call_soon_threadsafe(progress_cb, job, done, total)
+            if on_progress is not None:
+                loop.call_soon_threadsafe(on_progress, job, done, total)
 
-        def body():
-            results, report = self.runner.run_batch(
-                job.requests, jobs=self.batch_jobs, policy=policy,
-                progress=progress,
+        self.state = "busy"
+        self.current_job = job.id
+        try:
+            frame = await loop.run_in_executor(
+                self._pool, execute_job, self.runner, job.id,
+                job.requests, policy, self.batch_jobs, job.deadline,
+                progress,
             )
-            payload = [
-                None if result is None else result.as_dict()
-                for result in results
-            ]
-            return payload, report.as_dict()
+        except JobCancelled:
+            return "cancelled", None
+        finally:
+            self.current_job = None
+            if self.state == "busy":
+                self.state = "idle"
+        return frame_outcome(frame)
 
-        return await loop.run_in_executor(self._executor, body)
-
-    def shutdown(self, wait=True):
-        self._executor.shutdown(wait=wait)
+    def snapshot(self):
+        """One row of the ``fleet`` endpoint / ``repro jobs --workers``."""
+        return {
+            "worker": self.id,
+            "pid": self.pid,
+            "state": self.state,
+            "job": self.current_job,
+            "beats_missed": 0,
+            "respawns": self.respawns,
+            "jobs_done": self.jobs_done,
+        }

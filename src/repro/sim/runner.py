@@ -302,21 +302,15 @@ class ExperimentRunner:
         :meth:`run_single`/:meth:`run_many`; None defers to the
         ``REPRO_RETRIES``/``REPRO_TASK_TIMEOUT``/``REPRO_ON_ERROR``
         environment at call time.
-    :param cache_peers: optional
-        :class:`~repro.serve.cluster.PeerSet` federating this cache
-        with remote replicas -- local misses read through to peers and
-        local writes replicate out (see ``src/repro/serve/cluster``).
 
     After each :meth:`run_many` call, :attr:`last_report` holds the
     :class:`~repro.resilience.BatchReport` for the batch.
     """
 
-    def __init__(self, cache_dir=None, jobs=None, policy=None,
-                 cache_peers=None):
+    def __init__(self, cache_dir=None, jobs=None, policy=None):
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.policy = policy
-        self.cache_peers = cache_peers
         self.last_report = None
         self._memo = {}
         if cache_dir:
@@ -420,9 +414,7 @@ class ExperimentRunner:
         try:
             data = self._load_entry(path)
         except FileNotFoundError:
-            data = self._peer_fetch(path)
-            if data is None:
-                return None
+            return None
         except CacheCorruption:
             if report is not None:
                 report.cache_corruptions += 1
@@ -454,73 +446,6 @@ class ExperimentRunner:
             if garbage is not None:
                 text = garbage
         atomic_write_text(path, text)
-        self._peer_store(path, text)
-
-    # ------------------------------------------------------------------
-    # cache-peer federation (cluster tier)
-
-    def _cache_relpath(self, path):
-        """Cache-relative entry path used as the peer-tier CAS key."""
-        if not path or not self.cache_dir:
-            return None
-        rel = os.path.relpath(path, self.cache_dir)
-        if rel.startswith(".."):
-            return None
-        return rel.replace(os.sep, "/")
-
-    def _peer_fetch(self, path):
-        """Read-through to cache peers after a local miss.
-
-        A verified entry is persisted locally (so the next probe is a
-        plain disk hit) and returned; anything else -- no peers, no
-        replica, a corrupted reply -- is ``None``.  Integrity is
-        enforced inside :meth:`PeerSet.fetch`: entries failing their
-        envelope check never reach this far.
-        """
-        peers = self.cache_peers
-        if peers is None:
-            return None
-        rel = self._cache_relpath(path)
-        if rel is None:
-            return None
-        found = peers.fetch(rel)
-        if found is None:
-            return None
-        text, payload = found
-        atomic_write_text(path, text)
-        return payload
-
-    def _peer_store(self, path, text):
-        """Replicate a fresh cache write to its rendezvous peers."""
-        peers = self.cache_peers
-        if peers is None:
-            return
-        rel = self._cache_relpath(path)
-        if rel is None:
-            return
-        peers.store(rel, text)
-
-    def store_single(self, request, data):
-        """Persist one externally computed single-run payload.
-
-        The cluster coordinator uses this to fold results computed by
-        remote nodes into its own cache (cache-as-checkpoint: a
-        requeued shard then resumes from these entries instead of
-        recomputing).  First write wins -- an existing entry is left
-        untouched, preserving byte-identity under double execution.
-        Returns the entry's cache path (None when caching is off).
-        """
-        job = self._resolve_request(request)
-        benchmark, prefetcher, instructions, config, variant = job
-        payload = self._single_payload(benchmark, instructions, config,
-                                       variant)
-        path = self._cache_path("single", payload)
-        memo_key = self._memo_key("single", payload)
-        if path and os.path.exists(path):
-            self._memo.setdefault(memo_key, dict(data))
-            return path
-        self._save(path, dict(data), memo_key)
-        return path
 
     # ------------------------------------------------------------------
     # cache maintenance

@@ -82,6 +82,9 @@ def test_parse_faults_grammar():
     "crash:0.5:dur",              # malformed option
     "crash:0.5:speed=9",          # unknown option
     "crash:0.5,crash:0.1",        # duplicate kind
+    "host-kill:0.3",              # removed verbs are unknown kinds
+    "host-partition:0.3",
+    "cache-peer-corrupt:0.3",
 ])
 def test_parse_faults_rejects_malformed(bad):
     with pytest.raises(ValueError):

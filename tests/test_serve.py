@@ -168,6 +168,30 @@ class TestCrashInjection(object):
         assert stats["serve.jobs.completed"] == 1
         assert stats["serve.runs.retries"] >= 1
 
+    def test_failure_payload_is_the_same_on_both_member_kinds(
+            self, tmp_path, monkeypatch):
+        # one job body builds the error dict, so a thread member and a
+        # worker subprocess report a failing run in identical bytes --
+        # and no field leaks a memory address
+        monkeypatch.setenv("REPRO_FAULTS", "crash:1.0:seed=7")
+        errors = []
+        for workers in (0, 1):
+            with ServerThread(cache_dir=str(tmp_path / ("c%d" % workers)),
+                              max_concurrent=1, workers=workers,
+                              heartbeat_interval=0) as thread:
+                with _client(thread) as client:
+                    ticket = client.submit("libquantum", "stride",
+                                           instructions=BUDGET, retries=0)
+                    with pytest.raises(ServeError) as info:
+                        client.result(ticket["job_id"], wait=True)
+            errors.append(json.dumps(info.value.data["error"],
+                                     sort_keys=True))
+        assert errors[0] == errors[1]
+        assert "0x" not in errors[0]
+        error = json.loads(errors[0])
+        assert error["code"] == "simulation-error"
+        assert error["request"] == ["libquantum", "stride", BUDGET, 0]
+
 
 # ----------------------------------------------------------------------
 # admission control and cancellation

@@ -11,11 +11,15 @@ The acceptance bar mirrors the repo's standing rule -- recovery must be
   dead by the missed-beat detector, and its job is requeued and
   completed by a respawned worker;
 * expired deadlines shed jobs pre-execution with a typed
-  ``deadline-exceeded`` error (never executed, never retried);
+  ``deadline-exceeded`` error (never executed, never retried), and a
+  running job on either kind of member stops at the first task
+  boundary past its deadline;
 * the per-benchmark circuit breaker walks closed -> open -> half-open
   -> closed, rejects with busy-class ``circuit-open`` while open, and
   leaves other benchmarks untouched;
-* graceful drain completes even with a worker SIGKILLed mid-session.
+* graceful drain completes even with a worker SIGKILLed mid-session;
+* the ``fleet`` endpoint (and ``repro jobs --workers``) shows one row
+  per supervisor member in both modes.
 
 Plus socket-free unit coverage for the new fault verbs, the heartbeat
 detector, the breaker state machine, lazy queue shedding and the
@@ -192,6 +196,30 @@ class TestDeadlines(object):
                 stats = client.statz()
         assert stats["serve.fleet.sheds"] == 1
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_running_job_is_shed_at_a_task_boundary(self, tmp_path,
+                                                    workers):
+        # the deadline is re-checked at every task boundary on both
+        # kinds of member, so a sweep that outlives it stops mid-run
+        # instead of running to completion
+        with ServerThread(cache_dir=str(tmp_path / "cache"),
+                          max_concurrent=1, workers=workers,
+                          beat_interval=0.25,
+                          heartbeat_interval=0) as thread:
+            with _client(thread) as client:
+                ticket = client.submit_sweep(
+                    ["astar", "bzip2", "soplex", "mcf"], ["none", "stride"],
+                    instructions=40_000, deadline_ms=300,
+                )
+                with pytest.raises(ServeError) as info:
+                    client.result(ticket["job_id"], wait=True)
+                stats = client.statz()
+        assert info.value.code == "deadline-exceeded"
+        failure = info.value.data
+        assert "task boundary" in failure["error"]["message"]
+        assert failure["done"] < failure["runs"] == 8
+        assert stats["serve.fleet.sheds"] == 1
+
     def test_deadline_ms_is_validated(self, tmp_path):
         with ServerThread(cache_dir=str(tmp_path / "cache"),
                           heartbeat_interval=0) as thread:
@@ -235,6 +263,39 @@ class TestDeadlines(object):
         popped, shed = asyncio.run(body())
         assert popped.id == "j000002"
         assert [job.id for job in shed] == ["j000001"]
+
+
+# ----------------------------------------------------------------------
+# the fleet endpoint: one row per member, in both modes
+
+
+class TestFleetEndpoint(object):
+    @pytest.mark.parametrize("workers,members", [(0, 2), (1, 1)])
+    def test_rows_render_one_per_member(self, tmp_path, capsys, workers,
+                                        members):
+        from repro.cli import _print_fleet
+
+        with ServerThread(cache_dir=str(tmp_path / "cache"),
+                          max_concurrent=2, workers=workers,
+                          beat_interval=0.25,
+                          heartbeat_interval=0) as thread:
+            with _client(thread) as client:
+                ticket = client.submit("mcf", "none", instructions=BUDGET)
+                client.result(ticket["job_id"], wait=True)
+                fleet = client.fleet()
+        assert fleet["mode"] == ("fleet" if workers else "tier")
+        rows = fleet["workers"]
+        assert [row["worker"] for row in rows] == list(range(members))
+        assert sum(row["jobs_done"] for row in rows) == 1
+        for row in rows:
+            assert row["state"] == "idle"
+            assert (row["pid"] is not None) == bool(workers)
+        capsys.readouterr()
+        assert _print_fleet(fleet) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split()[:3] == ["WORKER", "PID", "STATE"]
+        assert [line.split()[0] for line in table[1:]] \
+            == [str(n) for n in range(members)]
 
 
 # ----------------------------------------------------------------------
@@ -447,8 +508,7 @@ class TestBreakerBoardConcurrency(object):
         """Hammer one board from many threads; invariants must hold.
 
         The board is the only breaker surface shared across threads
-        (bench harnesses and cluster-side recorders fold verdicts off
-        the loop thread), so concurrent ``record``/``allow`` must not
+        (bench harnesses fold verdicts off the loop thread), so concurrent ``record``/``allow`` must not
         tear a window past its bound, double-create a breaker, or emit
         an impossible transition.
         """
