@@ -114,9 +114,9 @@ def test_ablation_arf_sampling_delay(runner, archive, benchmark):
     def experiment():
         execute = _speedups(runner, instructions,
                             bfetch=BFetchConfig(arf_delay=6))
+        # sampling at retire is modelled as the longer visibility delay
         retire = _speedups(runner, instructions,
-                           bfetch=BFetchConfig(arf_delay=60,
-                                               arf_mode="retire"))
+                           bfetch=BFetchConfig(arf_delay=60))
         return execute, retire
 
     execute, retire = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -63,7 +63,7 @@ class JRSEstimator:
         return {"table": list(self.table)}
 
     def restore(self, state):
-        self.table = list(state["table"])
+        self.table[:] = state["table"]
 
     def storage_bits(self):
         return self.entries * self.counter_bits
@@ -97,7 +97,7 @@ class UpDownEstimator:
         return {"table": list(self.table)}
 
     def restore(self, state):
-        self.table = list(state["table"])
+        self.table[:] = state["table"]
 
     def storage_bits(self):
         return self.entries * self.counter_bits
@@ -140,7 +140,7 @@ class SelfCounterEstimator:
         }
 
     def restore(self, state):
-        self.streaks = list(state["streaks"])
+        self.streaks[:] = state["streaks"]
         self.last_dir = [bool(value) for value in state["last_dir"]]
 
     def storage_bits(self):

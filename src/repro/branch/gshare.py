@@ -53,7 +53,7 @@ class GsharePredictor:
 
     def restore(self, state):
         """Restore predictor state from :meth:`snapshot` output."""
-        self.table = list(state["table"])
+        self.table[:] = state["table"]
         self.history = state["history"]
 
     def storage_bits(self):

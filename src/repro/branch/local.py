@@ -53,8 +53,8 @@ class LocalPredictor:
 
     def restore(self, state):
         """Restore predictor state from :meth:`snapshot` output."""
-        self.histories = list(state["histories"])
-        self.counters = list(state["counters"])
+        self.histories[:] = state["histories"]
+        self.counters[:] = state["counters"]
 
     def storage_bits(self):
         return (

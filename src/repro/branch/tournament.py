@@ -122,7 +122,7 @@ class TournamentPredictor:
         """Restore predictor state from :meth:`snapshot` output."""
         self.local.restore(state["local"])
         self.gshare.restore(state["gshare"])
-        self.chooser = list(state["chooser"])
+        self.chooser[:] = state["chooser"]
 
     def storage_bits(self):
         return (

@@ -52,9 +52,6 @@ class AlternateRegisterFile:
         """Current ARF value of *reg* (call :meth:`sync` first)."""
         return self.values[reg]
 
-    def pending_count(self):
-        return len(self._pending)
-
     def snapshot(self):
         """ARF state as a JSON-safe structure.
 
@@ -68,10 +65,11 @@ class AlternateRegisterFile:
         }
 
     def restore(self, state):
-        """Restore ARF state from :meth:`snapshot` output."""
-        self.values = [int(value) for value in state["values"]]
-        self.seq = [int(value) for value in state["seq"]]
-        self._pending = [tuple(entry) for entry in state["pending"]]
+        """Restore ARF state from :meth:`snapshot` output, into the
+        existing lists (the B-Fetch engine binds them once)."""
+        self.values[:] = [int(value) for value in state["values"]]
+        self.seq[:] = [int(value) for value in state["seq"]]
+        self._pending[:] = [tuple(entry) for entry in state["pending"]]
 
     def storage_bits(self):
         # 32-bit value + 8-bit sequence field per register (Table I: 0.156KB)

@@ -7,7 +7,27 @@ direction, target) -- i.e. by the basic block being *entered* -- each
 entry names the branch that *ends* that block and that branch's taken
 target, which is everything the lookahead needs to take the next step.
 Entries are installed at commit time only.
+
+Each entry also carries its *successors*: the ending branch's PC word
+and 32-bit tag, and the ``bb_hash`` of the block each direction enters
+(None for a taken target never observed).  They are a pure function of
+the entry, recomputed whenever an update changes it and on restore, so
+a lookahead step reads one tuple instead of re-deriving two hashes.
 """
+
+from repro.core.hashing import _MASK32, bb_hash
+
+
+def _successors(end_branch_pc, taken_target):
+    """``(pc word, tag, not-taken hash, taken hash or None)`` of the
+    branch ending a block."""
+    return (
+        end_branch_pc >> 2,
+        end_branch_pc & _MASK32,
+        bb_hash(end_branch_pc, False, end_branch_pc + 4),
+        (bb_hash(end_branch_pc, True, taken_target)
+         if taken_target is not None else None),
+    )
 
 
 class BranchTraceCache:
@@ -21,6 +41,7 @@ class BranchTraceCache:
         self.tags = [None] * entries
         self.end_branch_pc = [0] * entries
         self.end_taken_target = [None] * entries
+        self.successors = [None] * entries
         self.lookups = 0
         self.hits = 0
 
@@ -42,12 +63,14 @@ class BranchTraceCache:
         if (
             self.tags[slot] == tag
             and self.end_branch_pc[slot] == end_branch_pc
-            and taken_target is None
+            and (taken_target is None
+                 or self.end_taken_target[slot] == taken_target)
         ):
-            return  # keep a known target rather than clearing it
+            return  # unchanged (a None target keeps a known one)
         self.tags[slot] = tag
         self.end_branch_pc[slot] = end_branch_pc
         self.end_taken_target[slot] = taken_target
+        self.successors[slot] = _successors(end_branch_pc, taken_target)
 
     @property
     def hit_rate(self):
@@ -64,10 +87,16 @@ class BranchTraceCache:
         }
 
     def restore(self, state):
-        """Restore BrTC state from :meth:`snapshot` output."""
-        self.tags = list(state["tags"])
-        self.end_branch_pc = list(state["end_branch_pc"])
-        self.end_taken_target = list(state["end_taken_target"])
+        """Restore BrTC state from :meth:`snapshot` output, into the
+        existing lists (the B-Fetch engine binds them once)."""
+        self.tags[:] = state["tags"]
+        self.end_branch_pc[:] = state["end_branch_pc"]
+        self.end_taken_target[:] = state["end_taken_target"]
+        self.successors[:] = [
+            _successors(end_pc, target) if tag is not None else None
+            for tag, end_pc, target in zip(
+                self.tags, self.end_branch_pc, self.end_taken_target)
+        ]
         self.lookups = state["lookups"]
         self.hits = state["hits"]
 

@@ -34,7 +34,6 @@ class BFetchConfig:
         filter_initial=2,
         queue_capacity=100,
         arf_delay=6,
-        arf_mode="execute",
         loop_prefetch=True,
         pattern_prefetch=True,
         use_filter=True,
@@ -42,11 +41,6 @@ class BFetchConfig:
         max_instr_blocks=8,
         block_bytes=64,
     ):
-        if arf_mode not in ("execute", "retire"):
-            raise ValueError(
-                "arf_mode must be 'execute' or 'retire', got %r"
-                % (arf_mode,)
-            )
         # fail fast on non-positive sizing knobs: a zero-entry table or
         # a non-positive lookahead depth silently degenerates the engine
         for field, value in (
@@ -89,7 +83,6 @@ class BFetchConfig:
         self.filter_initial = filter_initial
         self.queue_capacity = queue_capacity
         self.arf_delay = arf_delay
-        self.arf_mode = arf_mode
         self.loop_prefetch = loop_prefetch
         self.pattern_prefetch = pattern_prefetch
         self.use_filter = use_filter

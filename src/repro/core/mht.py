@@ -19,6 +19,12 @@ We additionally keep the 10-bit load-PC hash with each slot so the
 per-load filter can be consulted at prefetch-issue time (the hardware
 recovers it from the same commit path that trains the slot; Table I's
 bit budget absorbs it in the hash fields -- see EXPERIMENTS.md).
+
+Each entry also caches its *issue list*: the slots a lookahead may
+issue from, compiled by the engine into flat tuples
+(:meth:`~repro.core.bfetch.BFetchPrefetcher._compile_issue`).  It is
+None until a walk needs it, and the trainer resets it whenever it
+touches the entry.
 """
 
 
@@ -58,13 +64,14 @@ class RegisterHistory:
 class MHTEntry:
     """One basic block's worth of register history."""
 
-    __slots__ = ("tag", "slots", "next_victim", "max_slots")
+    __slots__ = ("tag", "slots", "next_victim", "max_slots", "issue")
 
     def __init__(self, tag, max_slots):
         self.tag = tag
         self.slots = []
         self.next_victim = 0
         self.max_slots = max_slots
+        self.issue = None  # compiled issue list; None = rebuild on use
 
     def slot_for(self, regidx, allocate):
         """Find (or allocate) the slot tracking *regidx*."""
@@ -147,7 +154,8 @@ class MemoryHistoryTable:
         return {"table": table, "lookups": self.lookups, "hits": self.hits}
 
     def restore(self, state):
-        """Restore MHT state from :meth:`snapshot` output."""
+        """Restore MHT state from :meth:`snapshot` output, into the
+        existing table (the B-Fetch engine binds it once)."""
         table = [None] * self.entries
         for index, encoded in enumerate(state["table"]):
             if encoded is None:
@@ -167,7 +175,7 @@ class MemoryHistoryTable:
                 slot.stable = item["stable"]
                 entry.slots.append(slot)
             table[index] = entry
-        self.table = table
+        self.table[:] = table
         self.lookups = state["lookups"]
         self.hits = state["hits"]
 

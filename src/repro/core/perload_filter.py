@@ -107,8 +107,10 @@ class PerLoadFilter:
         }
 
     def restore(self, state):
-        """Restore filter state from :meth:`snapshot` output."""
-        self.tables = [list(table) for table in state["tables"]]
+        """Restore filter state from :meth:`snapshot` output, into the
+        existing tables (the B-Fetch engine binds them once)."""
+        for table, saved in zip(self.tables, state["tables"]):
+            table[:] = saved
         self.blocked = state["blocked"]
         self.passed = state["passed"]
         self.probes = state["probes"]

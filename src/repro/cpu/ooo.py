@@ -486,7 +486,10 @@ class OutOfOrderCore:
                                     if_on_decode(pc, True, target, now)
                         rob_append(complete)
                         if commit_hooks:
-                            next_pc = pc_of(machine.index)
+                            # every on_commit reads next_pc for branches
+                            # only
+                            next_pc = (pc_of(machine.index)
+                                       if _IS_BRANCH[op] else None)
                             if pf_on_commit is not None:
                                 pf_on_commit(instr, ea, taken, next_pc,
                                              machine.regs, complete)

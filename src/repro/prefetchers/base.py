@@ -74,8 +74,8 @@ class Prefetcher:
         """An instruction committed, with its architectural side effects.
 
         *next_pc* is the actual following PC (the resolved target for taken
-        branches); *regs* is the live architectural register file
-        (read-only use).
+        branches) for a branch, and None for any other instruction;
+        *regs* is the live architectural register file (read-only use).
         """
 
     def on_l1d_eviction(self, addr, line):
@@ -177,8 +177,9 @@ class Prefetcher:
         for name, value in state["stats"].items():
             setattr(self.stats, name, value)
         self.queue.restore(state["queue"])
-        self._recent = OrderedDict((block, True)
-                                   for block in state["recent"])
+        # into the existing window: the B-Fetch walk binds it once
+        self._recent.clear()
+        self._recent.update((block, True) for block in state["recent"])
 
     def reset_stats(self):
         # reset in place: the stats object may be adopted by a

@@ -50,7 +50,7 @@ _FIXED_KEY_FIELDS = frozenset((
     "hierarchy.mshr_entries", "hierarchy.imshr_entries",
     "bfetch.brtc_entries", "bfetch.mht_entries",
     "bfetch.path_confidence_threshold", "bfetch.use_filter",
-    "bfetch.loop_prefetch", "bfetch.pattern_prefetch", "bfetch.arf_mode",
+    "bfetch.loop_prefetch", "bfetch.pattern_prefetch",
     "bfetch.arf_delay", "bfetch.filter_threshold",
     "bfetch.instruction_prefetch",
     "sms.region_bytes", "sms.blocks_per_region",
@@ -229,7 +229,9 @@ class SystemConfig:
             bf.use_filter,
             bf.loop_prefetch,
             bf.pattern_prefetch,
-            bf.arf_mode,
+            # the slot of a removed ARF-mode knob that selected nothing,
+            # kept so every existing cache key stays valid
+            "execute",
             bf.arf_delay,
             bf.filter_threshold,
             bf.instruction_prefetch,

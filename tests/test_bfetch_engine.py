@@ -1,11 +1,20 @@
-"""B-Fetch engine behaviour on small hand-written kernels."""
+"""B-Fetch engine behaviour on small hand-written kernels, and the
+lookahead walk checked against a method-per-block reference on real
+workloads."""
+
+import copy
+import hashlib
+import json
+from collections import OrderedDict, deque
 
 import pytest
 
 from repro.core import BFetchConfig, BFetchPrefetcher, bb_hash
 from repro.isa import assemble
+from repro.obs import Tracer
+from repro.obs.trace import parse_trace_spec
 from repro.sim import System, SystemConfig
-from repro.workloads import Workload
+from repro.workloads import Workload, build_workload
 
 
 def run_system(text, prefetcher="bfetch", instructions=20_000, memory=None,
@@ -227,3 +236,251 @@ def test_storage_bits_scale_with_config():
     default = BFetchPrefetcher(BFetchConfig()).storage_bits()
     big = BFetchPrefetcher(BFetchConfig.sized(512)).storage_bits()
     assert small < default < big
+
+
+# ----------------------------------------------------------------------
+# walk oracle: the lookahead walk as one method call per block
+
+_MASK64 = (1 << 64) - 1
+
+
+class ReferenceWalk(BFetchPrefetcher):
+    """The lookahead walk written one method call per block.
+
+    Every step probes the tables through ``BranchTraceCache.lookup`` and
+    ``MemoryHistoryTable.lookup``, reads the path through
+    ``predict``/``probability``, and issues each hit block through
+    :meth:`_prefetch_block` -> ``PerLoadFilter.allow`` ->
+    ``Prefetcher.push``.  The engine computes the same walk out of
+    precomputed flat data; this class is the specification it is
+    checked against (it runs on a clone of the engine's state, see
+    :func:`_clone_for_walk`).
+    """
+
+    def on_branch_decode(self, pc, pred_taken, target, now):
+        cfg = self.config
+        self.arf.sync(now)
+        self.walks += 1
+        threshold = cfg.path_confidence_threshold
+        predict = self.predictor.predict
+        probability = self.confidence.probability
+        spec_history = self.predictor.history
+        path_value = probability(pc, spec_history)
+        if path_value < threshold:
+            self.depth_hist[0] += 1
+            return
+        if pred_taken:
+            if target is None:
+                self.depth_hist[0] += 1
+                return  # indirect branch without a known target
+            next_pc = target
+        else:
+            next_pc = pc + 4
+        state_hash = bb_hash(pc, pred_taken, next_pc)
+        state_tag = pc & 0xFFFFFFFF
+        spec_history = (spec_history << 1) | (1 if pred_taken else 0)
+        visits = {}
+        depth = 0
+        entry_pc = next_pc
+        while depth < cfg.max_lookahead:
+            depth += 1
+            revisit = visits.get(state_hash, 0)
+            visits[state_hash] = revisit + 1
+            entry = self.mht.lookup(state_hash, state_tag)
+            if entry is not None:
+                self._prefetch_block(entry, revisit)
+            step = self.brtc.lookup(state_hash, state_tag)
+            if step is None:
+                break
+            end_pc, end_taken_target = step
+            if cfg.instruction_prefetch and end_pc >= entry_pc:
+                self._prefetch_instr_range(entry_pc, end_pc)
+            direction = predict(end_pc, spec_history)
+            path_value *= probability(end_pc, spec_history)
+            if path_value < threshold:
+                break
+            if direction:
+                if end_taken_target is None:
+                    break
+                next_pc = end_taken_target
+            else:
+                next_pc = end_pc + 4
+            state_hash = bb_hash(end_pc, direction, next_pc)
+            state_tag = end_pc & 0xFFFFFFFF
+            spec_history = (spec_history << 1) | (1 if direction else 0)
+            entry_pc = next_pc
+        self.total_depth += depth
+        self.depth_hist[depth] += 1
+
+    def _prefetch_block(self, entry, revisit):
+        """Stages 2+3 for one MHT hit: every valid, stable slot is a
+        candidate; the filter gates it, then its address and its pattern
+        blocks are pushed."""
+        cfg = self.config
+        block_bytes = self.block_bytes
+        for slot in entry.slots:
+            if not slot.valid or not slot.stable:
+                continue
+            self.candidates += 1
+            load_hash = slot.load_hash
+            if cfg.use_filter and not self.filter.allow(load_hash):
+                self.filtered += 1
+                continue
+            ea = self.arf.values[slot.regidx] + slot.offset
+            if cfg.loop_prefetch and revisit:
+                ea += revisit * slot.loopdelta
+            ea &= _MASK64
+            self.push(ea, load_hash)
+            if not cfg.pattern_prefetch:
+                continue
+            block = ea & ~(block_bytes - 1)
+            pattern = slot.pospatt
+            step = 1
+            while pattern:
+                if pattern & 1:
+                    self.push(block + step * block_bytes, load_hash)
+                pattern >>= 1
+                step += 1
+            pattern = slot.negpatt
+            step = 1
+            while pattern:
+                if pattern & 1:
+                    self.push((block - step * block_bytes) & _MASK64,
+                              load_hash)
+                pattern >>= 1
+                step += 1
+
+
+def _clone_for_walk(engine):
+    """A :class:`ReferenceWalk` over *engine*'s current state.  The tables
+    a walk only reads (BrTC, MHT, filter counters, predictor) are shared;
+    everything a walk writes is copied."""
+    ref = object.__new__(ReferenceWalk)
+    ref.__dict__.update(engine.__dict__)
+    ref.brtc = copy.copy(engine.brtc)
+    ref.mht = copy.copy(engine.mht)
+    ref.filter = copy.copy(engine.filter)
+    ref.arf = copy.copy(engine.arf)
+    ref.arf.values = list(engine.arf.values)
+    ref.arf.seq = list(engine.arf.seq)
+    ref.arf._pending = list(engine.arf._pending)
+    ref.stats = copy.copy(engine.stats)
+    ref.queue = copy.copy(engine.queue)
+    ref.queue._queue = deque(engine.queue._queue)
+    ref._recent = OrderedDict(engine._recent)
+    ref.depth_hist = list(engine.depth_hist)
+    ref._trace_bfetch = None
+    return ref
+
+
+def _walk_state(pf):
+    """Everything one walk may change."""
+    filt = pf.filter
+    return {
+        "queue": list(pf.queue._queue),
+        "queue_drops": pf.queue.drops,
+        "recent": list(pf._recent),
+        "stats": pf.stats.as_dict(),
+        "filter": (filt.passed, filt.blocked, filt.probes,
+                   filt._since_probe),
+        "candidates": pf.candidates,
+        "filtered": pf.filtered,
+        "walks": pf.walks,
+        "total_depth": pf.total_depth,
+        "depth_hist": list(pf.depth_hist),
+        "brtc": (pf.brtc.lookups, pf.brtc.hits),
+        "mht": (pf.mht.lookups, pf.mht.hits),
+        "arf": (list(pf.arf.values), list(pf.arf.seq),
+                list(pf.arf._pending)),
+    }
+
+
+WALK_BENCHMARKS = ("mcf", "sphinx", "libquantum", "sjeng")
+WALK_CONFIGS = (
+    ("default", {}),
+    ("no-loop", {"loop_prefetch": False}),
+    ("no-pattern", {"pattern_prefetch": False}),
+    ("no-filter", {"use_filter": False}),
+    ("bfetch-i", {"instruction_prefetch": True}),
+    ("sized-64", None),
+    # a filter that starts cold blocks every load but its probes, and
+    # reads two tables; a short queue drops
+    ("cold-filter", {"filter_initial": 0, "filter_tables": 2}),
+    ("short-queue", {"queue_capacity": 1}),
+)
+WALK_PREDICTORS = ("tournament", "perceptron")
+
+
+def _walk_config(overrides):
+    if overrides is None:
+        return BFetchConfig.sized(64)
+    return BFetchConfig(**overrides)
+
+
+def _bfetch_system(benchmark, overrides, predictor, tracer=None):
+    config = SystemConfig(prefetcher="bfetch",
+                          bfetch=_walk_config(overrides),
+                          branch_predictor=predictor)
+    return System(build_workload(benchmark), config, tracer=tracer)
+
+
+@pytest.mark.parametrize("predictor", WALK_PREDICTORS)
+@pytest.mark.parametrize("name,overrides", WALK_CONFIGS,
+                         ids=[name for name, _ in WALK_CONFIGS])
+def test_walk_matches_method_per_block_reference(name, overrides,
+                                                 predictor):
+    """Before every walk of a real run, the engine's state is cloned into
+    the reference; both walk, and everything a walk changes must agree."""
+    for benchmark in WALK_BENCHMARKS:
+        system = _bfetch_system(benchmark, overrides, predictor)
+        engine = system.prefetcher
+        walk = system.core._pf_on_branch_decode
+        checked = []
+
+        def checked_walk(pc, pred_taken, target, now):
+            reference = _clone_for_walk(engine)
+            reference.on_branch_decode(pc, pred_taken, target, now)
+            walk(pc, pred_taken, target, now)
+            assert _walk_state(engine) == _walk_state(reference), \
+                (benchmark, len(checked))
+            checked.append(engine.total_depth)
+
+        system.core._pf_on_branch_decode = checked_walk
+        system.run(10_000)
+        assert len(checked) > 500, benchmark
+        assert engine.candidates > 0, benchmark
+
+
+# ----------------------------------------------------------------------
+# registry and trace goldens, pinned on the tree whose walk called one
+# method per block (see ReferenceWalk).  The run payload does not carry
+# the walk counters, the depth histogram or the filter's counts; the
+# registry dump does.  System.run keeps REPRO_SCALE out of them.
+
+GOLDEN_BFETCH_REGISTRY = \
+    "163aa0c5ea39fe73d8da70524990e3b392a2c60121907e746b2e54c9b87bb589"
+GOLDEN_BFETCH_TRACE = \
+    "df16b352e41ac1d1b02c84939cbe5e65f2ee483b7fa6072fa779f55932dac569"
+
+
+def test_bfetch_registry_matches_golden():
+    combo = hashlib.sha256()
+    for predictor in WALK_PREDICTORS:
+        for _, overrides in WALK_CONFIGS:
+            for benchmark in WALK_BENCHMARKS:
+                system = _bfetch_system(benchmark, overrides, predictor)
+                system.run(10_000)
+                combo.update(json.dumps(system.stats.as_dict(),
+                                        sort_keys=True).encode())
+    assert combo.hexdigest() == GOLDEN_BFETCH_REGISTRY
+
+
+def test_bfetch_trace_matches_golden():
+    """Walk events carry depth, end_pc and path_conf; prefetch events
+    every issued block."""
+    tracer = Tracer(parse_trace_spec("bfetch,prefetch"))
+    _bfetch_system("libquantum", {}, "tournament", tracer=tracer).run(10_000)
+    text = tracer.to_jsonl()
+    assert '"ev": "walk"' in text and '"cat": "prefetch"' in text
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_BFETCH_TRACE

@@ -213,6 +213,29 @@ def test_snapshot_is_json_safe():
     assert fresh.snapshot() == state
 
 
+def test_restore_into_a_system_that_already_ran():
+    """A system that has already walked and trained, restored from a
+    snapshot and run on, must equal the same snapshot restored into a
+    fresh system: the B-Fetch engine binds its tables once, so every
+    restore has to refill them rather than replace them."""
+    donor = _system("libquantum")
+    donor.run(6_000)
+    state = json.loads(json.dumps(donor.snapshot()))
+
+    warm = _system("libquantum")
+    warm.run(3_000)
+    assert warm.prefetcher.walks and warm.prefetcher.candidates
+    warm.restore(state)
+    fresh = _system("libquantum")
+    fresh.restore(state)
+
+    warm_result = warm.run(12_000).as_dict()
+    fresh_result = fresh.run(12_000).as_dict()
+    assert warm_result == fresh_result
+    assert warm.stats.as_dict() == fresh.stats.as_dict()
+    assert warm.snapshot() == fresh.snapshot()
+
+
 # ----------------------------------------------------------------------
 # chaos: real SIGKILL mid-run, then resume -- byte-identical results
 

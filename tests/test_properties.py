@@ -41,6 +41,45 @@ def test_arf_reflects_youngest_applied_write(writes):
         assert arf.read(reg) == value
 
 
+_ARF_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 31), st.integers(0, 2**32),
+              st.integers(0, 300)),
+    st.tuples(st.just("sync"), st.integers(0, 320)),
+), max_size=200)
+
+
+@given(_ARF_OPS, st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_arf_syncs_at_non_monotonic_times(ops, delay):
+    """Writes interleaved with syncs whose times go back and forth, as
+    the engine makes them: a committed branch syncs at its completion
+    time, and the next decoded branch's walk at an earlier cycle.  A
+    write applies once some later sync reaches its visibility time, and
+    of a register's applied writes the youngest wins."""
+    arf = AlternateRegisterFile(delay=delay)
+    writes = []  # [visible_at, seq, reg, value, applied]
+    for op in ops:
+        if op[0] == "write":
+            _, reg, value, ready = op
+            seq = len(writes)
+            arf.write(reg, value, seq, ready)
+            writes.append([ready + delay, seq, reg, value, False])
+            continue
+        now = op[1]
+        arf.sync(now)
+        values = [0] * 32
+        seqs = [-1] * 32
+        for write in writes:
+            if write[0] <= now:
+                write[4] = True
+            _, seq, reg, value, applied = write
+            if applied and seq > seqs[reg]:
+                seqs[reg] = seq
+                values[reg] = value
+        assert arf.values == values
+        assert arf.seq == seqs
+
+
 @given(st.lists(st.tuples(st.integers(0, 2**20), st.booleans(),
                           st.integers(0, 2**20)), max_size=200))
 @settings(max_examples=30, deadline=None)
