@@ -6,6 +6,13 @@ may not be feasible to implement such [heavy] prefetchers").  This
 extension puts first-order dynamic-energy numbers behind the claim using
 :mod:`repro.analysis.energy`: smaller tables + fewer useless transfers
 => less energy per covered miss.
+
+Unlike the other figures, this one builds each :class:`System` itself
+instead of going through the runner, so it ignores the result cache and
+``REPRO_JOBS``: the energy model needs the B-Fetch walk count and the
+prefetcher's storage bits, and the run payload carries neither.  Adding
+them to the payload would change every payload digest.  CI regenerates
+the archived table at ``REPRO_SCALE=1`` and diffs it.
 """
 
 from conftest import SINGLE_BUDGET

@@ -22,7 +22,6 @@ Commands
 ``jobs``       list a server's jobs; ``--stats`` dumps its ``serve.*``
                metrics registry; ``--workers`` shows the fleet +
                breaker states
-``bench-perf`` perf micro-harness (simulated instr/sec, BENCH_*.json)
 ``cache``      result cache maintenance (``--stats`` per-kind
                totals, ``--gc --older-than AGE`` safe eviction)
 ``stats``      gem5-style hierarchical stats dump for one fresh run
@@ -37,7 +36,8 @@ interrupted run (SIGINT/SIGTERM/``kill -9``) resumes from the last
 checkpoint with *byte-identical* results (see
 :mod:`repro.checkpoint` and docs/checkpointing.md).  All numeric
 arguments are validated up front: non-positive instruction budgets,
-intervals or worker counts are argparse errors, and unknown
+intervals or worker counts are argparse errors, as is a negative
+``serve --workers`` or ``--heartbeat`` (0 turns either off), and unknown
 benchmark/prefetcher names are rejected by ``choices=`` before any
 simulation state is built.
 
@@ -75,34 +75,28 @@ from repro.sim.metrics import weighted_speedup
 from repro.workloads import BENCHMARKS, build_workload
 
 
-def _positive_int(text):
-    """Argparse type: a strictly positive integer, rejected up front."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer, got %r" % (text,)
-        )
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            "expected a positive integer, got %d" % value
-        )
-    return value
+def _number_type(convert, kind, allow_zero=False):
+    """Argparse type: a positive *kind* parsed by *convert* (non-negative
+    with *allow_zero*), rejected up front; a NaN float is rejected too."""
+    expected = "expected a %s %s" % (
+        "non-negative" if allow_zero else "positive", kind)
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (value >= 0 if allow_zero else value > 0):
+            raise argparse.ArgumentTypeError("%s, got %r" % (expected, text))
+        return value
+
+    return parse
 
 
-def _positive_float(text):
-    """Argparse type: a strictly positive float, rejected up front."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a number, got %r" % (text,)
-        )
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            "expected a positive number, got %r" % (text,)
-        )
-    return value
+_positive_int = _number_type(int, "integer")
+_positive_float = _number_type(float, "number")
+_nonnegative_int = _number_type(int, "integer", allow_zero=True)
+_nonnegative_float = _number_type(float, "number", allow_zero=True)
 
 
 def _add_common(parser):
@@ -288,34 +282,6 @@ def cmd_table1(args):
               % (owner, name, entries if entries else "-", size))
     print("B-Fetch uses %.0f%% less storage than SMS"
           % (100 * (1 - bf_total / sms_total)))
-    return 0
-
-
-def cmd_bench_perf(args):
-    from repro.perf import run_perf_suite, write_bench_json
-    from repro.perf.harness import render_summary
-
-    sweep_benchmarks = None
-    if args.sweep:
-        sweep_benchmarks = (
-            list(BENCHMARKS) if args.sweep_benchmarks is None
-            else args.sweep_benchmarks
-        )
-    payload = run_perf_suite(
-        benchmark=args.benchmark,
-        instructions=args.instructions,
-        sweep_benchmarks=sweep_benchmarks,
-        sweep_instructions=args.sweep_instructions,
-        jobs=args.jobs if args.jobs is not None else 4,
-        label=args.label,
-        policy=_make_policy(args),
-        serve=args.serve,
-        serve_instructions=args.serve_instructions,
-    )
-    print(render_summary(payload))
-    if not args.no_write:
-        path = write_bench_json(payload, args.out)
-        print("wrote %s" % path)
     return 0
 
 
@@ -730,42 +696,6 @@ def build_parser():
     table1 = sub.add_parser("table1", help="storage overhead accounting")
     table1.set_defaults(func=cmd_table1)
 
-    bench = sub.add_parser(
-        "bench-perf",
-        help="time simulated instr/sec per component; write BENCH_*.json",
-    )
-    bench.add_argument("--benchmark", default="libquantum",
-                       choices=BENCHMARKS,
-                       help="workload used for the component timings")
-    bench.add_argument("-n", "--instructions", type=_positive_int,
-                       default=30_000,
-                       help="instruction budget per component timing")
-    bench.add_argument("--sweep", action="store_true",
-                       help="also time a cold-cache serial-vs-parallel sweep")
-    bench.add_argument("--sweep-benchmarks", nargs="+", default=None,
-                       choices=BENCHMARKS,
-                       help="benchmarks for the sweep (default: all)")
-    bench.add_argument("--sweep-instructions", type=_positive_int,
-                       default=10_000,
-                       help="instruction budget per sweep run")
-    bench.add_argument("--serve", action="store_true",
-                       help="also bench job-server round trips "
-                            "(jobs/s, p50/p95, cached vs uncached)")
-    bench.add_argument("--serve-instructions", type=_positive_int,
-                       default=4_000,
-                       help="instruction budget per served job")
-    bench.add_argument("-j", "--jobs", type=_positive_int, default=None,
-                       help="worker processes for the parallel sweep pass")
-    bench.add_argument("--label", default=None,
-                       help="free-form label stored in the JSON payload")
-    bench.add_argument("--out", default=None,
-                       help="output path (default benchmarks/perf/"
-                            "BENCH_<timestamp>.json)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="print the summary without writing a file")
-    _add_resilience(bench)
-    bench.set_defaults(func=cmd_bench_perf)
-
     stats = sub.add_parser(
         "stats",
         help="run fresh and print the hierarchical stats registry",
@@ -875,11 +805,11 @@ def build_parser():
     serve.add_argument("--max-concurrent", type=_positive_int, default=2,
                        help="jobs executing simultaneously (default: 2; "
                             "ignored with --workers)")
-    serve.add_argument("--workers", type=int, default=None,
+    serve.add_argument("--workers", type=_nonnegative_int, default=0,
                        metavar="N",
                        help="run N supervised worker subprocesses with "
                             "heartbeat liveness + loss requeue (default: "
-                            "REPRO_WORKERS or 0 = in-process tier)")
+                            "0 = in-process tier)")
     serve.add_argument("--beat-interval", type=_positive_float,
                        default=1.0, metavar="SECONDS",
                        help="fleet worker heartbeat period (default: 1)")
@@ -889,7 +819,7 @@ def build_parser():
     serve.add_argument("--max-instructions", type=_positive_int,
                        default=10_000_000,
                        help="per-run instruction budget cap")
-    serve.add_argument("--heartbeat", type=float, default=5.0,
+    serve.add_argument("--heartbeat", type=_nonnegative_float, default=5.0,
                        help="seconds between heartbeat events for running "
                             "jobs; 0 disables (default: 5)")
     serve.add_argument("--drain-grace", type=_positive_float, default=30.0,

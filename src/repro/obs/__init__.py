@@ -10,7 +10,7 @@ Three independent pieces, all zero-cost when unused:
   per-category enable and deterministic sampling
   (``REPRO_TRACE=bfetch,cache:0.01``), flushed atomically;
 * :class:`Profiler` -- opt-in wall-clock phase sections with item
-  rates, feeding the perf harness and batch reports.
+  rates, feeding batch reports.
 
 CLI entry points: ``python -m repro stats`` and ``python -m repro
 trace`` (see :mod:`repro.cli`).

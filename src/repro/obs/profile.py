@@ -2,15 +2,13 @@
 
 A :class:`Profiler` accumulates named phases -- each with wall-clock
 seconds, an invocation count, and an optional *item* count (simulated
-instructions, batch jobs, ...) from which it derives a rate.  The perf
-harness uses it to split component timings into build/run phases and
-the sweep engine attaches one to every
+instructions, batch jobs, ...) from which it derives a rate.  The
+sweep engine attaches one to every
 :class:`~repro.resilience.BatchReport` so the ``[resilience]`` summary
 shows where a batch spent its time.
 
-Cost model: two ``perf_counter`` calls per section enter/exit -- far
-below the <5% observability overhead budget -- and nothing at all when
-no section is ever opened.
+Cost model: two ``perf_counter`` calls per section enter/exit, and
+nothing at all when no section is ever opened.
 """
 
 import time

@@ -16,9 +16,8 @@ hand-assembling ad-hoc dicts.  Two registration styles coexist:
 
 The registry is *passive*: building one and adopting every component
 costs a few microseconds at system-assembly time and nothing per
-simulated instruction, which is how the observability layer keeps
-:class:`~repro.sim.RunResult` byte-identical and ``bench-perf``
-within its <5% overhead budget when tracing is off.
+simulated instruction, so it leaves :class:`~repro.sim.RunResult`
+byte-identical and the hot path untouched.
 """
 
 from collections import OrderedDict

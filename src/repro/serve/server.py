@@ -17,9 +17,9 @@ network service.  Life of a submission::
 Execution: one :class:`~repro.serve.fleet.WorkerSupervisor` over
 members of one kind.  By default they are ``max_concurrent`` in-process
 :class:`~repro.serve.workers.ThreadWorker` threads (the "tier"); with
-``workers >= 1`` (``REPRO_WORKERS`` / ``repro serve --workers N``) they
-are supervised worker subprocesses (the "fleet") with heartbeat
-liveness, automatic respawn and worker-loss requeue.  Both kinds run
+``workers >= 1`` (``repro serve --workers N``) they are supervised
+worker subprocesses (the "fleet") with heartbeat liveness, automatic
+respawn and worker-loss requeue.  Both kinds run
 the same job body, so the server has one path for dispatch, requeue,
 deadlines, cancellation and failures.
 Client-supplied ``deadline_ms`` propagates submit -> queue -> member
@@ -53,7 +53,6 @@ on resubmission.  Stats and traces are flushed before the loop exits.
 import asyncio
 import hashlib
 import json
-import os
 import time
 
 from repro.obs import Tracer
@@ -88,9 +87,6 @@ _MAX_RETRY_OVERRIDE = 10
 _PRIORITY_RANGE = (-100, 100)
 _DEADLINE_MS_RANGE = (1, 86_400_000)
 
-#: environment knob for the fleet size (``repro serve --workers`` wins)
-ENV_WORKERS = "REPRO_WORKERS"
-
 
 def _bad(message, **extra):
     error = ProtocolError(message, code="bad-request")
@@ -124,15 +120,15 @@ class JobServer(object):
     :param max_requests_per_job: sweep size cap per submission.
     :param max_instructions: per-run instruction budget cap.
     :param heartbeat_interval: seconds between heartbeat events for
-        running jobs (0 disables).
+        running jobs (0 disables); a negative value is a ``ValueError``.
     :param retain_jobs: terminal jobs kept for late result fetches.
     :param stats_path: JSON stats dump written on drain.
     :param trace_path: JSONL job-lifecycle trace written via the obs
         tracer ("serve" category).
     :param drain_grace: seconds :meth:`drain` waits before requesting
         cooperative cancellation of still-running jobs.
-    :param workers: fleet size; ``None`` reads ``REPRO_WORKERS`` and
-        ``0`` keeps the in-process tier.  With a fleet,
+    :param workers: fleet size; ``0`` keeps the in-process tier and a
+        negative value is a ``ValueError``.  With a fleet,
         ``max_concurrent`` is ignored (one job per worker process).
     :param beat_interval: fleet worker heartbeat period, seconds.
     :param max_missed: missed beats before a worker is declared dead.
@@ -151,8 +147,18 @@ class JobServer(object):
                  retain_jobs=256, stats_path=None, trace_path=None,
                  drain_grace=DEFAULT_DRAIN_GRACE,
                  max_frame_bytes=protocol.MAX_FRAME_BYTES,
-                 workers=None, beat_interval=DEFAULT_BEAT_INTERVAL,
+                 workers=0, beat_interval=DEFAULT_BEAT_INTERVAL,
                  max_missed=4, breaker=None):
+        if isinstance(workers, bool) or not isinstance(workers, int) \
+                or workers < 0:
+            raise ValueError("workers must be a non-negative integer, "
+                             "got %r" % (workers,))
+        if isinstance(heartbeat_interval, bool) \
+                or not isinstance(heartbeat_interval, (int, float)) \
+                or not heartbeat_interval >= 0:
+            # a negative interval would make the heartbeat loop spin
+            raise ValueError("heartbeat_interval must be a non-negative "
+                             "number, got %r" % (heartbeat_interval,))
         self.host = host
         self.port = port
         self.max_requests_per_job = max_requests_per_job
@@ -162,8 +168,6 @@ class JobServer(object):
         self.trace_path = trace_path
         self.drain_grace = drain_grace
         self.max_frame_bytes = max_frame_bytes
-        if workers is None:
-            workers = int(os.environ.get(ENV_WORKERS, "0") or 0)
         self._tmp_cache = None
         if workers >= 1 and cache_dir is None and runner is None:
             # fleet workers are separate processes: they need a real
@@ -814,8 +818,8 @@ class JobServer(object):
 class ServerThread(object):
     """A :class:`JobServer` on a background thread with its own loop.
 
-    The blocking-world adapter used by the tests, the ``bench-serve``
-    harness, and anyone embedding the server in a synchronous program::
+    The blocking-world adapter used by the tests, the fleet chaos
+    drill, and anyone embedding the server in a synchronous program::
 
         with ServerThread(cache_dir="cache") as srv:
             client = ServeClient(*srv.address)

@@ -56,7 +56,10 @@ def test_rejects_nonpositive_instructions():
                  ["run", "gamess", "none", "-n", "lots"],
                  ["check", "gamess", "none", "-n", "0"],
                  ["run", "gamess", "none", "--checkpoint-every", "0"],
-                 ["run", "gamess", "none", "-j", "0"]):
+                 ["run", "gamess", "none", "-j", "0"],
+                 ["serve", "--workers", "-1"],
+                 ["serve", "--workers", "two"],
+                 ["serve", "--heartbeat", "-1"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
 

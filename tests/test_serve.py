@@ -29,7 +29,7 @@ from repro.serve import (
     ServeClient,
     ServeError,
 )
-from repro.serve.server import ServerThread
+from repro.serve.server import JobServer, ServerThread
 from repro.sim import ExperimentRunner, RunRequest
 
 BUDGET = 2000
@@ -318,6 +318,11 @@ class TestLifecycle(object):
         assert stats["serve.runs.cache_hits"] == 1
         assert stats["serve.runs.computed"] == 1
         assert 0 < stats["serve.cache.hit_ratio"] < 1
+        # one job lands in each split latency window, both in "all"
+        for series, count in (("computed", 1), ("cached", 1), ("all", 2)):
+            prefix = "serve.latency.%s." % series
+            assert stats[prefix + "count"] == count
+            assert stats[prefix + "p50"] <= stats[prefix + "p95"]
 
     def test_drain_flushes_stats_and_trace(self, tmp_path):
         stats_path = tmp_path / "serve-stats.json"
@@ -345,7 +350,17 @@ class TestLifecycle(object):
 
 
 # ----------------------------------------------------------------------
-# queue / table units (no sockets)
+# constructor / queue / table units (no sockets)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("workers", -1), ("workers", "2"), ("workers", 1.5), ("workers", True),
+    ("heartbeat_interval", -1), ("heartbeat_interval", "5"),
+    ("heartbeat_interval", True), ("heartbeat_interval", float("nan")),
+])
+def test_server_rejects_bad_workers_and_heartbeat(name, value):
+    with pytest.raises(ValueError, match=name):
+        JobServer(**{name: value})
 
 
 class TestAdmissionQueueUnit(object):
