@@ -11,8 +11,8 @@ serial; see DESIGN.md "Performance & parallelism").
 The engine is fault tolerant: every finished run is checkpointed to
 ``benchmarks/.cache`` the moment it completes, so an interrupted or
 crashed sweep resumes where it stopped on the next invocation, and
-failed or hung workers are retried per ``REPRO_RETRIES`` /
-``REPRO_TASK_TIMEOUT`` / ``REPRO_ON_ERROR`` (DESIGN.md "Failure model &
+failed or hung workers are retried per the default
+:class:`~repro.resilience.FailurePolicy` (DESIGN.md "Failure model &
 recovery").
 """
 

@@ -16,9 +16,8 @@ def single_speedups(runner, prefetchers, budget, config_for=None,
     serial path.  The engine is fault tolerant: each finished run is
     persisted immediately, so interrupting a sweep and re-running it
     resumes from ``benchmarks/.cache``, and failed or hung workers are
-    retried per the :class:`~repro.resilience.FailurePolicy`
-    (``REPRO_RETRIES`` / ``REPRO_TASK_TIMEOUT`` / ``REPRO_ON_ERROR`` or
-    *policy*).
+    retried per the :class:`~repro.resilience.FailurePolicy` (the
+    default one, or *policy*).
 
     :param config_for: optional ``fn(prefetcher) -> SystemConfig``.
     :param base_config: optional baseline SystemConfig (must keep

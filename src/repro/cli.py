@@ -37,7 +37,8 @@ checkpoint with *byte-identical* results (see
 :mod:`repro.checkpoint` and docs/checkpointing.md).  All numeric
 arguments are validated up front: non-positive instruction budgets,
 intervals or worker counts are argparse errors, as is a negative
-``serve --workers`` or ``--heartbeat`` (0 turns either off), and unknown
+``--retries``, ``serve --workers`` or ``--heartbeat`` (0 turns any of
+them off), and unknown
 benchmark/prefetcher names are rejected by ``choices=`` before any
 simulation state is built.
 
@@ -52,8 +53,7 @@ fans independent runs out over a process pool; results are byte-identical
 to serial execution.
 
 Robustness: ``--retries N``, ``--task-timeout S`` and
-``--on-error {raise,skip,serial}`` (or ``REPRO_RETRIES`` /
-``REPRO_TASK_TIMEOUT`` / ``REPRO_ON_ERROR``) configure the
+``--on-error {raise,skip,serial}`` configure the
 :class:`~repro.resilience.FailurePolicy` -- failed or hung jobs are
 retried with deterministic backoff, a broken worker pool is rebuilt, and
 each batch's :class:`~repro.resilience.BatchReport` is printed to stderr
@@ -68,7 +68,7 @@ import sys
 from repro.analysis import overhead_table, render_table
 from repro.frontend import FRONTEND_MODES, IPREFETCHER_NAMES
 from repro.resilience import ON_ERROR_MODES, FailurePolicy
-from repro.sim import CMPSystem, ExperimentRunner, RunRequest, SystemConfig
+from repro.sim import ExperimentRunner, RunRequest, SystemConfig
 from repro.sim.catalog import catalog, render_catalog
 from repro.sim.config import PREFETCHER_NAMES
 from repro.sim.metrics import weighted_speedup
@@ -112,26 +112,25 @@ def _add_common(parser):
 
 
 def _add_resilience(parser):
-    parser.add_argument("--retries", type=int, default=None,
+    parser.add_argument("--retries", type=_nonnegative_int, default=None,
                         help="retry budget per failed/hung job "
-                             "(default: REPRO_RETRIES or 2)")
+                             "(default: 2)")
     parser.add_argument("--task-timeout", type=_positive_float, default=None,
                         help="per-task timeout in seconds before a job is "
-                             "declared hung and retried "
-                             "(default: REPRO_TASK_TIMEOUT or none)")
+                             "declared hung and retried (default: none)")
     parser.add_argument("--on-error", choices=ON_ERROR_MODES, default=None,
                         help="what to do with a job that exhausts its "
                              "retries: raise a structured error, skip it, "
                              "or run it serially in-process "
-                             "(default: REPRO_ON_ERROR or raise)")
+                             "(default: raise)")
 
 
 def _make_policy(args):
-    return FailurePolicy.from_env(
-        retries=getattr(args, "retries", None),
-        task_timeout=getattr(args, "task_timeout", None),
-        on_error=getattr(args, "on_error", None),
-    )
+    """The flags a command was given, over the policy's defaults."""
+    chosen = {name: getattr(args, name, None)
+              for name in ("retries", "task_timeout", "on_error")}
+    return FailurePolicy(**{name: value for name, value in chosen.items()
+                            if value is not None})
 
 
 def _make_runner(args):
@@ -257,11 +256,7 @@ def cmd_mix(args):
     baseline = None
     rows = []
     for prefetcher in args.prefetchers:
-        cmp_system = CMPSystem(
-            [build_workload(name) for name in args.apps],
-            SystemConfig(prefetcher=prefetcher),
-        )
-        results = cmp_system.run(args.instructions)
+        results = runner.run_mix(args.apps, prefetcher, args.instructions)
         ws = weighted_speedup([r.ipc for r in results], singles,
                               benchmarks=args.apps)
         if baseline is None:
@@ -485,7 +480,7 @@ def cmd_serve(args):
         server = JobServer(
             host=args.host, port=args.port, cache_dir=args.cache_dir,
             high_water=args.high_water, max_concurrent=args.max_concurrent,
-            batch_jobs=args.batch_jobs, policy=_make_policy(args),
+            policy=_make_policy(args),
             max_instructions=args.max_instructions,
             heartbeat_interval=args.heartbeat,
             stats_path=args.stats_out, trace_path=args.trace_out,
@@ -813,9 +808,6 @@ def build_parser():
     serve.add_argument("--beat-interval", type=_positive_float,
                        default=1.0, metavar="SECONDS",
                        help="fleet worker heartbeat period (default: 1)")
-    serve.add_argument("--batch-jobs", type=_positive_int, default=1,
-                       help="worker processes per job batch "
-                            "(default: 1 = in-thread serial)")
     serve.add_argument("--max-instructions", type=_positive_int,
                        default=10_000_000,
                        help="per-run instruction budget cap")

@@ -5,9 +5,10 @@ survive worker failure the way a branch-predictor-directed frontend
 survives misprediction: recover and keep streaming.  This package holds
 the pieces:
 
-* :mod:`~repro.resilience.policy`  -- :class:`FailurePolicy` knobs
-  (retries, timeouts, degradation);
-* :mod:`~repro.resilience.retry`   -- deterministic exponential backoff;
+* :mod:`~repro.resilience.policy`  -- :class:`FailurePolicy`, the three
+  values a caller sets (retries, per-task timeout, ``on_error``);
+* :mod:`~repro.resilience.retry`   -- the one deterministic exponential
+  backoff schedule;
 * :mod:`~repro.resilience.errors`  -- structured error taxonomy and the
   per-batch :class:`BatchReport`;
 * :mod:`~repro.resilience.faults`  -- the ``REPRO_FAULTS`` deterministic
@@ -35,12 +36,7 @@ from repro.resilience.faults import (
     parse_faults,
 )
 from repro.resilience.policy import ON_ERROR_MODES, FailurePolicy
-from repro.resilience.retry import (
-    backoff_delay,
-    backoff_schedule,
-    call_with_retries,
-    jitter_fraction,
-)
+from repro.resilience.retry import backoff_delay, jitter_fraction
 
 __all__ = [
     "payload_sha",
@@ -60,7 +56,5 @@ __all__ = [
     "ON_ERROR_MODES",
     "FailurePolicy",
     "backoff_delay",
-    "backoff_schedule",
-    "call_with_retries",
     "jitter_fraction",
 ]

@@ -38,21 +38,16 @@ def is_envelope(obj):
     return isinstance(obj, dict) and {"v", "sha", "data"} <= obj.keys()
 
 
-def unwrap_envelope(obj, version, path=None, allow_bare=False):
+def unwrap_envelope(obj, version, path=None):
     """Verify an envelope and return its inner payload.
 
     :param obj: the parsed JSON object read from disk.
     :param version: the expected format version.
     :param path: originating file, attached to errors for diagnostics.
-    :param allow_bare: when True, a non-envelope *obj* (a legacy bare
-        payload written before envelopes existed) is returned as-is
-        instead of being rejected.
-    :raises CacheCorruption: wrong envelope version, payload digest
-        mismatch, or (unless *allow_bare*) a missing envelope.
+    :raises CacheCorruption: a missing envelope (a bare payload), wrong
+        envelope version, or payload digest mismatch.
     """
     if not is_envelope(obj):
-        if allow_bare:
-            return obj
         raise CacheCorruption(
             "entry %s is not an integrity envelope" % (path,), path=path
         )
@@ -71,7 +66,7 @@ def unwrap_envelope(obj, version, path=None, allow_bare=False):
     return payload
 
 
-def read_envelope_text(text, version, path=None, allow_bare=False):
+def read_envelope_text(text, version, path=None):
     """Parse *text* as JSON and unwrap its envelope.
 
     :raises CacheCorruption: unparseable JSON (truncated write) or any
@@ -83,4 +78,4 @@ def read_envelope_text(text, version, path=None, allow_bare=False):
         raise CacheCorruption(
             "unreadable entry %s: %s" % (path, exc), path=path
         )
-    return unwrap_envelope(obj, version, path=path, allow_bare=allow_bare)
+    return unwrap_envelope(obj, version, path=path)

@@ -37,7 +37,10 @@ class SimulationError(RuntimeError):
         """Multi-line description including the captured traceback."""
         lines = ["%s: %s" % (type(self).__name__, self)]
         if self.request is not None:
-            lines.append("  request: %r" % (self.request,))
+            benchmark, prefetcher, instructions, _config, variant = \
+                self.request
+            lines.append("  request: %s/%s, %s instructions, variant %s"
+                         % (benchmark, prefetcher, instructions, variant))
         if self.attempts:
             lines.append("  attempts: %d" % self.attempts)
         if self.cause_traceback:
@@ -97,7 +100,7 @@ class BatchReport(object):
       rebuilt;
     * ``degradations``     jobs that fell back to in-process serial
       execution (per-task ``on_error="serial"`` fallbacks and whole-batch
-      degradation after ``max_pool_rebuilds`` is exceeded);
+      degradation once ``MAX_POOL_REBUILDS`` is exceeded);
     * ``cache_corruptions`` corrupt entries detected and discarded;
     * ``skipped``          jobs abandoned under ``on_error="skip"``;
     * ``failures``         terminal :class:`SimulationError` instances

@@ -1,61 +1,32 @@
 """Failure policy: how the sweep engine reacts when jobs misbehave.
 
-A :class:`FailurePolicy` is a frozen bundle of knobs consumed by
-:meth:`~repro.sim.ExperimentRunner.run_many`:
+A :class:`FailurePolicy` is a frozen bundle of the three values callers
+set -- the CLI's ``--retries``/``--task-timeout``/``--on-error`` flags
+and the job server's per-submission protocol fields -- consumed by
+:meth:`~repro.sim.ExperimentRunner.run_batch`:
 
-* how many times to retry a failed/timed-out/crashed job and how long to
-  back off between attempts (exponential with deterministic jitter, see
-  :mod:`repro.resilience.retry`);
+* how many times to retry a failed/timed-out/crashed job (the delay
+  between attempts is the fixed schedule of
+  :func:`repro.resilience.retry.backoff_delay`);
 * the per-task wall-clock timeout after which a job is declared hung;
-* how many times the process pool may be rebuilt (after worker crashes
-  or a fully-hung pool) before the whole batch degrades to in-process
-  serial execution;
 * what to do with a job that exhausts its retries (``on_error``):
   ``raise`` a structured :class:`~repro.resilience.SimulationError`,
   ``skip`` it (the batch returns ``None`` in its slot), or run it
   ``serial`` in-process as a last resort.
 
-Environment knobs (overridden by explicit arguments):
-
-* ``REPRO_RETRIES``       -- retry budget per job (default 2);
-* ``REPRO_TASK_TIMEOUT``  -- per-task timeout in seconds (default: none);
-* ``REPRO_ON_ERROR``      -- ``raise`` | ``skip`` | ``serial``.
+Everything else the engine does on failure -- the backoff schedule, the
+pool rebuilds tolerated before a batch degrades to the calling thread,
+the scheduler tick -- is a module constant, not a knob.
 """
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ON_ERROR_MODES = ("raise", "skip", "serial")
-
-_ENV_RETRIES = "REPRO_RETRIES"
-_ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
-_ENV_ON_ERROR = "REPRO_ON_ERROR"
-
-
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (name, raw))
-
-
-def _env_float(name):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError("%s must be a number (seconds), got %r"
-                         % (name, raw))
 
 
 @dataclass(frozen=True)
 class FailurePolicy:
-    """Knobs governing retries, timeouts and degradation.
+    """Retries, per-task timeout and terminal behaviour of a batch.
 
     :param retries: additional attempts after the first failure
         (``0`` disables retrying).
@@ -63,30 +34,12 @@ class FailurePolicy:
         is declared hung and retried; ``None`` disables the timeout.
         Only enforced on the process-pool path -- an in-process job
         cannot be interrupted.
-    :param backoff_base: first retry delay, seconds.
-    :param backoff_factor: multiplier applied per subsequent retry.
-    :param backoff_max: cap on any single delay.
-    :param jitter: maximum extra delay as a fraction of the base delay
-        (``0.5`` means up to +50%); drawn deterministically from
-        ``(seed, task key, attempt)``.
-    :param seed: jitter seed -- fixed seed, fixed schedule.
     :param on_error: terminal behaviour once retries are exhausted.
-    :param max_pool_rebuilds: pool rebuilds tolerated before the batch
-        degrades to in-process serial execution.
-    :param poll_interval: scheduler tick, seconds (timeout detection
-        granularity).
     """
 
     retries: int = 2
     task_timeout: float = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
     on_error: str = "raise"
-    max_pool_rebuilds: int = 2
-    poll_interval: float = 0.05
 
     def __post_init__(self):
         if self.retries < 0:
@@ -94,48 +47,6 @@ class FailurePolicy:
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive or None, got %r"
                              % (self.task_timeout,))
-        if self.backoff_base < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff_base must be >= 0 and backoff_factor "
-                             ">= 1")
-        if not 0 <= self.jitter:
-            raise ValueError("jitter must be >= 0, got %r" % (self.jitter,))
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError("on_error must be one of %s, got %r"
                              % ("/".join(ON_ERROR_MODES), self.on_error))
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0, got %r"
-                             % (self.max_pool_rebuilds,))
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive, got %r"
-                             % (self.poll_interval,))
-
-    @classmethod
-    def from_env(cls, retries=None, task_timeout=None, on_error=None,
-                 **overrides):
-        """Build a policy from the environment plus explicit overrides.
-
-        Explicit (non-``None``) arguments win over the environment,
-        which wins over the dataclass defaults.  Extra keyword arguments
-        override the remaining fields directly.
-        """
-        policy = cls(**overrides) if overrides else cls()
-        env_retries = _env_int(_ENV_RETRIES)
-        env_timeout = _env_float(_ENV_TASK_TIMEOUT)
-        env_on_error = os.environ.get(_ENV_ON_ERROR) or None
-        if env_on_error is not None and env_on_error not in ON_ERROR_MODES:
-            raise ValueError(
-                "%s must be one of %s, got %r"
-                % (_ENV_ON_ERROR, "/".join(ON_ERROR_MODES), env_on_error)
-            )
-        updates = {}
-        chosen_retries = retries if retries is not None else env_retries
-        if chosen_retries is not None:
-            updates["retries"] = chosen_retries
-        chosen_timeout = (task_timeout if task_timeout is not None
-                          else env_timeout)
-        if chosen_timeout is not None:
-            updates["task_timeout"] = chosen_timeout
-        chosen_on_error = on_error if on_error is not None else env_on_error
-        if chosen_on_error is not None:
-            updates["on_error"] = chosen_on_error
-        return replace(policy, **updates) if updates else policy

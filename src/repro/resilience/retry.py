@@ -1,81 +1,44 @@
-"""Deterministic retry schedules: exponential backoff + seeded jitter.
+"""The one retry schedule: exponential backoff + seeded jitter.
 
-The jitter is *deterministic*: it is derived from
-``(policy.seed, task key, attempt)`` through SHA-1, so a given policy
-always produces the same backoff schedule for the same task -- the
-chaos tests assert this, and it keeps faulty sweeps reproducible while
-still de-synchronising retries across different tasks (two tasks that
-fail at the same instant back off by different amounts).
+:func:`backoff_delay` spaces out every retry in the repository -- a
+failed batch task (:mod:`repro.sim.runner`), a respawned fleet worker
+(:mod:`repro.serve.fleet`) and a client's busy-class resubmission
+(:mod:`repro.serve.client`).  The jitter is *deterministic*: it is
+derived from ``(JITTER_SEED, key, attempt)`` through SHA-1, so a key
+always follows the same schedule -- the chaos tests assert this, and it
+keeps faulty sweeps reproducible while still de-synchronising retries
+across keys (two tasks that fail at the same instant back off by
+different amounts).
 """
 
 import hashlib
-import time
 
-from repro.resilience.errors import SimulationError
+#: first delay, seconds
+BACKOFF_BASE = 0.05
+#: growth per further attempt
+BACKOFF_FACTOR = 2.0
+#: cap on the exponential part of one delay, seconds
+BACKOFF_MAX = 2.0
+#: maximum extra delay, as a fraction of the capped delay
+JITTER = 0.5
+#: seed of the jitter draw -- fixed seed, fixed schedule
+JITTER_SEED = 0
 
 
-def jitter_fraction(seed, key, attempt):
+def jitter_fraction(key, attempt):
     """Deterministic uniform-ish fraction in ``[0, 1)``."""
     digest = hashlib.sha1(
-        ("%s|%s|%d" % (seed, key, attempt)).encode()
+        ("%s|%s|%d" % (JITTER_SEED, key, attempt)).encode()
     ).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-def backoff_delay(policy, key, attempt):
+def backoff_delay(key, attempt):
     """Delay (seconds) before retry number *attempt* (0-based) of *key*.
 
-    ``base * factor**attempt`` capped at ``backoff_max``, plus a
-    deterministic jitter of up to ``policy.jitter`` times the capped
-    delay.
+    ``BACKOFF_BASE * BACKOFF_FACTOR**attempt`` capped at
+    ``BACKOFF_MAX``, plus a deterministic jitter of up to ``JITTER``
+    times the capped delay.
     """
-    base = min(policy.backoff_base * (policy.backoff_factor ** attempt),
-               policy.backoff_max)
-    return base * (1.0 + policy.jitter
-                   * jitter_fraction(policy.seed, key, attempt))
-
-
-def backoff_schedule(policy, key, retries=None):
-    """The full delay schedule a task would follow under *policy*."""
-    if retries is None:
-        retries = policy.retries
-    return [backoff_delay(policy, key, attempt)
-            for attempt in range(retries)]
-
-
-def call_with_retries(fn, key, policy, on_retry=None, sleep=time.sleep,
-                      start_attempt=0):
-    """Call ``fn(attempt)`` with the policy's retry budget.
-
-    Retries on any :class:`Exception` (``KeyboardInterrupt`` and other
-    ``BaseException`` subclasses propagate immediately).  Between
-    attempts, sleeps the deterministic backoff delay.
-
-    :param fn: callable taking the 0-based attempt number.
-    :param on_retry: optional callback ``on_retry(exc, attempt)`` invoked
-        before each retry (used for :class:`BatchReport` accounting).
-    :param start_attempt: first attempt number (continues the schedule
-        of a task that already failed elsewhere, e.g. in the pool).
-    :returns: ``(result, attempts_made)``.
-    :raises SimulationError: wrapping the final exception once the
-        budget is exhausted.
-    """
-    attempt = start_attempt
-    while True:
-        try:
-            return fn(attempt), attempt - start_attempt + 1
-        except Exception as exc:
-            if attempt >= start_attempt + policy.retries:
-                if isinstance(exc, SimulationError):
-                    raise
-                raise SimulationError(
-                    "task %r failed after %d attempt(s): %s"
-                    % (key, attempt + 1, exc),
-                    attempts=attempt + 1,
-                ) from exc
-            if on_retry is not None:
-                on_retry(exc, attempt)
-            delay = backoff_delay(policy, key, attempt)
-            if delay > 0:
-                sleep(delay)
-            attempt += 1
+    base = min(BACKOFF_BASE * (BACKOFF_FACTOR ** attempt), BACKOFF_MAX)
+    return base * (1.0 + JITTER * jitter_fraction(key, attempt))

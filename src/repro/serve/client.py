@@ -250,9 +250,8 @@ class ServeClient(object):
         """
         import json as _json
 
-        from repro.resilience import FailurePolicy, backoff_delay
+        from repro.resilience import backoff_delay
 
-        policy = FailurePolicy()
         key = _json.dumps(message, sort_keys=True)
         attempt = 0
         while True:
@@ -261,7 +260,7 @@ class ServeClient(object):
             except ServeError as exc:
                 if exc.code not in BUSY_CLASS_CODES or attempt >= budget:
                     raise
-            time.sleep(backoff_delay(policy, key, attempt))
+            time.sleep(backoff_delay(key, attempt))
             attempt += 1
 
     def status(self, job_id):

@@ -51,35 +51,25 @@ from repro.serve.workers import deadline_error, failure_error
 #: requeues tolerated per job before it is failed outright (defensive:
 #: lethal faults fire only on attempt 0, so >1 losses means real,
 #: persistent trouble -- a poisoned host, an OOM-killer sweep)
-DEFAULT_MAX_REQUEUES = 4
-
-#: backoff schedule for respawning dead workers (keyed per slot)
-RESPAWN_POLICY = FailurePolicy(retries=0, backoff_base=0.05,
-                               backoff_factor=2.0, backoff_max=2.0,
-                               jitter=0.5, seed=0)
+MAX_REQUEUES = 4
 
 
 class WorkerSupervisor(object):
     """Schedules jobs onto members, one job per member at a time.
 
     :param members: thread or process members (see the module doc).
-    :param policy: default :class:`FailurePolicy`; None defers to the
-        ``REPRO_*`` environment.  Per-job overrides layer on top.
+    :param policy: default :class:`FailurePolicy`; None means
+        ``FailurePolicy()``.  Per-job overrides layer on top.
     :param metrics: :class:`~repro.serve.metrics.ServeMetrics` for the
         ``fleet.*`` counters (respawns / requeues); optional.
-    :param max_requeues: member losses tolerated per job.
     """
 
-    def __init__(self, members, policy=None, metrics=None,
-                 max_requeues=DEFAULT_MAX_REQUEUES,
-                 respawn_policy=RESPAWN_POLICY):
+    def __init__(self, members, policy=None, metrics=None):
         if not members:
             raise ValueError("a supervisor needs at least one member")
         self.members = list(members)
         self.policy = policy
         self.metrics = metrics
-        self.max_requeues = max_requeues
-        self.respawn_policy = respawn_policy
         self._idle = None     # asyncio.Queue of members
 
     @property
@@ -113,10 +103,8 @@ class WorkerSupervisor(object):
     # -- policy --------------------------------------------------------
 
     def job_policy(self, job):
-        """Effective :class:`FailurePolicy` for *job* (env + overrides)."""
-        base = self.policy
-        if base is None:
-            base = FailurePolicy.from_env()
+        """Effective :class:`FailurePolicy` for *job* (default + overrides)."""
+        base = self.policy if self.policy is not None else FailurePolicy()
         overrides = job.spec.get("policy") or {}
         if overrides:
             base = replace(base, **overrides)
@@ -144,10 +132,8 @@ class WorkerSupervisor(object):
     async def _respawn(self, member):
         """Replace a dead member (deterministic backoff)."""
         await member.reap()
-        delay = backoff_delay(self.respawn_policy, "worker-%d" % member.id,
-                              min(member.respawns, 6))
-        if delay > 0:
-            await asyncio.sleep(delay)
+        await asyncio.sleep(backoff_delay("worker-%d" % member.id,
+                                          min(member.respawns, 6)))
         member.respawns += 1
         self._bump("fleet.respawns")
         try:
@@ -190,7 +176,7 @@ class WorkerSupervisor(object):
                 return outcome, detail
             self._bump("fleet.requeues")
             attempt += 1
-            if attempt > self.max_requeues:
+            if attempt > MAX_REQUEUES:
                 return "error", failure_error(SimulationError(
                     "job %s lost %d workers (last: %s); giving up"
                     % (job.id, attempt, detail),

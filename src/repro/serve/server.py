@@ -9,8 +9,8 @@ network service.  Life of a submission::
         -> admit: bounded priority queue; past the high-water mark the
            reply is a typed "busy" error (backpressure, HTTP-429 style)
         -> dispatch: one job per supervisor member at a time
-           (ExperimentRunner.run_batch: process fan-out, retries,
-           timeouts, pool rebuilds, cache-as-checkpoint)
+           (ExperimentRunner.run_batch on the member's thread: retries,
+           cache-as-checkpoint)
         -> progress/heartbeat events stream to subscribed clients
         -> terminal state (done / failed / cancelled) + metrics + trace
 
@@ -115,7 +115,6 @@ class JobServer(object):
     :param high_water: admission-queue bound (backpressure threshold).
     :param max_concurrent: jobs executing simultaneously on the
         in-process tier (one thread member each).
-    :param batch_jobs: process-pool width per job batch (1 = in-thread).
     :param policy: default :class:`~repro.resilience.FailurePolicy`.
     :param max_requests_per_job: sweep size cap per submission.
     :param max_instructions: per-run instruction budget cap.
@@ -139,8 +138,7 @@ class JobServer(object):
 
     def __init__(self, host="127.0.0.1", port=0, cache_dir=None,
                  runner=None, high_water=DEFAULT_HIGH_WATER,
-                 max_concurrent=DEFAULT_MAX_CONCURRENT, batch_jobs=1,
-                 policy=None,
+                 max_concurrent=DEFAULT_MAX_CONCURRENT, policy=None,
                  max_requests_per_job=DEFAULT_MAX_REQUESTS_PER_JOB,
                  max_instructions=DEFAULT_MAX_INSTRUCTIONS,
                  heartbeat_interval=DEFAULT_HEARTBEAT_SECONDS,
@@ -192,13 +190,12 @@ class JobServer(object):
             members = [
                 WorkerProcess(index, cache_dir=fleet_cache,
                               beat_interval=beat_interval,
-                              max_missed=max_missed, batch_jobs=batch_jobs)
+                              max_missed=max_missed)
                 for index in range(workers)
             ]
         else:
             self.mode = "tier"
-            members = thread_members(self.runner, max_concurrent,
-                                     batch_jobs)
+            members = thread_members(self.runner, max_concurrent)
         self.supervisor = WorkerSupervisor(members, policy=policy,
                                            metrics=self.metrics)
         self.metrics.attach_fleet(self.supervisor)

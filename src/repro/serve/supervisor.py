@@ -67,6 +67,9 @@ HANG_FREEZE_SECONDS = 600.0
 #: how long the parent waits for a fresh worker's ``ready`` frame
 DEFAULT_SPAWN_TIMEOUT = 30.0
 
+#: seconds between the parent's liveness checks while a job runs
+POLL_INTERVAL = 0.05
+
 
 # ----------------------------------------------------------------------
 # child side
@@ -104,11 +107,10 @@ class _BeatThread(object):
 class _Worker(object):
     """Child-process state: runner, framing, fault boundaries."""
 
-    def __init__(self, worker_id, cache_dir, beat_interval, batch_jobs):
+    def __init__(self, worker_id, cache_dir, beat_interval):
         from repro.sim.runner import ExperimentRunner
 
         self.worker_id = worker_id
-        self.batch_jobs = batch_jobs
         self.runner = ExperimentRunner(cache_dir=cache_dir)
         # stdout carries frames only; anything the simulator prints goes
         # to stderr (grab the binary pipe before redirecting)
@@ -177,8 +179,7 @@ class _Worker(object):
                        "done": done, "total": total})
 
         self.send(execute_job(self.runner, job_id, requests, policy,
-                              self.batch_jobs, deadline_at, progress,
-                              boundary))
+                              deadline_at, progress, boundary))
 
     def serve_forever(self):
         self.beats.start()
@@ -204,10 +205,8 @@ def worker_main(argv=None):
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--beat-interval", type=float,
                         default=DEFAULT_BEAT_INTERVAL)
-    parser.add_argument("--batch-jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    worker = _Worker(args.worker_id, args.cache_dir, args.beat_interval,
-                     args.batch_jobs)
+    worker = _Worker(args.worker_id, args.cache_dir, args.beat_interval)
     return worker.serve_forever()
 
 
@@ -231,13 +230,12 @@ class WorkerProcess(object):
 
     def __init__(self, worker_id, cache_dir=None,
                  beat_interval=DEFAULT_BEAT_INTERVAL,
-                 max_missed=DEFAULT_MAX_MISSED, batch_jobs=1,
+                 max_missed=DEFAULT_MAX_MISSED,
                  spawn_timeout=DEFAULT_SPAWN_TIMEOUT):
         self.id = worker_id
         self.cache_dir = cache_dir
         self.beat_interval = beat_interval
         self.max_missed = max_missed
-        self.batch_jobs = batch_jobs
         self.spawn_timeout = spawn_timeout
         self.health = WorkerHealth(beat_interval, max_missed)
         self.state = "starting"
@@ -266,8 +264,7 @@ class WorkerProcess(object):
                              else src_dir + os.pathsep + existing)
         argv = [sys.executable, "-m", "repro.serve.worker_main",
                 "--worker-id", str(self.id),
-                "--beat-interval", str(self.beat_interval),
-                "--batch-jobs", str(self.batch_jobs)]
+                "--beat-interval", str(self.beat_interval)]
         if self.cache_dir:
             argv += ["--cache-dir", self.cache_dir]
         self.state = "starting"
@@ -359,8 +356,7 @@ class WorkerProcess(object):
 
     # -- job execution -------------------------------------------------
 
-    async def execute(self, job, attempt, policy, on_progress=None,
-                      poll_interval=0.05):
+    async def execute(self, job, attempt, policy, on_progress=None):
         """Run *job* on this worker; returns ``(outcome, detail)``.
 
         *policy* is the job's effective
@@ -400,7 +396,7 @@ class WorkerProcess(object):
             while True:
                 try:
                     frame = await asyncio.wait_for(self._frames.get(),
-                                                   poll_interval)
+                                                   POLL_INTERVAL)
                 except asyncio.TimeoutError:
                     if job.cancel_requested:
                         # the child's batch loop cannot be interrupted

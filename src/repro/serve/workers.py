@@ -15,10 +15,12 @@ terminal frame (``result`` or ``job-error``).  Both kinds of
   ``boundary`` chaos hook -- the ``worker-*`` fault verbs therefore fire
   only there, never in the server process.
 
-The batch engine does the heavy lifting (process-pool fan-out, per-task
-retries with deterministic backoff, hung-task timeouts, save-as-completed
-checkpointing into the shared result cache); a thread member adds only
-the asyncio bridging:
+The batch engine does the heavy lifting (per-task retries with
+deterministic backoff and save-as-completed checkpointing into the
+shared result cache), running a job's runs one after another on the
+member that holds the job -- parallelism comes from the number of
+members, so each run is supervised once; a thread member adds only the
+asyncio bridging:
 
 * the event loop awaits ``run_in_executor`` so the server keeps serving
   status/stream/statz traffic while simulations run;
@@ -76,9 +78,9 @@ def failure_error(exc):
             "request": request}
 
 
-def execute_job(runner, job_id, requests, policy, batch_jobs, deadline_at,
-                on_progress, boundary=None):
-    """Run one job's batch; returns its terminal frame.
+def execute_job(runner, job_id, requests, policy, deadline_at, on_progress,
+                boundary=None):
+    """Run one job's batch on the calling thread; returns its terminal frame.
 
     :param deadline_at: absolute :func:`time.monotonic` deadline, or
         None; re-checked before the batch and at every task boundary.
@@ -108,7 +110,7 @@ def execute_job(runner, job_id, requests, policy, batch_jobs, deadline_at,
 
     try:
         results, report = runner.run_batch(
-            requests, jobs=batch_jobs, policy=policy, progress=progress,
+            requests, jobs=1, policy=policy, progress=progress,
         )
     except _DeadlineHit:
         error = deadline_error("at a task boundary (completed work is "
@@ -132,16 +134,13 @@ def frame_outcome(frame):
     return "error", frame["error"]
 
 
-def thread_members(runner, count, batch_jobs=1):
+def thread_members(runner, count):
     """*count* :class:`ThreadWorker` members sharing one thread pool."""
     if count < 1:
         raise ValueError("max_concurrent must be >= 1, got %r" % (count,))
-    if batch_jobs < 1:
-        raise ValueError("batch_jobs must be >= 1, got %r" % (batch_jobs,))
     pool = ThreadPoolExecutor(max_workers=count,
                               thread_name_prefix="serve-worker")
-    return [ThreadWorker(index, runner, pool, batch_jobs)
-            for index in range(count)]
+    return [ThreadWorker(index, runner, pool) for index in range(count)]
 
 
 class ThreadWorker(object):
@@ -150,17 +149,13 @@ class ThreadWorker(object):
     :param runner: the server's :class:`~repro.sim.ExperimentRunner`
         (its disk cache and in-memory memo deduplicate across jobs).
     :param pool: the thread pool shared by every thread member.
-    :param batch_jobs: worker processes per batch (``1`` = in-thread
-        serial execution -- the safe default for a server process; raise
-        it to fan each sweep out over a process pool).
     """
 
     pid = None  # runs inside the server process
 
-    def __init__(self, worker_id, runner, pool, batch_jobs=1):
+    def __init__(self, worker_id, runner, pool):
         self.id = worker_id
         self.runner = runner
-        self.batch_jobs = batch_jobs
         self._pool = pool
         self.state = "starting"
         self.current_job = None
@@ -209,8 +204,7 @@ class ThreadWorker(object):
         try:
             frame = await loop.run_in_executor(
                 self._pool, execute_job, self.runner, job.id,
-                job.requests, policy, self.batch_jobs, job.deadline,
-                progress,
+                job.requests, policy, job.deadline, progress,
             )
         except JobCancelled:
             return "cancelled", None

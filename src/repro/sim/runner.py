@@ -16,20 +16,21 @@ recompute *or re-parse* it.  The disk layout shards entries into
 ``<cache_dir>/<kind>/<digest prefix>/`` directories; every write is
 atomic (temp file + ``os.replace``) and wrapped in an integrity envelope
 ``{"v": CACHE_VERSION, "sha": <payload digest>, "data": ...}`` verified
-on read, so a truncated, tampered or hash-collided entry is detected as
-:class:`~repro.resilience.CacheCorruption` and recomputed instead of
-being returned as a wrong result (bare pre-envelope entries are still
-readable).
+on read, so a truncated, tampered, hash-collided or bare (envelope-less)
+entry is detected as :class:`~repro.resilience.CacheCorruption` and
+recomputed instead of being returned as a wrong result.
 
 The batch engine is *fault tolerant* (see :mod:`repro.resilience` and
 DESIGN.md section 5): each miss is persisted to the cache the moment it
 finishes (the cache is a checkpoint -- a crashed or interrupted sweep
 resumes where it stopped), failed/hung jobs are retried with
 deterministic exponential backoff, a broken process pool is rebuilt, and
-a pool that keeps dying degrades to in-process serial execution.  All of
-it is governed by a :class:`~repro.resilience.FailurePolicy` and
-accounted in a per-batch :class:`~repro.resilience.BatchReport`
-(``runner.last_report``).
+a pool that keeps dying degrades to the calling thread.  One scheduler
+(:meth:`ExperimentRunner._run_tasks`) does all of it for every run --
+a process pool, ``jobs=1`` and :meth:`ExperimentRunner.run_single` differ
+only in the executor it submits to -- governed by a
+:class:`~repro.resilience.FailurePolicy` and accounted in a per-batch
+:class:`~repro.resilience.BatchReport` (``runner.last_report``).
 
 Environment knobs:
 
@@ -37,8 +38,6 @@ Environment knobs:
   smoke runs, ``4`` for higher-fidelity numbers; must be positive);
 * ``REPRO_JOBS`` sets the default worker count for :meth:`run_many`
   (defaults to ``os.cpu_count()``; ``1`` forces serial execution);
-* ``REPRO_RETRIES`` / ``REPRO_TASK_TIMEOUT`` / ``REPRO_ON_ERROR`` set
-  the default :class:`~repro.resilience.FailurePolicy`;
 * ``REPRO_FAULTS`` activates the deterministic fault-injection harness
   (chaos testing; see :mod:`repro.resilience.faults`);
 * ``REPRO_CKPT_DIR`` / ``REPRO_CKPT_EVERY`` enable periodic simulation
@@ -64,9 +63,10 @@ import os
 import time
 import traceback
 from collections import deque, namedtuple
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from repro.resilience import (
     BatchReport,
@@ -75,7 +75,7 @@ from repro.resilience import (
     SimulationError,
     TaskTimeout,
     WorkerCrash,
-    call_with_retries,
+    backoff_delay,
     get_fault_plan,
 )
 from repro.obs import Profiler
@@ -91,7 +91,6 @@ from repro.resilience.envelope import (
     unwrap_envelope,
     wrap_envelope,
 )
-from repro.resilience.retry import backoff_delay
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import weighted_speedup
@@ -112,6 +111,14 @@ DEFAULT_MIX_BUDGET = 60_000
 
 # digest characters used for the shard subdirectory fan-out
 _SHARD_CHARS = 2
+
+#: pool rebuilds tolerated per batch; one more and the rest of the batch
+#: runs on the calling thread
+MAX_POOL_REBUILDS = 2
+
+#: scheduler tick, seconds: the granularity of timeout detection and of
+#: the wait for a due retry
+POLL_INTERVAL = 0.05
 
 # (raw REPRO_SCALE string, parsed float) -- parsing the environment on
 # every call showed up in sweep profiles; the raw-string comparison keeps
@@ -249,6 +256,30 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
         ).as_dict()
 
 
+class _InlineExecutor(object):
+    """The calling thread as a one-slot executor.
+
+    :meth:`submit` runs the job before it returns and hands back a
+    finished :class:`~concurrent.futures.Future`, so ``jobs=1`` batches,
+    a batch whose pool kept dying and
+    :meth:`ExperimentRunner.run_single` all go through the process pool's
+    scheduler.  A job running here cannot be interrupted: a
+    ``task_timeout`` never fires on it, and ``KeyboardInterrupt``
+    propagates out of :meth:`submit` itself.
+    """
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        """Nothing runs in the background, so there is nothing to stop."""
+
+
 class _Task(object):
     """One unique cache miss moving through the batch engine."""
 
@@ -265,6 +296,11 @@ class _Task(object):
     @property
     def request(self):
         return RunRequest(*self.job)
+
+    @property
+    def label(self):
+        """How failure messages name the task: digest prefix and run."""
+        return "task %s (%s/%s)" % (self.key[:12], self.job[0], self.job[1])
 
 
 class _ProgressTracker(object):
@@ -299,9 +335,8 @@ class ExperimentRunner:
     :param jobs: default worker count for :meth:`run_many`; None defers to
         ``REPRO_JOBS`` / cpu count at call time.
     :param policy: default :class:`~repro.resilience.FailurePolicy` for
-        :meth:`run_single`/:meth:`run_many`; None defers to the
-        ``REPRO_RETRIES``/``REPRO_TASK_TIMEOUT``/``REPRO_ON_ERROR``
-        environment at call time.
+        :meth:`run_single`/:meth:`run_many`; None means
+        ``FailurePolicy()``.
 
     After each :meth:`run_many` call, :attr:`last_report` holds the
     :class:`~repro.resilience.BatchReport` for the batch.
@@ -367,12 +402,10 @@ class ExperimentRunner:
         """Read and verify one cache entry; returns the inner payload.
 
         :raises FileNotFoundError: no entry at *path*.
-        :raises CacheCorruption: unparseable JSON, an envelope with the
+        :raises CacheCorruption: unparseable JSON, a bare payload without
+            the ``{"v", "sha", "data"}`` envelope, an envelope with the
             wrong version, or a payload that fails digest verification
             (e.g. a hash-prefix collision or manual tampering).
-
-        Entries written before the integrity envelope (bare payloads
-        without ``{"v", "sha", "data"}``) are returned as-is.
         """
         try:
             with open(path) as handle:
@@ -383,9 +416,7 @@ class ExperimentRunner:
             raise CacheCorruption(
                 "unreadable cache entry %s: %s" % (path, exc), path=path
             )
-        # legacy bare entries (pre-envelope) are still trusted as-is
-        return unwrap_envelope(data, CACHE_VERSION, path=path,
-                               allow_bare=True)
+        return unwrap_envelope(data, CACHE_VERSION, path=path)
 
     def _cached(self, path, memo_key=None, report=None):
         """Return the cached payload for *path*, or None.
@@ -533,7 +564,7 @@ class ExperimentRunner:
             return policy
         if self.policy is not None:
             return self.policy
-        return FailurePolicy.from_env()
+        return FailurePolicy()
 
     def _resolve_request(self, request):
         """Normalise a :class:`RunRequest`/tuple into concrete job args."""
@@ -560,38 +591,21 @@ class ExperimentRunner:
         """Run one benchmark solo; returns a :class:`~repro.sim.RunResult`.
 
         *variant* selects a re-seeded instance of the workload (see
-        :func:`~repro.workloads.build_workload`).  A failing run is
+        :func:`~repro.workloads.build_workload`).  This is a one-request
+        :meth:`run_batch` on the calling thread: a failing run is
         retried per the :class:`~repro.resilience.FailurePolicy` (no
-        per-task timeout -- a single in-process run cannot be
-        interrupted) and raises a structured
-        :class:`~repro.resilience.SimulationError` once the retry budget
-        is exhausted.
+        per-task timeout -- an in-process run cannot be interrupted) and
+        raises a structured :class:`~repro.resilience.SimulationError`
+        once the retry budget is exhausted, whatever the policy's
+        ``on_error``.
         """
-        job = self._resolve_request(
-            RunRequest(benchmark, prefetcher, instructions, config, variant)
+        policy = replace(self._resolve_policy(policy), on_error="raise")
+        results, _report = self.run_batch(
+            [RunRequest(benchmark, prefetcher, instructions, config,
+                        variant)],
+            jobs=1, policy=policy,
         )
-        benchmark, prefetcher, instructions, config, variant = job
-        payload = self._single_payload(benchmark, instructions, config,
-                                       variant)
-        path = self._cache_path("single", payload)
-        memo_key = self._memo_key("single", payload)
-        cached = self._cached(path, memo_key)
-        if cached is not None:
-            return RunResult(dict(cached))
-        policy = self._resolve_policy(policy)
-        fault_key = memo_key[1]
-        try:
-            data, _attempts = call_with_retries(
-                lambda attempt: _execute_single(
-                    *job, attempt=attempt, fault_key=fault_key,
-                ),
-                fault_key, policy,
-            )
-        except SimulationError as error:
-            error.request = RunRequest(*job)
-            raise
-        self._save(path, data, memo_key)
-        return RunResult(dict(data))
+        return results[0]
 
     # ------------------------------------------------------------------
     # parallel batch API
@@ -651,8 +665,8 @@ class ExperimentRunner:
         it finishes, so a later failure or an interrupt loses at most the
         in-flight jobs and re-running the batch resumes from the cache.
         Failed or hung jobs are retried with deterministic backoff; a
-        broken pool is rebuilt up to ``policy.max_pool_rebuilds`` times
-        and then the batch degrades to in-process serial execution.
+        broken pool is rebuilt up to :data:`MAX_POOL_REBUILDS` times and
+        then the batch degrades to the calling thread.
         ``KeyboardInterrupt`` shuts the pool down (cancelling queued
         futures) and re-raises.
 
@@ -715,11 +729,7 @@ class ExperimentRunner:
         # second across all misses (each duplicate group simulates once)
         simulated = sum(task.job[2] for task in tasks)
         with profiler.section("execute", items=simulated):
-            if jobs == 1:
-                self._run_serial(tasks, results, report, policy, tracker)
-            else:
-                self._run_pool(tasks, results, report, policy, jobs,
-                               tracker)
+            self._run_tasks(tasks, results, report, policy, jobs, tracker)
         return results, report
 
     # -- batch internals ------------------------------------------------
@@ -745,8 +755,8 @@ class ExperimentRunner:
                                        fault_key=task.key)
             except Exception as exc:
                 final = SimulationError(
-                    "task %s failed in-process after pool failures: %s"
-                    % (task.key[:12], exc),
+                    "%s failed in-process after pool failures: %s"
+                    % (task.label, exc),
                     request=task.request,
                     attempts=task.attempts + 1,
                     cause_traceback=traceback.format_exc(),
@@ -764,50 +774,24 @@ class ExperimentRunner:
         report.record_failure(error)
         raise error
 
-    def _run_serial(self, tasks, results, report, policy, tracker=None):
-        """In-process execution path (``jobs=1`` and pool degradation).
-
-        Still retries per the policy (an injected or transient fault is
-        recovered in place), but cannot enforce ``task_timeout`` -- an
-        in-process job is uninterruptible.  Saves each result as it
-        completes, so an interrupt loses at most the current job.
-        """
-        for task in tasks:
-            def attempt_fn(attempt, _job=task.job, _key=task.key):
-                return _execute_single(*_job, attempt=attempt,
-                                       fault_key=_key)
-
-            def on_retry(exc, attempt):
-                report.errors += 1
-                report.retries += 1
-
-            try:
-                data, made = call_with_retries(
-                    attempt_fn, task.key, policy, on_retry=on_retry,
-                    start_attempt=task.attempts,
-                )
-            except SimulationError as error:
-                report.errors += 1
-                task.attempts += policy.retries + 1
-                self._finalize_failure(task, error, results, report,
-                                       policy, allow_serial=False,
-                                       tracker=tracker)
-                continue
-            task.attempts += made
-            self._complete(task, data, results, report, tracker)
-
-    def _run_pool(self, tasks, results, report, policy, jobs, tracker=None):
-        """Process-pool execution with retries, timeouts and rebuilds.
+    def _run_tasks(self, tasks, results, report, policy, jobs, tracker=None):
+        """The one scheduler: retries, timeouts, rebuilds, degradation.
 
         Structure: a ready ``queue``, a ``retry_heap`` of
         ``(not_before, seq, task)`` backoff entries, and a ``pending``
-        map of in-flight futures.  Each loop tick tops the pool up to
+        map of in-flight futures.  Each loop tick tops the executor up to
         its effective capacity, waits briefly for completions, persists
         every finished job immediately, scans for per-task timeouts, and
         rebuilds the pool when it breaks (worker crash) or when every
-        worker slot is blocked by an abandoned hung job.  Exceeding
-        ``policy.max_pool_rebuilds`` degrades the rest of the batch to
-        :meth:`_run_serial`.
+        worker slot is blocked by an abandoned hung job.
+
+        The executor is a :class:`ProcessPoolExecutor` of *jobs* workers,
+        or the calling thread (:class:`_InlineExecutor`) when ``jobs ==
+        1`` and once the pool has been rebuilt more than
+        :data:`MAX_POOL_REBUILDS` times; on the calling thread a job is
+        never timed out and ``on_error="serial"`` has no further fallback,
+        so it raises.  Either way every failure is retried, counted and
+        named the same way (:attr:`_Task.label`).
         """
         queue = deque(tasks)
         retry_heap = []               # (ready_time, seq, task)
@@ -815,17 +799,19 @@ class ExperimentRunner:
         pending = {}                  # future -> (task, start_time)
         abandoned = 0                 # hung workers we walked away from
         rebuilds = 0
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = _InlineExecutor() if jobs == 1 \
+            else ProcessPoolExecutor(max_workers=jobs)
 
         def fail(task, error, now):
             """Retry with backoff, or finalise per the failure policy."""
             task.attempts += 1
             if task.attempts <= policy.retries:
                 report.retries += 1
-                delay = backoff_delay(policy, task.key, task.attempts - 1)
+                delay = backoff_delay(task.key, task.attempts - 1)
                 heapq.heappush(retry_heap, (now + delay, next(seq), task))
             else:
                 self._finalize_failure(task, error, results, report, policy,
+                                       allow_serial=jobs > 1,
                                        tracker=tracker)
 
         try:
@@ -851,11 +837,13 @@ class ExperimentRunner:
 
                 if pending and not broken:
                     done, _ = _futures_wait(
-                        pending, timeout=policy.poll_interval,
+                        pending, timeout=POLL_INTERVAL,
                         return_when=FIRST_COMPLETED,
                     )
                     now = time.monotonic()
-                    for future in done:
+                    # in submission order, so a batch's failures are
+                    # handled (and raised) deterministically
+                    for future in [f for f in pending if f in done]:
                         task, _started = pending.pop(future)
                         try:
                             data = future.result()
@@ -863,16 +851,16 @@ class ExperimentRunner:
                             broken = True
                             report.crashes += 1
                             fail(task, WorkerCrash(
-                                "worker died while running %r: %s"
-                                % (task.request, exc),
+                                "%s: worker process died: %s"
+                                % (task.label, exc),
                                 request=task.request,
                                 attempts=task.attempts + 1,
                             ), now)
                         except Exception as exc:
                             report.errors += 1
                             fail(task, SimulationError(
-                                "task %r raised %s: %s"
-                                % (task.request, type(exc).__name__, exc),
+                                "%s raised %s: %s"
+                                % (task.label, type(exc).__name__, exc),
                                 request=task.request,
                                 attempts=task.attempts + 1,
                                 cause_traceback="".join(
@@ -898,36 +886,31 @@ class ExperimentRunner:
                                 abandoned += 1
                             report.timeouts += 1
                             fail(task, TaskTimeout(
-                                "task %r exceeded the %.3gs task timeout"
-                                % (task.request, policy.task_timeout),
+                                "%s exceeded the %.3gs task timeout"
+                                % (task.label, policy.task_timeout),
                                 request=task.request,
                                 attempts=task.attempts + 1,
                             ), now)
                 elif not pending and retry_heap and not broken:
                     # nothing in flight: sleep until the next retry is due
-                    time.sleep(min(policy.poll_interval,
+                    time.sleep(min(POLL_INTERVAL,
                                    max(0.0, retry_heap[0][0] - now)))
 
                 if broken or (abandoned and abandoned >= jobs):
                     # tear the pool down; requeue surviving in-flight
                     # tasks without charging them an attempt
                     pool.shutdown(wait=False, cancel_futures=True)
-                    for _future, (task, _started) in pending.items():
-                        queue.append(task)
+                    queue.extend(task for task, _started in pending.values())
                     pending.clear()
                     abandoned = 0
                     rebuilds += 1
                     report.pool_rebuilds += 1
-                    if rebuilds > policy.max_pool_rebuilds:
-                        remaining = list(queue)
-                        queue.clear()
-                        while retry_heap:
-                            remaining.append(heapq.heappop(retry_heap)[2])
-                        report.degradations += len(remaining)
-                        self._run_serial(remaining, results, report, policy,
-                                         tracker)
-                        return
-                    pool = ProcessPoolExecutor(max_workers=jobs)
+                    if rebuilds > MAX_POOL_REBUILDS:
+                        # the pool keeps dying: finish on this thread
+                        report.degradations += len(queue) + len(retry_heap)
+                        pool, jobs = _InlineExecutor(), 1
+                    else:
+                        pool = ProcessPoolExecutor(max_workers=jobs)
         finally:
             # normal exit, a raised failure, or KeyboardInterrupt: always
             # cancel queued futures and release the pool without waiting

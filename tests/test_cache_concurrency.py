@@ -1,9 +1,9 @@
 """Concurrent-writer safety of the shared result cache.
 
 The job server multiplexes many clients onto one cache directory, and
-``--batch-jobs`` fans one batch out over a process pool -- so two
-writers racing on the *same* cache key is a supported situation, not a
-corner case.  These tests pin down the guarantees:
+with ``--workers N`` its fleet is N worker processes writing to that
+directory at once -- so two writers racing on the *same* cache key is a
+supported situation, not a corner case.  These tests pin down the guarantees:
 
 * two processes computing the same key concurrently both succeed and
   agree bit-for-bit; the surviving entry is a valid envelope;

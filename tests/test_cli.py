@@ -37,6 +37,26 @@ def test_mix(capsys):
     assert "normalized" in out
 
 
+def test_mix_caches_its_mixes(tmp_path, capsys, monkeypatch):
+    import repro.sim.runner as runner_mod
+
+    argv = ["mix", "gamess", "mcf", "-n", "3000", "-j", "1",
+            "--prefetchers", "none", "stride", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+
+    def boom(*args, **kwargs):
+        raise AssertionError("simulated on a warm cache")
+
+    monkeypatch.setattr(runner_mod, "_execute_single", boom)
+    monkeypatch.setattr(runner_mod.CMPSystem, "run", boom)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert main(["cache", str(tmp_path), "--stats"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert {row.split()[0] for row in rows} == {"mix", "single", "total"}
+
+
 def test_rejects_unknown_benchmark():
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -59,7 +79,10 @@ def test_rejects_nonpositive_instructions():
                  ["run", "gamess", "none", "-j", "0"],
                  ["serve", "--workers", "-1"],
                  ["serve", "--workers", "two"],
-                 ["serve", "--heartbeat", "-1"]):
+                 ["serve", "--heartbeat", "-1"],
+                 ["compare", "gamess", "--retries", "-1"],
+                 ["serve", "--retries", "-1"],
+                 ["submit", "gamess", "--retries", "-1"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
 

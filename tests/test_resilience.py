@@ -8,6 +8,7 @@ run, and an interrupted sweep must resume from the cache without
 recomputing completed entries.
 """
 
+import dataclasses
 import json
 import os
 
@@ -19,10 +20,11 @@ from repro.resilience import (
     FaultPlan,
     InjectedCrash,
     SimulationError,
-    backoff_schedule,
+    backoff_delay,
     get_fault_plan,
     parse_faults,
 )
+from repro.resilience.retry import BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_MAX
 from repro.sim import ExperimentRunner, RunRequest
 from repro.sim.runner import _execute_single, _payload_sha
 
@@ -45,12 +47,9 @@ def _clean_expected(monkeypatch):
     return [r.as_dict() for r in reference.run_many(_requests(), jobs=1)]
 
 
-def _fast_policy(**overrides):
-    """Retry policy with near-zero backoff so chaos tests stay quick."""
-    defaults = dict(retries=4, backoff_base=0.001, backoff_max=0.01,
-                    max_pool_rebuilds=8, poll_interval=0.02)
-    defaults.update(overrides)
-    return FailurePolicy(**defaults)
+def _fast_policy(task_timeout=None):
+    """Retry policy with a budget deep enough for every chaos test."""
+    return FailurePolicy(retries=4, task_timeout=task_timeout)
 
 
 def cache_files(cache_dir):
@@ -132,30 +131,6 @@ def test_get_fault_plan_tracks_environment(monkeypatch):
 # policy + deterministic backoff
 
 
-def test_failure_policy_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRIES", "5")
-    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.5")
-    monkeypatch.setenv("REPRO_ON_ERROR", "skip")
-    policy = FailurePolicy.from_env()
-    assert (policy.retries, policy.task_timeout, policy.on_error) == \
-        (5, 1.5, "skip")
-    # explicit arguments win over the environment
-    override = FailurePolicy.from_env(retries=1, on_error="serial")
-    assert (override.retries, override.on_error) == (1, "serial")
-    assert override.task_timeout == 1.5
-
-
-@pytest.mark.parametrize("name,value", [
-    ("REPRO_RETRIES", "many"),
-    ("REPRO_TASK_TIMEOUT", "soon"),
-    ("REPRO_ON_ERROR", "explode"),
-])
-def test_failure_policy_rejects_bad_env(monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    with pytest.raises(ValueError, match=name):
-        FailurePolicy.from_env()
-
-
 def test_failure_policy_validates_fields():
     with pytest.raises(ValueError):
         FailurePolicy(retries=-1)
@@ -163,27 +138,26 @@ def test_failure_policy_validates_fields():
         FailurePolicy(task_timeout=0)
     with pytest.raises(ValueError):
         FailurePolicy(on_error="panic")
-    with pytest.raises(ValueError):
-        FailurePolicy(max_pool_rebuilds=-2)
+
+
+def test_failure_policy_keeps_only_the_values_callers_set():
+    """Backoff, rebuild cap and scheduler tick are constants, not fields."""
+    assert [field.name for field in dataclasses.fields(FailurePolicy)] \
+        == ["retries", "task_timeout", "on_error"]
 
 
 def test_backoff_schedule_deterministic_and_bounded():
-    policy = FailurePolicy(retries=6, backoff_base=0.1, backoff_factor=2.0,
-                           backoff_max=1.0, jitter=0.5, seed=42)
-    schedule = backoff_schedule(policy, "task-key")
-    assert schedule == backoff_schedule(policy, "task-key")  # deterministic
-    assert len(schedule) == 6
+    schedule = [backoff_delay("task-key", attempt) for attempt in range(8)]
+    # deterministic
+    assert schedule == [backoff_delay("task-key", attempt)
+                        for attempt in range(8)]
     # exponential growth up to the cap, jitter bounded at +50%
     for attempt, delay in enumerate(schedule):
-        base = min(0.1 * 2.0 ** attempt, 1.0)
+        base = min(BACKOFF_BASE * BACKOFF_FACTOR ** attempt, BACKOFF_MAX)
         assert base <= delay <= base * 1.5
     # a different task de-synchronises (different jitter draw)
-    assert schedule != backoff_schedule(policy, "other-task")
-    # a different seed reshuffles the jitter
-    reseeded = FailurePolicy(retries=6, backoff_base=0.1,
-                             backoff_factor=2.0, backoff_max=1.0,
-                             jitter=0.5, seed=43)
-    assert schedule != backoff_schedule(reseeded, "task-key")
+    assert schedule != [backoff_delay("other-task", attempt)
+                        for attempt in range(8)]
 
 
 # ----------------------------------------------------------------------
@@ -264,12 +238,12 @@ def test_serial_degradation_after_pool_keeps_dying(tmp_path, monkeypatch):
     expected = _clean_expected(monkeypatch)
     monkeypatch.setenv("REPRO_FAULTS", "crash:1.0:seed=14")
     runner = ExperimentRunner(cache_dir=str(tmp_path))
-    got = runner.run_many(
-        _requests(), jobs=2, policy=_fast_policy(max_pool_rebuilds=0)
-    )
+    got = runner.run_many(_requests(), jobs=2, policy=_fast_policy())
     assert [r.as_dict() for r in got] == expected
     report = runner.last_report
-    assert report.pool_rebuilds == 1       # the rebuild that tripped the cap
+    # every round of the pool holds a first attempt, which crashes it,
+    # until the rebuild that trips the cap
+    assert report.pool_rebuilds == runner_mod.MAX_POOL_REBUILDS + 1
     assert report.degradations >= 1        # remaining batch ran in-process
     assert not report.failures
 
@@ -289,7 +263,7 @@ def test_save_as_completed_persists_before_raise(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "_execute_single", flaky)
     runner = ExperimentRunner(cache_dir=str(tmp_path))
-    policy = FailurePolicy(retries=0, backoff_base=0.0)
+    policy = FailurePolicy(retries=0)
     with pytest.raises(SimulationError) as excinfo:
         runner.run_many(
             [RunRequest("gamess", "none", BUDGET),
@@ -313,7 +287,7 @@ def test_on_error_skip_returns_none_slot(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "_execute_single", flaky)
     runner = ExperimentRunner(cache_dir=str(tmp_path))
-    policy = FailurePolicy(retries=1, backoff_base=0.0, on_error="skip")
+    policy = FailurePolicy(retries=1, on_error="skip")
     results = runner.run_many(
         [RunRequest("gamess", "none", BUDGET),
          RunRequest("mcf", "none", BUDGET),
@@ -341,7 +315,7 @@ def test_on_error_serial_runs_failed_task_inprocess(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "_execute_single", flaky)
     expected = _clean_expected(monkeypatch)
     runner = ExperimentRunner(cache_dir=str(tmp_path))
-    policy = FailurePolicy(retries=0, backoff_base=0.0, on_error="serial")
+    policy = FailurePolicy(retries=0, on_error="serial")
     got = runner.run_many(_requests(), jobs=2, policy=policy)
     assert [r.as_dict() for r in got] == expected
     assert runner.last_report.degradations >= 1
@@ -443,20 +417,20 @@ def test_stale_envelope_version_detected(tmp_path):
         assert json.load(handle)["data"] == first.as_dict()
 
 
-def test_legacy_bare_entry_still_served(tmp_path, monkeypatch):
+def test_bare_entry_is_corrupt_and_recomputed(tmp_path):
+    """No writer produces an entry without an envelope: never trust one."""
     runner = ExperimentRunner(cache_dir=str(tmp_path))
     first = runner.run_single("gamess", "none", instructions=BUDGET)
     (path,) = cache_files(tmp_path)
-    with open(path, "w") as handle:  # rewrite as a pre-envelope entry
+    with open(path, "w") as handle:  # the bare payload, no envelope
         json.dump(first.as_dict(), handle)
-
-    def boom(*args, **kwargs):
-        raise AssertionError("legacy entry was recomputed")
-
-    monkeypatch.setattr(runner_mod, "_execute_single", boom)
     fresh = ExperimentRunner(cache_dir=str(tmp_path))
-    served = fresh.run_single("gamess", "none", instructions=BUDGET)
-    assert served.as_dict() == first.as_dict()
+    results = fresh.run_many([RunRequest("gamess", "none", BUDGET)], jobs=1)
+    assert results[0].as_dict() == first.as_dict()
+    assert fresh.last_report.cache_corruptions == 1
+    assert fresh.last_report.misses == 1
+    with open(path) as handle:  # rewritten as a valid current entry
+        assert set(json.load(handle)) == {"v", "sha", "data"}
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +442,33 @@ def test_inprocess_crash_fault_is_exception(monkeypatch):
     plan = get_fault_plan()
     with pytest.raises(InjectedCrash):
         plan.inject_execution_faults("some-task", attempt=0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failure_names_task_by_digest_and_run(monkeypatch, jobs):
+    """Pool and in-process failures read alike, with no object repr."""
+    monkeypatch.setenv("REPRO_FAULTS", "crash:1.0:seed=7")
+    requests = [RunRequest("libquantum", "stride", 2000),
+                RunRequest("mcf", "none", 2000)]
+    runner = ExperimentRunner()
+    with pytest.raises(SimulationError) as excinfo:
+        runner.run_many(requests, jobs=jobs, policy=FailurePolicy(retries=0))
+    message = str(excinfo.value)
+    digest = runner.request_digest(requests[0])
+    assert "task %s (libquantum/stride)" % digest[:12] in message
+    assert "0x" not in message
+    assert excinfo.value.request.benchmark == "libquantum"
+
+
+def test_run_single_raises_with_request_whatever_on_error(monkeypatch):
+    monkeypatch.setenv("REPRO_FAULTS", "crash:1.0:seed=18")
+    for on_error in ("raise", "skip", "serial"):
+        runner = ExperimentRunner(
+            policy=FailurePolicy(retries=0, on_error=on_error))
+        with pytest.raises(SimulationError) as excinfo:
+            runner.run_single("gamess", "none", instructions=BUDGET)
+        assert excinfo.value.request.benchmark == "gamess"
+        assert excinfo.value.attempts == 1
 
 
 def test_run_single_retries_through_faults(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -191,6 +192,22 @@ def test_default_path_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_environment_knobs_are_the_known_eight():
+    """Every ``REPRO_*`` variable the package reads; a new one must be
+    added here on purpose, not land unnoticed."""
+    package = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "repro")
+    names = set()
+    for root, _dirs, files in os.walk(package):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name)) as handle:
+                    names.update(re.findall(r"REPRO_[A-Z_]+", handle.read()))
+    assert names == {"REPRO_SCALE", "REPRO_JOBS", "REPRO_FAULTS",
+                     "REPRO_CKPT_DIR", "REPRO_CKPT_EVERY", "REPRO_CHECK",
+                     "REPRO_TRACE", "REPRO_TRACE_FILE"}
 
 
 def test_speedup_of_baseline_is_one():

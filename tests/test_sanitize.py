@@ -217,7 +217,7 @@ def test_runner_recovers_from_corrupt_state_fault(monkeypatch):
         "mcf", "bfetch", budget).as_dict()
     monkeypatch.setenv("REPRO_FAULTS", "corrupt-state:1.0:cycle=1500")
     monkeypatch.setenv("REPRO_CHECK", "cheap")
-    policy = FailurePolicy(retries=1, backoff_base=0.0, jitter=0.0)
+    policy = FailurePolicy(retries=1)
     result = ExperimentRunner(policy=policy).run_single(
         "mcf", "bfetch", budget).as_dict()
     assert result == reference
@@ -228,7 +228,7 @@ def test_runner_surfaces_unrecovered_violation(monkeypatch):
     # process-level fault plan (and its once-per-key memory) is rebuilt
     monkeypatch.setenv("REPRO_FAULTS", "corrupt-state:1.0:cycle=1800")
     monkeypatch.setenv("REPRO_CHECK", "cheap")
-    policy = FailurePolicy(retries=0, backoff_base=0.0, jitter=0.0)
+    policy = FailurePolicy(retries=0)
     with pytest.raises(SimulationError) as excinfo:
         ExperimentRunner(policy=policy).run_single("mcf", "bfetch", 20_000)
     assert "invariant" in str(excinfo.value)

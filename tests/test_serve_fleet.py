@@ -609,11 +609,9 @@ class TestRespawnBackoffCap(object):
         waits exactly as long as one that died 6 times -- bounded,
         never overflowing, and the slot is never abandoned.
         """
-        from repro.serve.fleet import (
-            RESPAWN_POLICY,
-            WorkerSupervisor,
-        )
+        from repro.serve.fleet import WorkerSupervisor
         from repro.resilience import backoff_delay
+        from repro.resilience.retry import BACKOFF_MAX
 
         class _Slot(object):
             def __init__(self):
@@ -631,7 +629,6 @@ class TestRespawnBackoffCap(object):
                 self.state = "idle"
 
         supervisor = WorkerSupervisor.__new__(WorkerSupervisor)
-        supervisor.respawn_policy = RESPAWN_POLICY
         supervisor.metrics = None
 
         slept = []
@@ -660,20 +657,21 @@ class TestRespawnBackoffCap(object):
         assert slot.spawned == 6
         assert slot.respawns == 51
 
-        capped = backoff_delay(RESPAWN_POLICY, "worker-0", 6)
-        expected = [backoff_delay(RESPAWN_POLICY, "worker-0", n)
+        capped = backoff_delay("worker-0", 6)
+        expected = [backoff_delay("worker-0", n)
                     for n in (0, 1, 6)] + [capped] * 3
         observed = [d for d in slept if d > 0]
         assert observed == [d for d in expected if d > 0]
+        # the fixed schedule, pinned to six decimals
+        assert ["%.6f" % d for d in expected[:3]] == \
+            ["0.053637", "0.142050", "2.233569"]
         # the capped tail is flat: exhaustion does not grow the wait
-        assert all(d <= RESPAWN_POLICY.backoff_max * 1.5 + 1e-9
-                   for d in observed)
+        assert all(d <= BACKOFF_MAX * 1.5 + 1e-9 for d in observed)
 
     def test_respawn_failure_marks_slot_dead_but_not_abandoned(self):
         """A spawn that raises leaves the slot dead for the next pass."""
         from repro.serve.fleet import WorkerSupervisor
         from repro.serve.supervisor import WorkerLost
-        from repro.resilience import FailurePolicy
 
         class _Slot(object):
             id = 3
@@ -688,10 +686,6 @@ class TestRespawnBackoffCap(object):
                 raise WorkerLost("spawn refused")
 
         supervisor = WorkerSupervisor.__new__(WorkerSupervisor)
-        supervisor.respawn_policy = FailurePolicy(
-            retries=0, backoff_base=0.0, backoff_factor=1.0,
-            backoff_max=0.0, jitter=0.0, seed=0,
-        )
         supervisor.metrics = None
         slot = _Slot()
         asyncio.run(supervisor._respawn(slot))
