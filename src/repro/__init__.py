@@ -20,17 +20,13 @@ Packages:
 * :mod:`repro.workloads` -- SPEC-like synthetic benchmarks and FOA mixes.
 * :mod:`repro.sim` -- system assembly, CMP, experiment runner.
 * :mod:`repro.analysis` -- Fig. 3 / Fig. 7 / Table I analyses.
+
+Importing a package loads none of its submodules: each exported name is
+imported on first access (:mod:`repro._lazy`), so a process compiles
+only what it runs.
 """
 
-from repro.sim import (
-    CMPSystem,
-    ExperimentRunner,
-    RunResult,
-    System,
-    SystemConfig,
-    geomean,
-)
-from repro.workloads import BENCHMARKS, PREFETCH_SENSITIVE, build_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -46,3 +42,12 @@ __all__ = [
     "build_workload",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "sim.runner": ("ExperimentRunner",),
+    "sim.system": ("System", "RunResult"),
+    "sim.cmp": ("CMPSystem",),
+    "sim.config": ("SystemConfig",),
+    "sim.metrics": ("geomean",),
+    "workloads.spec": ("BENCHMARKS", "PREFETCH_SENSITIVE", "build_workload"),
+})

@@ -9,11 +9,7 @@
 * :mod:`repro.analysis.reporting` -- text rendering of tables/series.
 """
 
-from repro.analysis.variation import VariationCDF, collect_variation
-from repro.analysis.overhead import bfetch_overhead_kb, overhead_table, sms_overhead_kb
-from repro.analysis.fetch_breakdown import fetch_branch_breakdown
-from repro.analysis.energy import EnergyModel, energy_comparison, prefetcher_energy
-from repro.analysis.reporting import render_cdf, render_series, render_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "collect_variation",
@@ -29,3 +25,11 @@ __all__ = [
     "render_series",
     "render_cdf",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "variation": ("VariationCDF", "collect_variation"),
+    "overhead": ("bfetch_overhead_kb", "overhead_table", "sms_overhead_kb"),
+    "fetch_breakdown": ("fetch_branch_breakdown",),
+    "energy": ("EnergyModel", "energy_comparison", "prefetcher_energy"),
+    "reporting": ("render_cdf", "render_series", "render_table"),
+})

@@ -6,19 +6,7 @@ self-counter and Jimenez's composite), and the Malik-style multiplicative
 path-confidence tracker used by B-Fetch's lookahead throttle.
 """
 
-from repro.branch.bimodal import BimodalPredictor
-from repro.branch.gshare import GsharePredictor
-from repro.branch.local import LocalPredictor
-from repro.branch.perceptron import PerceptronPredictor
-from repro.branch.tournament import TournamentConfig, TournamentPredictor
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.confidence import (
-    CompositeConfidenceEstimator,
-    JRSEstimator,
-    SelfCounterEstimator,
-    UpDownEstimator,
-)
-from repro.branch.path_confidence import PathConfidence
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BimodalPredictor",
@@ -34,3 +22,19 @@ __all__ = [
     "CompositeConfidenceEstimator",
     "PathConfidence",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bimodal": ("BimodalPredictor",),
+    "gshare": ("GsharePredictor",),
+    "local": ("LocalPredictor",),
+    "perceptron": ("PerceptronPredictor",),
+    "tournament": ("TournamentConfig", "TournamentPredictor"),
+    "btb": ("BranchTargetBuffer",),
+    "confidence": (
+        "CompositeConfidenceEstimator",
+        "JRSEstimator",
+        "SelfCounterEstimator",
+        "UpDownEstimator",
+    ),
+    "path_confidence": ("PathConfidence",),
+})

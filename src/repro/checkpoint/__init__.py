@@ -23,24 +23,7 @@ Pieces:
   order-preserving dict pair lists, ``random.Random`` streams).
 """
 
-from repro.checkpoint.manager import (
-    CHECKPOINT_VERSION,
-    DEFAULT_EVERY,
-    CheckpointError,
-    Checkpointer,
-    InterruptFlag,
-    from_env,
-    gc_stale_tmp,
-    signal_guard,
-)
-from repro.checkpoint.state import (
-    decode_meta,
-    encode_meta,
-    int_dict,
-    pairs,
-    rng_from_json,
-    rng_to_json,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -58,3 +41,24 @@ __all__ = [
     "rng_from_json",
     "rng_to_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "manager": (
+        "CHECKPOINT_VERSION",
+        "DEFAULT_EVERY",
+        "CheckpointError",
+        "Checkpointer",
+        "InterruptFlag",
+        "from_env",
+        "gc_stale_tmp",
+        "signal_guard",
+    ),
+    "state": (
+        "decode_meta",
+        "encode_meta",
+        "int_dict",
+        "pairs",
+        "rng_from_json",
+        "rng_to_json",
+    ),
+})

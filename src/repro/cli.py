@@ -65,14 +65,11 @@ import math
 import os
 import sys
 
-from repro.analysis import overhead_table, render_table
-from repro.frontend import FRONTEND_MODES, IPREFETCHER_NAMES
-from repro.resilience import ON_ERROR_MODES, FailurePolicy
-from repro.sim import ExperimentRunner, RunRequest, SystemConfig
-from repro.sim.catalog import catalog, render_catalog
-from repro.sim.config import PREFETCHER_NAMES
-from repro.sim.metrics import weighted_speedup
-from repro.workloads import BENCHMARKS, build_workload
+from repro.frontend.config import FRONTEND_MODES, IPREFETCHER_NAMES
+from repro.resilience.policy import ON_ERROR_MODES, FailurePolicy
+from repro.serve import DEFAULT_PORT
+from repro.sim.config import PREFETCHER_NAMES, SystemConfig
+from repro.workloads.spec import BENCHMARKS, build_workload
 
 
 def _number_type(convert, kind, allow_zero=False):
@@ -134,6 +131,8 @@ def _make_policy(args):
 
 
 def _make_runner(args):
+    from repro.sim.runner import ExperimentRunner
+
     return ExperimentRunner(cache_dir=args.cache_dir,
                             jobs=getattr(args, "jobs", None),
                             policy=_make_policy(args))
@@ -205,6 +204,9 @@ def cmd_frontend(args):
 
 
 def cmd_compare(args):
+    from repro.analysis.reporting import render_table
+    from repro.sim.runner import RunRequest
+
     runner = _make_runner(args)
     batch = runner.run_many(
         [RunRequest(args.benchmark, "none", args.instructions)]
@@ -241,6 +243,10 @@ def cmd_compare(args):
 
 
 def cmd_mix(args):
+    from repro.analysis.reporting import render_table
+    from repro.sim.metrics import weighted_speedup
+    from repro.sim.runner import RunRequest
+
     runner = _make_runner(args)
     singles_batch = runner.run_many(
         [RunRequest(name, "none", args.instructions)
@@ -271,6 +277,8 @@ def cmd_mix(args):
 
 
 def cmd_table1(args):
+    from repro.analysis.overhead import overhead_table
+
     rows, bf_total, sms_total = overhead_table()
     for owner, name, entries, size in rows:
         print("%-8s %-28s %8s %8.3f KB"
@@ -299,8 +307,7 @@ def cmd_stats(args):
 
 
 def cmd_trace(args):
-    from repro.obs import Tracer
-    from repro.obs.trace import TraceConfigError, parse_trace_spec
+    from repro.obs.trace import TraceConfigError, Tracer, parse_trace_spec
     from repro.sim.system import System
     from repro.workloads.spec import build_workload as _build
 
@@ -337,8 +344,9 @@ def cmd_check(args):
     import shutil
     import tempfile
 
-    from repro.checkpoint import Checkpointer
-    from repro.sanitize import Sanitizer, sentinel_run
+    from repro.checkpoint.manager import Checkpointer
+    from repro.sanitize.bisect import sentinel_run
+    from repro.sanitize.checks import Sanitizer
     from repro.sim.system import System
 
     config = SystemConfig(prefetcher=args.prefetcher)
@@ -418,6 +426,8 @@ def _duration_seconds(text):
 
 def cmd_cache(args):
     """Inspect or garbage-collect the on-disk result cache."""
+    from repro.sim.runner import ExperimentRunner
+
     runner = ExperimentRunner(cache_dir=args.cache_dir)
     if args.gc:
         if args.older_than is None:
@@ -448,6 +458,8 @@ def cmd_cache(args):
 
 
 def cmd_list(args):
+    from repro.sim.catalog import catalog, render_catalog
+
     if args.json:
         import json as _json
 
@@ -462,8 +474,6 @@ def cmd_list(args):
 
 
 def _add_server_address(parser):
-    from repro.serve.client import DEFAULT_PORT
-
     parser.add_argument("--host", default="127.0.0.1",
                         help="server address (default: 127.0.0.1)")
     parser.add_argument("--port", type=_positive_int, default=DEFAULT_PORT,
@@ -474,7 +484,7 @@ def cmd_serve(args):
     import asyncio
     import signal
 
-    from repro.serve import JobServer
+    from repro.serve.server import JobServer
 
     async def body():
         server = JobServer(
@@ -506,7 +516,7 @@ def cmd_serve(args):
 
 
 def cmd_submit(args):
-    from repro.serve import ServeClient, ServeError
+    from repro.serve.client import ServeClient, ServeError
 
     kwargs = {
         "instructions": args.instructions, "variant": args.variant,
@@ -570,7 +580,7 @@ def _print_submit_results(args, reply):
 
 
 def cmd_jobs(args):
-    from repro.serve import ServeClient, ServeError
+    from repro.serve.client import ServeClient, ServeError
 
     try:
         with ServeClient(args.host, args.port) as client:

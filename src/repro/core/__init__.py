@@ -16,13 +16,7 @@ A 3-stage prefetch pipeline hanging off the main core:
    (:mod:`~repro.core.perload_filter`), and queue the prefetches.
 """
 
-from repro.core.config import BFetchConfig
-from repro.core.arf import AlternateRegisterFile
-from repro.core.brtc import BranchTraceCache
-from repro.core.mht import MemoryHistoryTable, MHTEntry, RegisterHistory
-from repro.core.perload_filter import PerLoadFilter
-from repro.core.bfetch import BFetchPrefetcher
-from repro.core.hashing import bb_hash, load_pc_hash
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BFetchConfig",
@@ -36,3 +30,13 @@ __all__ = [
     "bb_hash",
     "load_pc_hash",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("BFetchConfig",),
+    "arf": ("AlternateRegisterFile",),
+    "brtc": ("BranchTraceCache",),
+    "mht": ("MHTEntry", "MemoryHistoryTable", "RegisterHistory"),
+    "perload_filter": ("PerLoadFilter",),
+    "bfetch": ("BFetchPrefetcher",),
+    "hashing": ("bb_hash", "load_pc_hash"),
+})

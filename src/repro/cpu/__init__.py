@@ -1,8 +1,6 @@
 """CPU models: functional interpreter and the cycle-stepped O3 timing core."""
 
-from repro.cpu.functional import HaltError, Machine
-from repro.cpu.ooo import CoreConfig, OutOfOrderCore
-from repro.cpu.trace import TraceReplay, capture_trace, save_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Machine",
@@ -13,3 +11,9 @@ __all__ = [
     "capture_trace",
     "save_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "functional": ("HaltError", "Machine"),
+    "ooo": ("CoreConfig", "OutOfOrderCore"),
+    "trace": ("TraceReplay", "capture_trace", "save_trace"),
+})

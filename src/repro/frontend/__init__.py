@@ -15,19 +15,7 @@ Everything here is gated behind ``CoreConfig.frontend="ftq"``; the
 default ``"off"`` leaves the legacy fetch path byte-identical.
 """
 
-from repro.frontend.config import FRONTEND_MODES, FrontendConfig
-from repro.frontend.frontend import DecoupledFrontEnd
-from repro.frontend.ftq import FetchTargetQueue
-from repro.frontend.iprefetch import (
-    IPREFETCHER_NAMES,
-    BFetchIPrefetcher,
-    CombinedIPrefetcher,
-    FDIPPrefetcher,
-    IPrefetcher,
-    NextLineIPrefetcher,
-    make_iprefetcher,
-)
-from repro.frontend.predecode import Predecoder
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FRONTEND_MODES",
@@ -43,3 +31,18 @@ __all__ = [
     "make_iprefetcher",
     "Predecoder",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("FRONTEND_MODES", "IPREFETCHER_NAMES", "FrontendConfig"),
+    "frontend": ("DecoupledFrontEnd",),
+    "ftq": ("FetchTargetQueue",),
+    "iprefetch": (
+        "BFetchIPrefetcher",
+        "CombinedIPrefetcher",
+        "FDIPPrefetcher",
+        "IPrefetcher",
+        "NextLineIPrefetcher",
+        "make_iprefetcher",
+    ),
+    "predecode": ("Predecoder",),
+})

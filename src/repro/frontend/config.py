@@ -9,6 +9,10 @@ string, everything else lives here and flows into
 #: legal values of ``CoreConfig.frontend`` / ``SystemConfig.frontend``
 FRONTEND_MODES = ("off", "ftq")
 
+#: legal values of ``SystemConfig.iprefetcher``; the prefetchers live in
+#: :mod:`repro.frontend.iprefetch`, which loads only with the front end
+IPREFETCHER_NAMES = ("none", "nextline-i", "fdip", "bfetch-i", "combined")
+
 
 class FrontendConfig:
     """Decoupled front-end parameters.

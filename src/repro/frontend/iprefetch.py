@@ -23,10 +23,9 @@ predecoder so prefetched lines expose their shadow branches too.
 from repro.core.brtc import BranchTraceCache
 from repro.core.config import BFetchConfig
 from repro.core.hashing import bb_hash
+from repro.frontend.config import IPREFETCHER_NAMES
 from repro.isa.opcodes import IS_BRANCH as _IS_BRANCH
 from repro.prefetchers.base import Prefetcher
-
-IPREFETCHER_NAMES = ("none", "nextline-i", "fdip", "bfetch-i", "combined")
 
 
 class IPrefetcher(Prefetcher):

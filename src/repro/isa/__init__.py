@@ -10,10 +10,7 @@ rather than bare address traces.  This package defines:
 * :mod:`repro.isa.assembler` -- a tiny textual assembler for tests/examples.
 """
 
-from repro.isa.opcodes import Op, is_branch, is_cond_branch, is_load, is_mem, is_store
-from repro.isa.instructions import Instr
-from repro.isa.program import BasicBlock, Program, extract_basic_blocks
-from repro.isa.assembler import AssemblerError, assemble
+from repro._lazy import lazy_exports
 
 NUM_REGS = 32
 ZERO_REG = 31  # r31 reads as zero, ALPHA-style
@@ -38,3 +35,17 @@ __all__ = [
     "WORD_SIZE",
     "MASK64",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "opcodes": (
+        "Op",
+        "is_branch",
+        "is_cond_branch",
+        "is_load",
+        "is_mem",
+        "is_store",
+    ),
+    "instructions": ("Instr",),
+    "program": ("BasicBlock", "Program", "extract_basic_blocks"),
+    "assembler": ("AssemblerError", "assemble"),
+})

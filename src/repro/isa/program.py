@@ -10,6 +10,10 @@ from repro.isa.opcodes import BRANCHES, COND_BRANCHES, Op
 
 INSTR_BYTES = 4
 
+# read once per instruction by validate(): module constants, not Op.X
+_HALT = Op.HALT
+_DIRECT_BRANCHES = BRANCHES - {Op.JR}
+
 
 class ProgramError(ValueError):
     """Raised for malformed programs (bad targets, missing halt, ...)."""
@@ -82,23 +86,36 @@ class Program:
         """
         has_halt = False
         for instr in self.instrs:
-            for reg in (instr.rd, instr.ra, instr.rb):
-                if reg is None:
-                    continue
-                if not isinstance(reg, int) or isinstance(reg, bool) \
-                        or not 0 <= reg < 32:
-                    raise ProgramError("register index %r out of range"
-                                       % (reg,))
-            if not isinstance(instr.imm, int) or isinstance(instr.imm, bool):
-                raise ProgramError("immediate must be an integer, got %r"
-                                   % (instr.imm,))
-            if instr.op == Op.HALT:
+            rd, ra, rb = instr.rd, instr.ra, instr.rb
+            # fast path: exact ints in range need none of the checks below
+            if not ((rd is None or type(rd) is int and 0 <= rd < 32)
+                    and (ra is None or type(ra) is int and 0 <= ra < 32)
+                    and (rb is None or type(rb) is int and 0 <= rb < 32)
+                    and type(instr.imm) is int):
+                _check_fields(instr)
+            op = instr.op
+            if op == _HALT:
                 has_halt = True
-            if instr.op in BRANCHES and instr.op != Op.JR and instr.target is None:
+            if op in _DIRECT_BRANCHES and instr.target is None:
                 raise ProgramError("direct branch without target: %r" % instr)
         if not has_halt:
             raise ProgramError("program has no HALT instruction")
         return True
+
+
+def _check_fields(instr):
+    """Raise :class:`ProgramError` unless every register of *instr* is
+    None or an in-range ``int`` and its immediate an ``int`` (``bool``
+    is neither)."""
+    for reg in (instr.rd, instr.ra, instr.rb):
+        if reg is None:
+            continue
+        if not isinstance(reg, int) or isinstance(reg, bool) \
+                or not 0 <= reg < 32:
+            raise ProgramError("register index %r out of range" % (reg,))
+    if not isinstance(instr.imm, int) or isinstance(instr.imm, bool):
+        raise ProgramError("immediate must be an integer, got %r"
+                           % (instr.imm,))
 
 
 class BasicBlock:

@@ -1,18 +1,6 @@
 """Memory-system substrate: caches, DRAM, hierarchy, prefetch queue, stats."""
 
-from repro.memory.cache import Cache, CacheStats, Line
-from repro.memory.dram import DramModel
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.memory.prefetch_queue import PrefetchQueue
-from repro.memory.replacement import (
-    LRUPolicy,
-    PACManPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    SRRIPPolicy,
-    make_policy,
-)
-from repro.memory.stats import PrefetchStats
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Cache",
@@ -30,3 +18,19 @@ __all__ = [
     "PACManPolicy",
     "make_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("Cache", "CacheStats", "Line"),
+    "dram": ("DramModel",),
+    "hierarchy": ("HierarchyConfig", "MemoryHierarchy"),
+    "prefetch_queue": ("PrefetchQueue",),
+    "replacement": (
+        "LRUPolicy",
+        "PACManPolicy",
+        "RandomPolicy",
+        "ReplacementPolicy",
+        "SRRIPPolicy",
+        "make_policy",
+    ),
+    "stats": ("PrefetchStats",),
+})

@@ -70,6 +70,15 @@ class HierarchyConfig:
                 "HierarchyConfig.dram_cycles_per_transfer must be a "
                 "non-negative integer, got %r" % (dram_cycles_per_transfer,)
             )
+        if llc_policy != "lru":
+            # the default needs no policy object (make_llc), so only a
+            # different name loads the policy module to check it
+            from repro.memory.replacement import POLICIES
+            if not isinstance(llc_policy, str) or llc_policy not in POLICIES:
+                raise ValueError(
+                    "HierarchyConfig.llc_policy must be one of %s, got %r"
+                    % (", ".join(sorted(POLICIES)), llc_policy)
+                )
         self.l1i_size = l1i_size
         self.l1i_assoc = l1i_assoc
         self.l1d_size = l1d_size

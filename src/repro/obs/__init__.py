@@ -16,27 +16,7 @@ CLI entry points: ``python -m repro stats`` and ``python -m repro
 trace`` (see :mod:`repro.cli`).
 """
 
-from repro.obs.io import atomic_write_text
-from repro.obs.profile import PhaseRecord, Profiler
-from repro.obs.registry import (
-    AdoptedStat,
-    Counter,
-    FuncStat,
-    Histogram,
-    Ratio,
-    Stat,
-    StatsRegistry,
-)
-from repro.obs.trace import (
-    CATEGORIES,
-    DEFAULT_TRACE_FILE,
-    Channel,
-    TraceConfigError,
-    Tracer,
-    parse_trace_spec,
-    validate_event,
-    validate_jsonl,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdoptedStat",
@@ -58,3 +38,27 @@ __all__ = [
     "validate_event",
     "validate_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "io": ("atomic_write_text",),
+    "profile": ("PhaseRecord", "Profiler"),
+    "registry": (
+        "AdoptedStat",
+        "Counter",
+        "FuncStat",
+        "Histogram",
+        "Ratio",
+        "Stat",
+        "StatsRegistry",
+    ),
+    "trace": (
+        "CATEGORIES",
+        "DEFAULT_TRACE_FILE",
+        "Channel",
+        "TraceConfigError",
+        "Tracer",
+        "parse_trace_spec",
+        "validate_event",
+        "validate_jsonl",
+    ),
+})

@@ -13,14 +13,7 @@
   register-based address speculation.
 """
 
-from repro.prefetchers.base import Prefetcher
-from repro.prefetchers.nextn import NextNPrefetcher
-from repro.prefetchers.stride import StridePrefetcher
-from repro.prefetchers.sms import SMSConfig, SMSPrefetcher
-from repro.prefetchers.perfect import PerfectPrefetcher
-from repro.prefetchers.tango import TangoPrefetcher
-from repro.prefetchers.isb import ISBPrefetcher
-from repro.prefetchers.stems import STeMSPrefetcher
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Prefetcher",
@@ -33,3 +26,14 @@ __all__ = [
     "ISBPrefetcher",
     "STeMSPrefetcher",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Prefetcher",),
+    "nextn": ("NextNPrefetcher",),
+    "stride": ("StridePrefetcher",),
+    "sms": ("SMSConfig", "SMSPrefetcher"),
+    "perfect": ("PerfectPrefetcher",),
+    "tango": ("TangoPrefetcher",),
+    "isb": ("ISBPrefetcher",),
+    "stems": ("STeMSPrefetcher",),
+})

@@ -15,28 +15,7 @@ the pieces:
   fault-injection harness used by the chaos tests.
 """
 
-from repro.resilience.envelope import (
-    payload_sha,
-    read_envelope_text,
-    unwrap_envelope,
-    wrap_envelope,
-)
-from repro.resilience.errors import (
-    BatchReport,
-    CacheCorruption,
-    SimulationError,
-    TaskTimeout,
-    WorkerCrash,
-)
-from repro.resilience.faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedCrash,
-    get_fault_plan,
-    parse_faults,
-)
-from repro.resilience.policy import ON_ERROR_MODES, FailurePolicy
-from repro.resilience.retry import backoff_delay, jitter_fraction
+from repro._lazy import lazy_exports
 
 __all__ = [
     "payload_sha",
@@ -58,3 +37,28 @@ __all__ = [
     "backoff_delay",
     "jitter_fraction",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "envelope": (
+        "payload_sha",
+        "read_envelope_text",
+        "unwrap_envelope",
+        "wrap_envelope",
+    ),
+    "errors": (
+        "BatchReport",
+        "CacheCorruption",
+        "SimulationError",
+        "TaskTimeout",
+        "WorkerCrash",
+    ),
+    "faults": (
+        "FaultPlan",
+        "FaultSpec",
+        "InjectedCrash",
+        "get_fault_plan",
+        "parse_faults",
+    ),
+    "policy": ("ON_ERROR_MODES", "FailurePolicy"),
+    "retry": ("backoff_delay", "jitter_fraction"),
+})

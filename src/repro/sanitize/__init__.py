@@ -6,20 +6,7 @@
 checkpoint with per-cycle full checks to name the first bad cycle.
 """
 
-from repro.sanitize.bisect import (
-    DivergenceReport,
-    bisect_first_bad_cycle,
-    sentinel_run,
-)
-from repro.sanitize.checks import (
-    CHEAP_INTERVAL,
-    ENV_CHECK,
-    FULL_INTERVAL,
-    MODES,
-    Sanitizer,
-    mode_from_env,
-)
-from repro.sanitize.errors import SanitizerError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CHEAP_INTERVAL",
@@ -33,3 +20,16 @@ __all__ = [
     "mode_from_env",
     "sentinel_run",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bisect": ("DivergenceReport", "bisect_first_bad_cycle", "sentinel_run"),
+    "checks": (
+        "CHEAP_INTERVAL",
+        "ENV_CHECK",
+        "FULL_INTERVAL",
+        "MODES",
+        "Sanitizer",
+        "mode_from_env",
+    ),
+    "errors": ("SanitizerError",),
+})

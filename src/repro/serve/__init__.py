@@ -26,25 +26,11 @@ service:
 See ``docs/serving.md`` and ``docs/fleet.md`` for worked examples.
 """
 
-from repro.serve.breaker import BreakerBoard, CircuitBreaker
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.fleet import WorkerSupervisor
-from repro.serve.health import WorkerHealth
-from repro.serve.jobs import Job, JobTable
-from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import (
-    BUSY_CLASS_CODES,
-    ERROR_CODES,
-    FrameDecoder,
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_payload,
-    encode_frame,
-)
-from repro.serve.queue import AdmissionQueue, QueueFull
-from repro.serve.server import JobServer, ServerThread
-from repro.serve.supervisor import WorkerLost, WorkerProcess
-from repro.serve.workers import JobCancelled, ThreadWorker
+from repro._lazy import lazy_exports
+
+#: the job server's default TCP port, kept here so the CLI parser reads
+#: it without importing a serve submodule
+DEFAULT_PORT = 7861
 
 __all__ = [
     "AdmissionQueue",
@@ -72,3 +58,25 @@ __all__ = [
     "decode_payload",
     "encode_frame",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "breaker": ("BreakerBoard", "CircuitBreaker"),
+    "client": ("ServeClient", "ServeError"),
+    "fleet": ("WorkerSupervisor",),
+    "health": ("WorkerHealth",),
+    "jobs": ("Job", "JobTable"),
+    "metrics": ("ServeMetrics",),
+    "protocol": (
+        "BUSY_CLASS_CODES",
+        "ERROR_CODES",
+        "FrameDecoder",
+        "MAX_FRAME_BYTES",
+        "ProtocolError",
+        "decode_payload",
+        "encode_frame",
+    ),
+    "queue": ("AdmissionQueue", "QueueFull"),
+    "server": ("JobServer", "ServerThread"),
+    "supervisor": ("WorkerLost", "WorkerProcess"),
+    "workers": ("JobCancelled", "ThreadWorker"),
+})

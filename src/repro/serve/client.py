@@ -43,10 +43,8 @@ import socket
 import time
 from collections import deque
 
-from repro.serve import protocol
+from repro.serve import DEFAULT_PORT, protocol
 from repro.serve.protocol import BUSY_CLASS_CODES, FrameDecoder, ProtocolError
-
-DEFAULT_PORT = 7861
 
 
 class ServeError(Exception):
@@ -250,7 +248,7 @@ class ServeClient(object):
         """
         import json as _json
 
-        from repro.resilience import backoff_delay
+        from repro.resilience.retry import backoff_delay
 
         key = _json.dumps(message, sort_keys=True)
         attempt = 0

@@ -44,7 +44,9 @@ import asyncio
 import time
 from dataclasses import replace
 
-from repro.resilience import FailurePolicy, SimulationError, backoff_delay
+from repro.resilience.errors import SimulationError
+from repro.resilience.policy import FailurePolicy
+from repro.resilience.retry import backoff_delay
 from repro.serve.supervisor import WorkerLost
 from repro.serve.workers import deadline_error, failure_error
 

@@ -40,7 +40,7 @@ describe neither.
 
 import time
 
-from repro.obs import StatsRegistry
+from repro.obs.registry import StatsRegistry
 
 #: jobs retained per latency series for quantile estimation
 LATENCY_WINDOW = 2048

@@ -55,9 +55,9 @@ import hashlib
 import json
 import time
 
-from repro.obs import Tracer
 from repro.obs.io import atomic_write_text
-from repro.resilience import ON_ERROR_MODES
+from repro.obs.trace import Tracer
+from repro.resilience.policy import ON_ERROR_MODES
 from repro.serve import protocol
 from repro.serve.breaker import BreakerBoard
 from repro.serve.fleet import WorkerSupervisor
@@ -68,6 +68,7 @@ from repro.serve.queue import AdmissionQueue, QueueFull
 from repro.serve.supervisor import WorkerProcess
 from repro.serve.workers import deadline_error, failure_error, thread_members
 from repro.sim.catalog import catalog as build_catalog
+from repro.sim.config import import_on_demand_modules
 from repro.sim.runner import ExperimentRunner, RunRequest
 
 #: event names that end a stream subscription
@@ -224,7 +225,14 @@ class JobServer(object):
     # lifecycle
 
     async def start(self):
-        """Bind, start the dispatcher and heartbeat; returns *self*."""
+        """Bind, start the dispatcher and heartbeat; returns *self*.
+
+        An in-process tier first imports every model a submission can
+        name, so no request pays for compiling one (fleet workers do the
+        same before they report ready).
+        """
+        if self.mode == "tier":
+            import_on_demand_modules()
         self.loop = asyncio.get_running_loop()
         await self.supervisor.start()
         self._slots = asyncio.Semaphore(self.supervisor.max_concurrent)

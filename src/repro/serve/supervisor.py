@@ -108,8 +108,11 @@ class _Worker(object):
     """Child-process state: runner, framing, fault boundaries."""
 
     def __init__(self, worker_id, cache_dir, beat_interval):
+        from repro.sim.config import import_on_demand_modules
         from repro.sim.runner import ExperimentRunner
 
+        # every model a job can name compiles before the ready frame
+        import_on_demand_modules()
         self.worker_id = worker_id
         self.runner = ExperimentRunner(cache_dir=cache_dir)
         # stdout carries frames only; anything the simulator prints goes
@@ -133,11 +136,13 @@ class _Worker(object):
         so ``worker-kill`` lands mid-batch with the finished prefix
         already checkpointed in the cache.
         """
-        from repro.resilience.faults import CRASH_EXIT_CODE, get_fault_plan
+        from repro.sim.runner import active_fault_plan
 
-        plan = get_fault_plan()
-        if not plan.active:
+        plan = active_fault_plan()
+        if plan is None:
             return
+        from repro.resilience.faults import CRASH_EXIT_CODE
+
         key = "%s|%s" % (job_key, stage)
         slow = plan.worker_slow_seconds(key)
         if slow > 0:
@@ -152,7 +157,7 @@ class _Worker(object):
     # -- job execution -------------------------------------------------
 
     def run_job(self, frame):
-        from repro.resilience import FailurePolicy
+        from repro.resilience.policy import FailurePolicy
         from repro.sim.runner import RunRequest
 
         job = frame["job"]

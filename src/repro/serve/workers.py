@@ -43,7 +43,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.resilience import SimulationError
+from repro.resilience.errors import SimulationError
 
 
 class JobCancelled(Exception):

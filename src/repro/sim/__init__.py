@@ -1,11 +1,6 @@
 """System assembly, experiment running and metrics."""
 
-from repro.sim.config import SystemConfig, make_prefetcher
-from repro.sim.system import RunResult, System
-from repro.sim.cmp import CMPSystem
-from repro.sim.metrics import geomean, normalize, weighted_speedup
-from repro.sim.runner import ExperimentRunner, RunRequest, default_jobs, scaled
-from repro.sim.catalog import catalog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "catalog",
@@ -22,3 +17,12 @@ __all__ = [
     "normalize",
     "weighted_speedup",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "catalog": ("catalog",),
+    "config": ("SystemConfig", "make_prefetcher"),
+    "system": ("RunResult", "System"),
+    "cmp": ("CMPSystem",),
+    "metrics": ("geomean", "normalize", "weighted_speedup"),
+    "runner": ("ExperimentRunner", "RunRequest", "default_jobs", "scaled"),
+})

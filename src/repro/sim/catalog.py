@@ -20,15 +20,14 @@ so a client can predict whether two submissions will share a cache
 entry.
 """
 
-from repro.frontend import FRONTEND_MODES, IPREFETCHER_NAMES
+from repro.frontend.config import FRONTEND_MODES, IPREFETCHER_NAMES
 from repro.sim.config import PREDICTOR_NAMES, PREFETCHER_NAMES
 from repro.sim.runner import (
     CACHE_VERSION,
     DEFAULT_MIX_BUDGET,
     DEFAULT_SINGLE_BUDGET,
 )
-from repro.workloads import BENCHMARKS
-from repro.workloads.spec import PROFILES
+from repro.workloads.spec import BENCHMARKS, PROFILES
 
 #: schema tag stamped into every catalog payload
 CATALOG_SCHEMA = "repro-catalog-v1"

@@ -25,7 +25,7 @@ resumed CMP run replays the exact interleaving of the original.
 
 import heapq
 
-from repro.checkpoint import CheckpointError
+from repro.checkpoint.manager import CheckpointError
 from repro.cpu.ooo import _NEVER
 from repro.sim.config import SystemConfig
 from repro.sim.system import _DEFAULT_CHUNK_CYCLES, RunResult, System

@@ -10,29 +10,17 @@ B-Fetch storage for Fig. 15).
 from operator import attrgetter
 from types import SimpleNamespace
 
-from repro.branch.perceptron import PerceptronPredictor
 from repro.branch.tournament import TournamentConfig, TournamentPredictor
-from repro.core.bfetch import BFetchPrefetcher
 from repro.core.config import BFetchConfig
 from repro.cpu.ooo import CoreConfig
-from repro.frontend import (
+from repro.frontend.config import (
     FRONTEND_MODES,
-    FrontendConfig,
     IPREFETCHER_NAMES,
-    make_iprefetcher,
+    FrontendConfig,
 )
 from repro.memory.hierarchy import HierarchyConfig
-from repro.prefetchers import (
-    ISBPrefetcher,
-    NextNPrefetcher,
-    Prefetcher,
-    PerfectPrefetcher,
-    SMSConfig,
-    SMSPrefetcher,
-    STeMSPrefetcher,
-    StridePrefetcher,
-    TangoPrefetcher,
-)
+from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.sms import SMSConfig, SMSPrefetcher
 
 PREFETCHER_NAMES = (
     "none", "nextn", "stride", "sms", "perfect", "tango", "bfetch",
@@ -40,6 +28,24 @@ PREFETCHER_NAMES = (
 )
 
 PREDICTOR_NAMES = ("tournament", "perceptron")
+
+# what the factories below and the front end import on first use, so a
+# run compiles only the models it selects
+ON_DEMAND_MODULES = (
+    "repro.branch.perceptron",
+    "repro.core.bfetch",
+    "repro.frontend.frontend",
+    "repro.frontend.ftq",
+    "repro.frontend.iprefetch",
+    "repro.frontend.predecode",
+    "repro.memory.replacement",
+    "repro.prefetchers.isb",
+    "repro.prefetchers.nextn",
+    "repro.prefetchers.perfect",
+    "repro.prefetchers.stems",
+    "repro.prefetchers.stride",
+    "repro.prefetchers.tango",
+)
 
 # sub-config fields the fixed part of SystemConfig.key() carries (the
 # I-MSHR count with the front end on; without it the count is unused),
@@ -172,6 +178,7 @@ class SystemConfig:
     def make_predictor(self):
         """Build the configured direction predictor."""
         if self.branch_predictor == "perceptron":
+            from repro.branch.perceptron import PerceptronPredictor
             entries = max(16, int(512 * self.bp_scale))
             entries = 1 << (entries.bit_length() - 1)
             return PerceptronPredictor(entries=entries)
@@ -266,28 +273,36 @@ def make_prefetcher(config):
     stepping, delta learning) is derived from the hierarchy's L1 line
     size rather than an assumed 64 bytes, so non-default
     ``HierarchyConfig.block_bytes`` values stay consistent end to end.
+    Each prefetcher's module is imported here, for the name asked.
     """
     name = config.prefetcher
     block_bytes = config.hierarchy.block_bytes
     if name == "none":
         return Prefetcher(block_bytes=block_bytes)
     if name == "nextn":
+        from repro.prefetchers.nextn import NextNPrefetcher
         return NextNPrefetcher(n=config.nextn_degree,
                                block_bytes=block_bytes)
     if name == "stride":
+        from repro.prefetchers.stride import StridePrefetcher
         return StridePrefetcher(degree=config.stride_degree,
                                 block_bytes=block_bytes)
     if name == "sms":
         return SMSPrefetcher(config.sms)
     if name == "perfect":
+        from repro.prefetchers.perfect import PerfectPrefetcher
         return PerfectPrefetcher(block_bytes=block_bytes)
     if name == "tango":
+        from repro.prefetchers.tango import TangoPrefetcher
         return TangoPrefetcher(block_bytes=block_bytes)
     if name == "bfetch":
+        from repro.core.bfetch import BFetchPrefetcher
         return BFetchPrefetcher(config.bfetch, block_bytes=block_bytes)
     if name == "isb":
+        from repro.prefetchers.isb import ISBPrefetcher
         return ISBPrefetcher(block_bytes=block_bytes)
     if name == "stems":
+        from repro.prefetchers.stems import STeMSPrefetcher
         return STeMSPrefetcher(config.sms)
     raise ValueError("unknown prefetcher %r" % name)
 
@@ -295,9 +310,20 @@ def make_prefetcher(config):
 def make_iprefetcher_for(config):
     """Instantiate the I-side prefetcher selected by *config* (the
     front-end assembly path; geometry follows the L1 line size)."""
+    from repro.frontend.iprefetch import make_iprefetcher
     return make_iprefetcher(
         config.iprefetcher,
         config.frontend_cfg,
         block_bytes=config.hierarchy.block_bytes,
         bfetch_config=config.bfetch,
     )
+
+
+def import_on_demand_modules():
+    """Import every module in :data:`ON_DEMAND_MODULES`.
+
+    A long-lived server calls this before it reports ready, so that no
+    request pays for compiling the model it names.
+    """
+    for name in ON_DEMAND_MODULES:
+        __import__(name)

@@ -63,29 +63,26 @@ import os
 import time
 import traceback
 from collections import deque, namedtuple
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
 from concurrent.futures import wait as _futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
-from repro.resilience import (
+from repro.resilience.errors import (
     BatchReport,
     CacheCorruption,
-    FailurePolicy,
     SimulationError,
     TaskTimeout,
     WorkerCrash,
-    backoff_delay,
-    get_fault_plan,
 )
-from repro.obs import Profiler
+from repro.resilience.policy import FailurePolicy
+from repro.resilience.retry import backoff_delay
+from repro.obs.profile import Profiler
 from repro.obs.io import atomic_write_text, file_signature, remove_if_unchanged
-from repro.checkpoint import (
+from repro.checkpoint.manager import (
     from_env as _checkpointer_from_env,
     gc_stale_tmp,
     signal_guard,
 )
-from repro.sanitize import Sanitizer
 from repro.resilience.envelope import (
     payload_sha as _payload_sha,
     unwrap_envelope,
@@ -215,6 +212,35 @@ class RunRequest(
         )
 
 
+def active_fault_plan():
+    """The ``REPRO_FAULTS`` fault plan, or None when no fault is armed.
+
+    The fault-plan parser is imported only when the variable is set, so a
+    run without chaos testing never loads it.
+    """
+    if not os.environ.get("REPRO_FAULTS"):
+        return None
+    from repro.resilience.faults import get_fault_plan
+    plan = get_fault_plan()
+    return plan if plan.active else None
+
+
+def _sanitizer_from_env():
+    """The ``REPRO_CHECK`` sanitizer, or None with checking off; the
+    sanitizer is imported only when the variable is set."""
+    if not os.environ.get("REPRO_CHECK"):
+        return None
+    from repro.sanitize.checks import Sanitizer
+    return Sanitizer.from_env()
+
+
+def _process_pool(jobs):
+    """A pool of *jobs* worker processes.  Only a batch with ``jobs > 1``
+    builds one, so only it imports :mod:`multiprocessing`."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def _execute_single(benchmark, prefetcher, instructions, config, variant,
                     attempt=0, fault_key=None):
     """Worker body: build and run one system; returns the result dict.
@@ -237,13 +263,13 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
     """
     if fault_key is None:
         fault_key = repr((benchmark, prefetcher, instructions, variant))
-    plan = get_fault_plan()
+    plan = active_fault_plan()
     corrupt_at = None
-    if plan.active:
+    if plan is not None:
         plan.inject_execution_faults(fault_key, attempt)
         corrupt_at = plan.corrupt_state_cycle(fault_key, attempt)
     system = System(build_workload(benchmark, variant), config)
-    sanitizer = Sanitizer.from_env()
+    sanitizer = _sanitizer_from_env()
     checkpointer = _checkpointer_from_env(
         "single-%s" % hashlib.sha1(str(fault_key).encode()).hexdigest()[:16]
     )
@@ -471,8 +497,8 @@ class ExperimentRunner:
         if not path:
             return
         text = json.dumps(wrap_envelope(data, CACHE_VERSION))
-        plan = get_fault_plan()
-        if plan.active:
+        plan = active_fault_plan()
+        if plan is not None:
             garbage = plan.corrupt_payload(path)
             if garbage is not None:
                 text = garbage
@@ -799,8 +825,7 @@ class ExperimentRunner:
         pending = {}                  # future -> (task, start_time)
         abandoned = 0                 # hung workers we walked away from
         rebuilds = 0
-        pool = _InlineExecutor() if jobs == 1 \
-            else ProcessPoolExecutor(max_workers=jobs)
+        pool = _InlineExecutor() if jobs == 1 else _process_pool(jobs)
 
         def fail(task, error, now):
             """Retry with backoff, or finalise per the failure policy."""
@@ -829,7 +854,8 @@ class ExperimentRunner:
                             _execute_single, *task.job,
                             attempt=task.attempts, fault_key=task.key,
                         )
-                    except (BrokenProcessPool, RuntimeError):
+                    except RuntimeError:
+                        # a broken or shut-down pool refuses new work
                         queue.appendleft(task)
                         broken = True
                         break
@@ -847,7 +873,8 @@ class ExperimentRunner:
                         task, _started = pending.pop(future)
                         try:
                             data = future.result()
-                        except BrokenProcessPool as exc:
+                        except BrokenExecutor as exc:
+                            # the pool's worker process died
                             broken = True
                             report.crashes += 1
                             fail(task, WorkerCrash(
@@ -910,7 +937,7 @@ class ExperimentRunner:
                         report.degradations += len(queue) + len(retry_heap)
                         pool, jobs = _InlineExecutor(), 1
                     else:
-                        pool = ProcessPoolExecutor(max_workers=jobs)
+                        pool = _process_pool(jobs)
         finally:
             # normal exit, a raised failure, or KeyboardInterrupt: always
             # cancel queued futures and release the pool without waiting
@@ -972,9 +999,11 @@ class ExperimentRunner:
         if cached is not None:
             return [RunResult(dict(entry)) for entry in cached]
         workloads = [build_workload(name) for name in mix]
-        sanitizer = Sanitizer.from_env()
+        sanitizer = _sanitizer_from_env()
         checkpointer = _checkpointer_from_env("mix-%s" % memo_key[1][:16])
-        corrupt_at = get_fault_plan().corrupt_state_cycle(memo_key[1])
+        plan = active_fault_plan()
+        corrupt_at = (plan.corrupt_state_cycle(memo_key[1])
+                      if plan is not None else None)
         cmp_system = CMPSystem(workloads, config)
         if checkpointer is None and sanitizer is None and corrupt_at is None:
             results = cmp_system.run(instructions)

@@ -17,11 +17,12 @@ is bound into the core, hierarchy and prefetcher at assembly time, and
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.confidence import CompositeConfidenceEstimator
-from repro.checkpoint import CheckpointError
+from repro.checkpoint.manager import CheckpointError
 from repro.cpu.functional import Machine
 from repro.cpu.ooo import OutOfOrderCore
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.obs import StatsRegistry, Tracer
+from repro.obs.registry import AdoptedStat, StatsRegistry
+from repro.obs.trace import Tracer
 from repro.sim.config import (
     SystemConfig,
     make_iprefetcher_for,
@@ -237,7 +238,6 @@ def build_registry(core, hierarchy, prefetcher, registry=None, core_prefix=""):
 
 
 def _adopted(name, obj, attr, desc):
-    from repro.obs.registry import AdoptedStat
     return AdoptedStat(name, obj, attr, desc)
 
 
@@ -296,7 +296,7 @@ class System:
         # frontend="off" nothing here runs and the system is assembled
         # exactly as before
         if self.config.frontend != "off":
-            from repro.frontend import DecoupledFrontEnd
+            from repro.frontend.frontend import DecoupledFrontEnd
             iprefetcher = make_iprefetcher_for(self.config)
             if hasattr(iprefetcher, "attach"):
                 iprefetcher.attach(self.predictor, self.confidence)

@@ -13,16 +13,7 @@ contention model of Chandra et al. used by the paper to pick its 29
 highest-contention multiprogrammed mixes.
 """
 
-from repro.workloads.builder import ProgramBuilder
-from repro.workloads.workload import Workload
-from repro.workloads.spec import (
-    BENCHMARKS,
-    PREFETCH_SENSITIVE,
-    SPEC_BENCHMARKS,
-    build_workload,
-)
-from repro.workloads.mixes import select_mixes
-from repro.workloads.synth import synthesize
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ProgramBuilder",
@@ -34,3 +25,16 @@ __all__ = [
     "select_mixes",
     "synthesize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "builder": ("ProgramBuilder",),
+    "workload": ("Workload",),
+    "spec": (
+        "BENCHMARKS",
+        "PREFETCH_SENSITIVE",
+        "SPEC_BENCHMARKS",
+        "build_workload",
+    ),
+    "mixes": ("select_mixes",),
+    "synth": ("synthesize",),
+})

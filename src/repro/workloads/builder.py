@@ -8,6 +8,16 @@ from repro.isa.instructions import Instr
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 
+# opcodes bound once: reading an IntEnum member off its class costs about
+# ten times a module global, and a server workload emits ~20k instructions
+_ADD, _SUB, _MUL, _XOR, _AND = Op.ADD, Op.SUB, Op.MUL, Op.XOR, Op.AND
+_OR, _SLL, _SRL, _CMPEQ, _CMPLT = Op.OR, Op.SLL, Op.SRL, Op.CMPEQ, Op.CMPLT
+_ADDI, _SUBI, _ANDI, _SLLI = Op.ADDI, Op.SUBI, Op.ANDI, Op.SLLI
+_SRLI, _LI, _MOV = Op.SRLI, Op.LI, Op.MOV
+_LOAD, _STORE = Op.LOAD, Op.STORE
+_BEQZ, _BNEZ, _BLTZ, _BGEZ = Op.BEQZ, Op.BNEZ, Op.BLTZ, Op.BGEZ
+_BR, _JR, _NOP, _HALT = Op.BR, Op.JR, Op.NOP, Op.HALT
+
 
 class ProgramBuilder:
     """Accumulates instructions and labels, then builds a Program."""
@@ -39,96 +49,99 @@ class ProgramBuilder:
     # ------------------------------------------------------------------
     # ALU
 
+    # emitters pass Instr's fields by position, (op, rd, ra, rb, imm,
+    # target): keywords cost twice as much per instruction
+
     def _emit(self, instr):
         self.instrs.append(instr)
         return instr
 
     def li(self, rd, imm):
-        return self._emit(Instr(Op.LI, rd=rd, imm=imm))
+        return self._emit(Instr(_LI, rd, None, None, imm))
 
     def mov(self, rd, ra):
-        return self._emit(Instr(Op.MOV, rd=rd, ra=ra))
+        return self._emit(Instr(_MOV, rd, ra))
 
     def add(self, rd, ra, rb):
-        return self._emit(Instr(Op.ADD, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_ADD, rd, ra, rb))
 
     def sub(self, rd, ra, rb):
-        return self._emit(Instr(Op.SUB, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_SUB, rd, ra, rb))
 
     def mul(self, rd, ra, rb):
-        return self._emit(Instr(Op.MUL, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_MUL, rd, ra, rb))
 
     def xor(self, rd, ra, rb):
-        return self._emit(Instr(Op.XOR, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_XOR, rd, ra, rb))
 
     def and_(self, rd, ra, rb):
-        return self._emit(Instr(Op.AND, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_AND, rd, ra, rb))
 
     def or_(self, rd, ra, rb):
-        return self._emit(Instr(Op.OR, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_OR, rd, ra, rb))
 
     def sll(self, rd, ra, rb):
-        return self._emit(Instr(Op.SLL, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_SLL, rd, ra, rb))
 
     def srl(self, rd, ra, rb):
-        return self._emit(Instr(Op.SRL, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_SRL, rd, ra, rb))
 
     def cmpeq(self, rd, ra, rb):
-        return self._emit(Instr(Op.CMPEQ, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_CMPEQ, rd, ra, rb))
 
     def cmplt(self, rd, ra, rb):
-        return self._emit(Instr(Op.CMPLT, rd=rd, ra=ra, rb=rb))
+        return self._emit(Instr(_CMPLT, rd, ra, rb))
 
     def addi(self, rd, ra, imm):
-        return self._emit(Instr(Op.ADDI, rd=rd, ra=ra, imm=imm))
+        return self._emit(Instr(_ADDI, rd, ra, None, imm))
 
     def subi(self, rd, ra, imm):
-        return self._emit(Instr(Op.SUBI, rd=rd, ra=ra, imm=imm))
+        return self._emit(Instr(_SUBI, rd, ra, None, imm))
 
     def andi(self, rd, ra, imm):
-        return self._emit(Instr(Op.ANDI, rd=rd, ra=ra, imm=imm))
+        return self._emit(Instr(_ANDI, rd, ra, None, imm))
 
     def slli(self, rd, ra, imm):
-        return self._emit(Instr(Op.SLLI, rd=rd, ra=ra, imm=imm))
+        return self._emit(Instr(_SLLI, rd, ra, None, imm))
 
     def srli(self, rd, ra, imm):
-        return self._emit(Instr(Op.SRLI, rd=rd, ra=ra, imm=imm))
+        return self._emit(Instr(_SRLI, rd, ra, None, imm))
 
     # ------------------------------------------------------------------
     # memory
 
     def load(self, rd, imm, ra):
-        return self._emit(Instr(Op.LOAD, rd=rd, ra=ra, imm=imm))
+        return self._emit(Instr(_LOAD, rd, ra, None, imm))
 
     def store(self, rb, imm, ra):
-        return self._emit(Instr(Op.STORE, rb=rb, ra=ra, imm=imm))
+        return self._emit(Instr(_STORE, None, ra, rb, imm))
 
     # ------------------------------------------------------------------
     # control flow (targets are label strings resolved at build())
 
     def beqz(self, ra, target):
-        return self._emit(Instr(Op.BEQZ, ra=ra, target=target))
+        return self._emit(Instr(_BEQZ, None, ra, None, 0, target))
 
     def bnez(self, ra, target):
-        return self._emit(Instr(Op.BNEZ, ra=ra, target=target))
+        return self._emit(Instr(_BNEZ, None, ra, None, 0, target))
 
     def bltz(self, ra, target):
-        return self._emit(Instr(Op.BLTZ, ra=ra, target=target))
+        return self._emit(Instr(_BLTZ, None, ra, None, 0, target))
 
     def bgez(self, ra, target):
-        return self._emit(Instr(Op.BGEZ, ra=ra, target=target))
+        return self._emit(Instr(_BGEZ, None, ra, None, 0, target))
 
     def br(self, target):
-        return self._emit(Instr(Op.BR, target=target))
+        return self._emit(Instr(_BR, None, None, None, 0, target))
 
     def jr(self, ra):
-        return self._emit(Instr(Op.JR, ra=ra))
+        return self._emit(Instr(_JR, None, ra))
 
     def nop(self):
-        return self._emit(Instr(Op.NOP))
+        return self._emit(Instr(_NOP))
 
     def halt(self):
-        return self._emit(Instr(Op.HALT))
+        return self._emit(Instr(_HALT))
 
     # ------------------------------------------------------------------
 

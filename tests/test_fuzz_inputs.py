@@ -191,6 +191,10 @@ def test_program_fuzz_raw_targets():
             Program(instrs, labels={"here": 0})
 
 
+class _Reg(int):
+    """An ``int`` subclass register: validate() checks it like an int."""
+
+
 def test_program_validate_rejects_junk_fields():
     """validate() rejects junk register/immediate payloads, typed."""
     bad_instrs = [
@@ -199,10 +203,17 @@ def test_program_validate_rejects_junk_fields():
         Instr(Op.LI, rd=1, imm="five"),
         Instr(Op.LI, rd=1, imm=2.5),
         Instr(Op.LOAD, rd=1, ra=64, imm=0),
+        Instr(Op.LI, rd=1, imm=True),
+        Instr(Op.ADD, rd=32, ra=1, rb=2),
+        Instr(Op.ADD, rd=1, ra=2, rb=_Reg(32)),
+        Instr(Op.BEQZ, ra=1),
     ]
     for instr in bad_instrs:
         with pytest.raises(ProgramError):
             Program([instr, Instr(Op.HALT)]).validate()
+    # an int subclass in range is a register, as a plain int is
+    assert Program([Instr(Op.ADD, rd=_Reg(3), ra=1, rb=2),
+                    Instr(Op.HALT)]).validate()
 
 
 def test_builder_duplicate_labels_are_typed():

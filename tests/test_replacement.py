@@ -79,6 +79,19 @@ def test_llc_policy_flows_through_hierarchy_config():
     assert HierarchyConfig().make_llc(1).policy is None  # inline LRU
 
 
+@pytest.mark.parametrize("bad", ["LRU", "fifo", "", None, 3])
+def test_unknown_llc_policy_fails_at_construction(bad):
+    """A policy name the LLC cannot build is rejected when the config is
+    made, naming the field and every choice, not inside each run."""
+    from repro.memory import HierarchyConfig
+    from repro.memory.replacement import POLICIES
+    with pytest.raises(ValueError, match=r"HierarchyConfig\.llc_policy") \
+            as info:
+        HierarchyConfig(llc_policy=bad)
+    for name in POLICIES:
+        assert name in str(info.value)
+
+
 def test_policy_occupancy_bounded():
     for name in ("lru", "random", "srrip", "pacman"):
         cache = make_cache(make_policy(name))

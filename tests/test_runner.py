@@ -194,6 +194,302 @@ def test_default_path_does_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def _fresh_env():
+    """The environment of a default run: ``src`` importable and no
+    ``REPRO_*`` knob (a sanitizer or fault plan would load its modules)."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    return env
+
+
+def _run_fresh(script):
+    """Run *script* in a fresh interpreter; it must exit cleanly."""
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _imported_by(argv):
+    """Every module ``python -X importtime argv...`` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime"] + argv,
+                          env=_fresh_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_serial_run_imports_only_what_it_runs():
+    """A serial ``run_single`` and ``run_mix`` of mcf/bfetch import no
+    process pool, server, analysis, sanitizer, fault parser, front end,
+    assembler, trace capture, LLC policy, synthesizer or prefetcher they
+    did not ask for (``sms`` stays: the config's key defaults read its
+    ``SMSConfig``)."""
+    names = (
+        "multiprocessing", "concurrent.futures.process", "repro.serve",
+        "repro.analysis", "repro.sanitize", "repro.resilience.faults",
+        "repro.frontend.frontend", "repro.frontend.iprefetch",
+        "repro.isa.assembler", "repro.cpu.trace", "repro.memory.replacement",
+        "repro.workloads.synth", "repro.prefetchers.nextn",
+        "repro.prefetchers.stride", "repro.prefetchers.perfect",
+        "repro.prefetchers.tango", "repro.prefetchers.isb",
+        "repro.prefetchers.stems",
+    )
+    _run_fresh("\n".join((
+        "import sys",
+        "from repro.sim import ExperimentRunner",
+        "runner = ExperimentRunner(cache_dir=None)",
+        "runner.run_single('mcf', 'bfetch', 2000)",
+        "runner.run_mix(['mcf', 'libquantum'], 'bfetch', 1000)",
+        "names = %r" % (names,),
+        "prefixes = ('repro.serve.', 'repro.analysis.', 'repro.sanitize.')",
+        "bad = sorted(m for m in sys.modules",
+        "             if m in names or m.startswith(prefixes))",
+        "assert not bad, 'imported: %s' % ', '.join(bad)",
+        "assert 'repro.prefetchers.sms' in sys.modules",
+    )))
+
+
+@pytest.mark.parametrize("argv", [["--help"],
+                                  ["run", "mcf", "none", "-n", "2000"]],
+                         ids=["help", "run"])
+def test_cli_imports_no_server_or_analysis(argv):
+    """``repro --help`` and a plain ``repro run`` build the parser (it
+    reads the server's default port off the ``repro.serve`` package)
+    without importing a serve or analysis module or the process pool."""
+    imported = _imported_by(["-m", "repro"] + argv)
+    assert "repro.cli" in imported
+    assert sorted(m for m in imported if m == "multiprocessing"
+                  or m.startswith(("repro.serve.", "repro.analysis"))) == []
+
+
+def test_started_server_has_imported_every_model():
+    """A started ``JobServer`` has imported every prefetcher module and
+    the front end, and a sweep over every prefetcher compiles no module
+    while it is served."""
+    models = tuple("repro.prefetchers." + name for name in (
+        "nextn", "stride", "sms", "perfect", "tango", "isb", "stems")) + (
+        "repro.core.bfetch", "repro.frontend.frontend",
+        "repro.frontend.ftq", "repro.frontend.iprefetch",
+        "repro.frontend.predecode")
+    _run_fresh("\n".join((
+        "import sys",
+        "from repro.serve.client import ServeClient",
+        "from repro.serve.server import ServerThread",
+        "from repro.sim.config import PREFETCHER_NAMES",
+        "with ServerThread() as thread:",
+        "    loaded = set(sys.modules)",
+        "    missing = [m for m in %r if m not in loaded]" % (models,),
+        "    assert not missing, 'not imported at start: %s' % missing",
+        "    with ServeClient(*thread.address, timeout=120) as client:",
+        "        ticket = client.submit_sweep(['mcf'], list(PREFETCHER_NAMES),",
+        "                                     instructions=1000)",
+        "        reply = client.result(ticket['job_id'], wait=True)",
+        "    assert len(reply['result']) == len(PREFETCHER_NAMES), reply",
+        "    new = sorted(m for m in set(sys.modules) - loaded",
+        "                 if m.startswith('repro'))",
+        "    assert not new, 'imported while serving: %s' % new",
+    )))
+
+
+# every name each package exported when its __init__ still imported its
+# submodules, by the module that defines it (a package's own constants
+# are defined by the package itself)
+PACKAGE_EXPORTS = {
+    "repro": {
+        "repro": ("__version__",),
+        "repro.sim.runner": ("ExperimentRunner",),
+        "repro.sim.system": ("System", "RunResult"),
+        "repro.sim.cmp": ("CMPSystem",),
+        "repro.sim.config": ("SystemConfig",),
+        "repro.sim.metrics": ("geomean",),
+        "repro.workloads.spec": ("BENCHMARKS", "PREFETCH_SENSITIVE",
+                                 "build_workload"),
+    },
+    "repro.analysis": {
+        "repro.analysis.variation": ("collect_variation", "VariationCDF"),
+        "repro.analysis.overhead": ("overhead_table", "bfetch_overhead_kb",
+                                    "sms_overhead_kb"),
+        "repro.analysis.fetch_breakdown": ("fetch_branch_breakdown",),
+        "repro.analysis.energy": ("EnergyModel", "prefetcher_energy",
+                                  "energy_comparison"),
+        "repro.analysis.reporting": ("render_table", "render_series",
+                                     "render_cdf"),
+    },
+    "repro.branch": {
+        "repro.branch.bimodal": ("BimodalPredictor",),
+        "repro.branch.gshare": ("GsharePredictor",),
+        "repro.branch.local": ("LocalPredictor",),
+        "repro.branch.tournament": ("TournamentPredictor",
+                                    "TournamentConfig"),
+        "repro.branch.perceptron": ("PerceptronPredictor",),
+        "repro.branch.btb": ("BranchTargetBuffer",),
+        "repro.branch.confidence": ("JRSEstimator", "UpDownEstimator",
+                                    "SelfCounterEstimator",
+                                    "CompositeConfidenceEstimator"),
+        "repro.branch.path_confidence": ("PathConfidence",),
+    },
+    "repro.checkpoint": {
+        "repro.checkpoint.manager": ("CHECKPOINT_VERSION", "DEFAULT_EVERY",
+                                     "CheckpointError", "Checkpointer",
+                                     "InterruptFlag", "from_env",
+                                     "gc_stale_tmp", "signal_guard"),
+        "repro.checkpoint.state": ("decode_meta", "encode_meta", "int_dict",
+                                   "pairs", "rng_from_json", "rng_to_json"),
+    },
+    "repro.core": {
+        "repro.core.config": ("BFetchConfig",),
+        "repro.core.bfetch": ("BFetchPrefetcher",),
+        "repro.core.arf": ("AlternateRegisterFile",),
+        "repro.core.brtc": ("BranchTraceCache",),
+        "repro.core.mht": ("MemoryHistoryTable", "MHTEntry",
+                           "RegisterHistory"),
+        "repro.core.perload_filter": ("PerLoadFilter",),
+        "repro.core.hashing": ("bb_hash", "load_pc_hash"),
+    },
+    "repro.cpu": {
+        "repro.cpu.functional": ("Machine", "HaltError"),
+        "repro.cpu.ooo": ("OutOfOrderCore", "CoreConfig"),
+        "repro.cpu.trace": ("TraceReplay", "capture_trace", "save_trace"),
+    },
+    "repro.frontend": {
+        "repro.frontend.config": ("FRONTEND_MODES", "FrontendConfig",
+                                  "IPREFETCHER_NAMES"),
+        "repro.frontend.frontend": ("DecoupledFrontEnd",),
+        "repro.frontend.ftq": ("FetchTargetQueue",),
+        "repro.frontend.iprefetch": ("IPrefetcher", "NextLineIPrefetcher",
+                                     "FDIPPrefetcher", "BFetchIPrefetcher",
+                                     "CombinedIPrefetcher",
+                                     "make_iprefetcher"),
+        "repro.frontend.predecode": ("Predecoder",),
+    },
+    "repro.isa": {
+        "repro.isa": ("NUM_REGS", "ZERO_REG", "WORD_SIZE", "MASK64"),
+        "repro.isa.opcodes": ("Op", "is_branch", "is_cond_branch", "is_load",
+                              "is_store", "is_mem"),
+        "repro.isa.instructions": ("Instr",),
+        "repro.isa.program": ("Program", "BasicBlock",
+                              "extract_basic_blocks"),
+        "repro.isa.assembler": ("assemble", "AssemblerError"),
+    },
+    "repro.memory": {
+        "repro.memory.cache": ("Cache", "CacheStats", "Line"),
+        "repro.memory.dram": ("DramModel",),
+        "repro.memory.hierarchy": ("MemoryHierarchy", "HierarchyConfig"),
+        "repro.memory.prefetch_queue": ("PrefetchQueue",),
+        "repro.memory.stats": ("PrefetchStats",),
+        "repro.memory.replacement": ("ReplacementPolicy", "LRUPolicy",
+                                     "RandomPolicy", "SRRIPPolicy",
+                                     "PACManPolicy", "make_policy"),
+    },
+    "repro.obs": {
+        "repro.obs.io": ("atomic_write_text",),
+        "repro.obs.profile": ("PhaseRecord", "Profiler"),
+        "repro.obs.registry": ("AdoptedStat", "Counter", "FuncStat",
+                               "Histogram", "Ratio", "Stat",
+                               "StatsRegistry"),
+        "repro.obs.trace": ("CATEGORIES", "DEFAULT_TRACE_FILE", "Channel",
+                            "TraceConfigError", "Tracer", "parse_trace_spec",
+                            "validate_event", "validate_jsonl"),
+    },
+    "repro.prefetchers": {
+        "repro.prefetchers.base": ("Prefetcher",),
+        "repro.prefetchers.nextn": ("NextNPrefetcher",),
+        "repro.prefetchers.stride": ("StridePrefetcher",),
+        "repro.prefetchers.sms": ("SMSPrefetcher", "SMSConfig"),
+        "repro.prefetchers.perfect": ("PerfectPrefetcher",),
+        "repro.prefetchers.tango": ("TangoPrefetcher",),
+        "repro.prefetchers.isb": ("ISBPrefetcher",),
+        "repro.prefetchers.stems": ("STeMSPrefetcher",),
+    },
+    "repro.resilience": {
+        "repro.resilience.envelope": ("payload_sha", "read_envelope_text",
+                                      "unwrap_envelope", "wrap_envelope"),
+        "repro.resilience.errors": ("BatchReport", "CacheCorruption",
+                                    "SimulationError", "TaskTimeout",
+                                    "WorkerCrash"),
+        "repro.resilience.faults": ("FaultPlan", "FaultSpec",
+                                    "InjectedCrash", "get_fault_plan",
+                                    "parse_faults"),
+        "repro.resilience.policy": ("ON_ERROR_MODES", "FailurePolicy"),
+        "repro.resilience.retry": ("backoff_delay", "jitter_fraction"),
+    },
+    "repro.sanitize": {
+        "repro.sanitize.bisect": ("DivergenceReport",
+                                  "bisect_first_bad_cycle", "sentinel_run"),
+        "repro.sanitize.checks": ("CHEAP_INTERVAL", "ENV_CHECK",
+                                  "FULL_INTERVAL", "MODES", "Sanitizer",
+                                  "mode_from_env"),
+        "repro.sanitize.errors": ("SanitizerError",),
+    },
+    "repro.serve": {
+        "repro.serve.breaker": ("BreakerBoard", "CircuitBreaker"),
+        "repro.serve.client": ("ServeClient", "ServeError"),
+        "repro.serve.fleet": ("WorkerSupervisor",),
+        "repro.serve.health": ("WorkerHealth",),
+        "repro.serve.jobs": ("Job", "JobTable"),
+        "repro.serve.metrics": ("ServeMetrics",),
+        "repro.serve.protocol": ("BUSY_CLASS_CODES", "ERROR_CODES",
+                                 "FrameDecoder", "MAX_FRAME_BYTES",
+                                 "ProtocolError", "decode_payload",
+                                 "encode_frame"),
+        "repro.serve.queue": ("AdmissionQueue", "QueueFull"),
+        "repro.serve.server": ("JobServer", "ServerThread"),
+        "repro.serve.supervisor": ("WorkerLost", "WorkerProcess"),
+        "repro.serve.workers": ("JobCancelled", "ThreadWorker"),
+    },
+    "repro.sim": {
+        "repro.sim.catalog": ("catalog",),
+        "repro.sim.config": ("SystemConfig", "make_prefetcher"),
+        "repro.sim.system": ("System", "RunResult"),
+        "repro.sim.cmp": ("CMPSystem",),
+        "repro.sim.runner": ("ExperimentRunner", "RunRequest",
+                             "default_jobs", "scaled"),
+        "repro.sim.metrics": ("geomean", "normalize", "weighted_speedup"),
+    },
+    "repro.workloads": {
+        "repro.workloads.builder": ("ProgramBuilder",),
+        "repro.workloads.workload": ("Workload",),
+        "repro.workloads.spec": ("BENCHMARKS", "PREFETCH_SENSITIVE",
+                                 "SPEC_BENCHMARKS", "build_workload"),
+        "repro.workloads.mixes": ("select_mixes",),
+        "repro.workloads.synth": ("synthesize",),
+    },
+}
+
+
+def test_package_exports_resolve():
+    """Every package keeps its ``__all__``, and each exported name
+    resolves to its defining module's object in a fresh interpreter --
+    ``repro.sim.catalog`` stays the function even once the module of the
+    same name has loaded."""
+    _run_fresh("\n".join((
+        "import importlib",
+        "exports = %r" % (PACKAGE_EXPORTS,),
+        "for package, modules in sorted(exports.items()):",
+        "    pkg = importlib.import_module(package)",
+        "    names = [n for ns in modules.values() for n in ns]",
+        "    assert sorted(pkg.__all__) == sorted(names), package",
+        "    assert set(names) <= set(dir(pkg)), package",
+        "    for module, ns in modules.items():",
+        "        for name in ns:",
+        "            value = getattr(importlib.import_module(module), name)",
+        "            assert getattr(pkg, name) is value, (package, name)",
+        "    star = {}",
+        "    exec('from %s import *' % package, star)",
+        "    assert set(names) <= set(star), package",
+        "import repro.sim",
+        "from repro.sim import catalog",
+        "assert callable(catalog) and catalog is repro.sim.catalog",
+    )))
+
+
 def test_environment_knobs_are_the_known_eight():
     """Every ``REPRO_*`` variable the package reads; a new one must be
     added here on purpose, not land unnoticed."""
