@@ -28,7 +28,7 @@ from repro.resilience.envelope import read_envelope_text, wrap_envelope
 from repro.resilience.errors import CacheCorruption
 
 #: on-disk checkpoint format version (bump on incompatible layout change)
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: default checkpoint interval in cycles when REPRO_CKPT_EVERY is unset
 DEFAULT_EVERY = 50_000

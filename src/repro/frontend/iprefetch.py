@@ -62,15 +62,15 @@ class IPrefetcher(Prefetcher):
         Unlike the D-side drain, every request here is an instruction
         fill, and issued fills are handed to the predecoder.
         """
-        pop = self.queue.pop
+        pending = self.queue._queue
+        popleft = pending.popleft
         issue = hierarchy.prefetch_instr
         predecode = self.predecode
         trace = self._trace_prefetch
         for _ in range(allowance):
-            request = pop()
-            if request is None:
+            if not pending:
                 break
-            addr = request[0]
+            addr = popleft()[0]
             issued = issue(addr, now)
             if issued:
                 self.stats.issued += 1

@@ -7,6 +7,18 @@ bit.  Lines also carry a ``ready`` cycle so in-flight (prefetched but not
 yet arrived) blocks occupy cache space -- this is what lets the model
 capture both prefetch *pollution* and prefetch *lateness* without a global
 event queue.
+
+Each set is a dict kept in recency order: a hit or a refresh moves its
+block to the end, so the least recently used block is the first key and
+an eviction needs no scan.  A cache built with a replacement policy
+object keeps the policy's per-line state in ``Line.lru`` instead and asks
+the policy for its victim; :class:`~repro.memory.replacement.LRUPolicy`
+is the tick-based oracle of the default path.
+
+Below L1 nothing reads a line: the hierarchy only asks L2 and the LLC
+whether a block is resident (:meth:`Cache.probe_allocate`).  A
+default-policy cache therefore files every block allocated that way
+under one shared clean line instead of a new :class:`Line`.
 """
 
 
@@ -71,11 +83,21 @@ class Cache:
         whenever a line is evicted (used by SMS generation tracking and the
         per-load filter's useless-prefetch feedback).
     :param policy: optional :class:`~repro.memory.replacement
-        .ReplacementPolicy`; None keeps the inlined LRU fast path.
+        .ReplacementPolicy`; None keeps the recency-ordered LRU sets.
     """
 
     def __init__(self, name, size_bytes, assoc, block_bytes=64,
                  eviction_listeners=None, policy=None):
+        # fail fast before any arithmetic: a zero divides by zero below,
+        # and an empty cache would fail only at its first access
+        for field, value in (("size_bytes", size_bytes), ("assoc", assoc),
+                             ("block_bytes", block_bytes)):
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < 1):
+                raise ValueError(
+                    "Cache.%s must be a positive integer, got %r"
+                    % (field, value)
+                )
         if size_bytes % (assoc * block_bytes):
             raise ValueError("size must be a multiple of assoc * block size")
         self.name = name
@@ -89,11 +111,14 @@ class Cache:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("set count must be a power of two")
         self._set_mask = self.num_sets - 1
-        self.sets = [dict() for _ in range(self.num_sets)]
+        self.sets = [{} for _ in range(self.num_sets)]
         self.stats = CacheStats()
         self.eviction_listeners = list(eviction_listeners or [])
         self.policy = policy
+        # advanced only by policy caches (the default path needs no stamps)
         self._tick = 0
+        # what probe_allocate files a block under in a default-policy cache
+        self._clean_line = Line(0)
 
     def _set_of(self, block):
         return self.sets[block & self._set_mask]
@@ -115,19 +140,53 @@ class Cache:
         hierarchy, which also owns the filter feedback.
         """
         block = addr >> self.block_shift
-        cache_set = self._set_of(block)
-        line = cache_set.get(block)
-        self.stats.accesses += 1
-        if line is None:
-            self.stats.misses += 1
-            return None
+        cache_set = self.sets[block & self._set_mask]
+        stats = self.stats
+        stats.accesses += 1
         if self.policy is None:
-            self._tick += 1
-            line.lru = self._tick
+            line = cache_set.pop(block, None)
+            if line is None:
+                stats.misses += 1
+                return None
+            cache_set[block] = line  # now the most recently used
         else:
+            line = cache_set.get(block)
+            if line is None:
+                stats.misses += 1
+                return None
             self.policy.on_hit(self, line)
-        self.stats.hits += 1
+        stats.hits += 1
         return line
+
+    def probe_allocate(self, addr):
+        """Demand-probe the block holding *addr*, allocating it on a miss.
+
+        Returns True on a hit.  Equal to ``access(addr) is None`` followed,
+        on a miss, by ``fill(addr)``, except that a default-policy cache
+        files the new block under its shared clean line: this is the
+        lower-level path, where no line is ever read or written.
+        """
+        if self.policy is not None:
+            # the per-line policy state needs the two calls this one
+            # stands for
+            if self.access(addr) is not None:
+                return True
+            self.fill(addr)
+            return False
+        block = addr >> self.block_shift
+        cache_set = self.sets[block & self._set_mask]
+        stats = self.stats
+        stats.accesses += 1
+        line = cache_set.pop(block, None)
+        if line is not None:
+            cache_set[block] = line
+            stats.hits += 1
+            return True
+        stats.misses += 1
+        if len(cache_set) >= self.assoc:
+            self._evict(cache_set)
+        cache_set[block] = self._clean_line
+        return False
 
     def fill(self, addr, now=0, prefetched=False, meta=None, ready=None):
         """Insert the block holding *addr*; return the evicted line or None.
@@ -136,42 +195,22 @@ class Cache:
         instead (no eviction).
         """
         block = addr >> self.block_shift
-        cache_set = self._set_of(block)
+        cache_set = self.sets[block & self._set_mask]
         policy = self.policy
-        self._tick += 1
-        line = cache_set.get(block)
-        if line is not None:
-            if policy is None:
-                line.lru = self._tick
-            else:
+        if policy is None:
+            line = cache_set.pop(block, None)
+            if line is not None:
+                cache_set[block] = line
+                return None
+        else:
+            self._tick += 1
+            line = cache_set.get(block)
+            if line is not None:
                 policy.on_hit(self, line)
-            return None
+                return None
         evicted = None
         if len(cache_set) >= self.assoc:
-            if policy is None:
-                # lambda-free LRU victim scan: min() with a key lambda
-                # costs a function call per way on every eviction
-                victim_block = None
-                victim_lru = None
-                for candidate, candidate_line in cache_set.items():
-                    lru = candidate_line.lru
-                    if victim_lru is None or lru < victim_lru:
-                        victim_lru = lru
-                        victim_block = candidate
-            else:
-                victim_block = policy.select_victim(self, cache_set)
-            evicted = cache_set.pop(victim_block)
-            stats = self.stats
-            stats.evictions += 1
-            if evicted.dirty:
-                stats.writebacks += 1
-            if evicted.prefetched and not evicted.used:
-                stats.prefetch_useless += 1
-            listeners = self.eviction_listeners
-            if listeners:
-                addr = victim_block << self.block_shift
-                for listener in listeners:
-                    listener(addr, evicted)
+            evicted = self._evict(cache_set)
         if ready is None:
             ready = now
         line = Line(self._tick, prefetched, meta, False, ready)
@@ -180,6 +219,28 @@ class Cache:
         cache_set[block] = line
         if prefetched:
             self.stats.prefetch_fills += 1
+        return evicted
+
+    def _evict(self, cache_set):
+        """Remove *cache_set*'s victim, count it and tell the listeners;
+        return the evicted line."""
+        if self.policy is None:
+            for victim in cache_set:  # the least recently used block
+                break
+        else:
+            victim = self.policy.select_victim(self, cache_set)
+        evicted = cache_set.pop(victim)
+        stats = self.stats
+        stats.evictions += 1
+        if evicted.dirty:
+            stats.writebacks += 1
+        if evicted.prefetched and not evicted.used:
+            stats.prefetch_useless += 1
+        listeners = self.eviction_listeners
+        if listeners:
+            addr = victim << self.block_shift
+            for listener in listeners:
+                listener(addr, evicted)
         return evicted
 
     def invalidate(self, addr):
@@ -207,10 +268,10 @@ class Cache:
     def snapshot(self):
         """Tag/line arrays, stats and policy RNG as a JSON-safe structure.
 
-        Set dictionaries are stored as insertion-ordered pair lists --
-        iteration order breaks LRU victim ties, so order is behaviour.
-        Line metas go through the shared meta codec; the ``random``
-        replacement policy's RNG stream is captured too.
+        Set dictionaries are stored as ordered pair lists -- a
+        default-policy set's order is its recency order, so order is
+        behaviour.  Line metas go through the shared meta codec; the
+        ``random`` replacement policy's RNG stream is captured too.
         """
         from repro.checkpoint.state import encode_meta, rng_to_json
         sets = []

@@ -173,23 +173,25 @@ class MemoryHierarchy:
                 trace.emit("outcome", self._now, outcome="useless",
                            addr=addr)
 
-    def _miss_latency(self, addr, now):
-        """Service a demand L1D/L1I miss below L1; returns added latency."""
+    def _fill_below_l1(self, addr, now, demand):
+        """Serve an L1 miss from L2, the LLC or DRAM; return the latency
+        added below L1.
+
+        Each lower level is probed once and, on a miss, allocated in the
+        same call.  *demand* is True for a demand miss (an L2 hit also
+        refreshes the block in the shared LLC, and DRAM serves it ahead
+        of prefetches), False for a prefetch, and None for the perfect
+        prefetcher, which never reaches the DRAM channel.
+        """
         cfg = self.config
-        if self.l2.access(addr, now) is not None:
-            self.llc.access(addr, now)  # keep shared-LLC LRU warm
+        if self.l2.probe_allocate(addr):
+            if demand:
+                self.llc.access(addr, now)  # keep shared-LLC LRU warm
             return cfg.l2_latency
-        if self.llc.access(addr, now) is not None:
-            self.l2.fill(addr, now)
-            return cfg.l2_latency + cfg.llc_latency
-        latency = (
-            cfg.l2_latency
-            + cfg.llc_latency
-            + self.dram.access(now, demand=True)
-        )
-        self.llc.fill(addr, now)
-        self.l2.fill(addr, now)
-        return latency
+        latency = cfg.l2_latency + cfg.llc_latency
+        if self.llc.probe_allocate(addr) or demand is None:
+            return latency
+        return latency + self.dram.access(now, demand)
 
     # ------------------------------------------------------------------
     # demand interface
@@ -228,15 +230,10 @@ class MemoryHierarchy:
             return latency, True
         # demand miss: allocate an MSHR (wait for one if all are busy)
         mshr = self._mshr
-        slot = 0
-        earliest = mshr[0]
-        for index in range(1, len(mshr)):
-            if mshr[index] < earliest:
-                earliest = mshr[index]
-                slot = index
+        earliest = min(mshr)
         start = now if now > earliest else earliest
-        miss_latency = self._miss_latency(addr, start)
-        mshr[slot] = start + miss_latency
+        miss_latency = self._fill_below_l1(addr, start, True)
+        mshr[mshr.index(earliest)] = start + miss_latency
         latency = (start - now) + cfg.l1_latency + miss_latency
         self.l1d.fill(addr, now)
         trace = self._trace_cache
@@ -255,10 +252,7 @@ class MemoryHierarchy:
         instruction-fetch path.
         """
         if self.l1d.access(addr, now) is None:
-            if self.l2.access(addr, now) is None:
-                if self.llc.access(addr, now) is None:
-                    self.llc.fill(addr, now)
-                self.l2.fill(addr, now)
+            self._fill_below_l1(addr, now, None)
             self.l1d.fill(addr, now)
         return self.config.l1_latency
 
@@ -292,7 +286,7 @@ class MemoryHierarchy:
                 line.used = True
                 self.l1i.stats.prefetch_useful += 1
             return cfg.l1_latency
-        latency = cfg.l1_latency + self._miss_latency(addr, now)
+        latency = cfg.l1_latency + self._fill_below_l1(addr, now, True)
         self.l1i.fill(addr, now)
         return latency
 
@@ -320,15 +314,10 @@ class MemoryHierarchy:
                 self.l1i.stats.prefetch_useful += 1
             return latency, True
         imshr = self._imshr
-        slot = 0
-        earliest = imshr[0]
-        for index in range(1, len(imshr)):
-            if imshr[index] < earliest:
-                earliest = imshr[index]
-                slot = index
+        earliest = min(imshr)
         start = now if now > earliest else earliest
-        miss_latency = self._miss_latency(addr, start)
-        imshr[slot] = start + miss_latency
+        miss_latency = self._fill_below_l1(addr, start, True)
+        imshr[imshr.index(earliest)] = start + miss_latency
         latency = (start - now) + cfg.l1_latency + miss_latency
         self.l1i.fill(addr, now)
         trace = self._trace_cache
@@ -340,20 +329,12 @@ class MemoryHierarchy:
     def prefetch_instr(self, addr, now):
         """Prefetch the instruction block holding *addr* into the L1I
         (B-Fetch-I, the paper's instruction-prefetching future work)."""
-        if self.l1i.contains(addr):
+        l1i = self.l1i
+        block = addr >> l1i.block_shift
+        if block in l1i.sets[block & l1i._set_mask]:
             return False
-        cfg = self.config
-        if self.l2.access(addr, now) is not None:
-            latency = cfg.l2_latency
-        elif self.llc.access(addr, now) is not None:
-            latency = cfg.l2_latency + cfg.llc_latency
-            self.l2.fill(addr, now)
-        else:
-            latency = (cfg.l2_latency + cfg.llc_latency
-                       + self.dram.access(now, demand=False))
-            self.llc.fill(addr, now)
-            self.l2.fill(addr, now)
-        self.l1i.fill(addr, now, prefetched=True, ready=now + latency)
+        ready = now + self._fill_below_l1(addr, now, False)
+        l1i.fill(addr, now, prefetched=True, ready=ready)
         return True
 
     # ------------------------------------------------------------------
@@ -366,21 +347,13 @@ class MemoryHierarchy:
         resident (duplicate).  The line occupies L1D immediately with
         ``ready`` set to the fill completion time; lower levels fill too.
         """
-        if self.l1d.contains(addr):
+        l1d = self.l1d
+        block = addr >> l1d.block_shift
+        if block in l1d.sets[block & l1d._set_mask]:
             return False
-        cfg = self.config
         self._now = now
-        if self.l2.access(addr, now) is not None:
-            latency = cfg.l2_latency
-        elif self.llc.access(addr, now) is not None:
-            latency = cfg.l2_latency + cfg.llc_latency
-            self.l2.fill(addr, now)
-        else:
-            latency = (cfg.l2_latency + cfg.llc_latency
-                       + self.dram.access(now, demand=False))
-            self.llc.fill(addr, now)
-            self.l2.fill(addr, now)
-        self.l1d.fill(addr, now, prefetched=True, meta=meta, ready=now + latency)
+        latency = self._fill_below_l1(addr, now, False)
+        l1d.fill(addr, now, prefetched=True, meta=meta, ready=now + latency)
         trace = self._trace_cache
         if trace is not None:
             trace.emit("fill", now, level="L1D", addr=addr,

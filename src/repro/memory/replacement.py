@@ -1,9 +1,11 @@
 """Pluggable cache replacement policies.
 
-The default :class:`~repro.memory.Cache` uses an inlined LRU fast path;
-passing a policy object switches to one of:
+The default :class:`~repro.memory.Cache` keeps each set in recency order
+and evicts its first key; passing a policy object switches to one of:
 
-* :class:`LRUPolicy` -- least recently used (the Table II baseline).
+* :class:`LRUPolicy` -- least recently used (the Table II baseline),
+  with per-line tick stamps: the oracle the default path is tested
+  against.
 * :class:`RandomPolicy` -- seeded pseudo-random victim selection.
 * :class:`SRRIPPolicy` -- static re-reference interval prediction
   (Jaleel et al.): 2-bit RRPVs, inserted "long", promoted on hit.
@@ -39,7 +41,8 @@ class ReplacementPolicy:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Classic least-recently-used (matches the inlined fast path)."""
+    """Classic least-recently-used by tick stamps: the oracle of the
+    default recency-ordered sets, which must evict the same blocks."""
 
     name = "lru"
 

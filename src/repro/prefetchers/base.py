@@ -129,14 +129,14 @@ class Prefetcher:
 
     def drain(self, hierarchy, now, allowance):
         """Issue up to *allowance* queued requests into *hierarchy*."""
-        pop = self.queue.pop
+        pending = self.queue._queue
+        popleft = pending.popleft
         issue = hierarchy.prefetch
         trace = self._trace_prefetch
         for _ in range(allowance):
-            request = pop()
-            if request is None:
+            if not pending:
                 break
-            addr, meta = request
+            addr, meta = popleft()
             ifetch = meta is IFETCH_META
             if ifetch:
                 issued = hierarchy.prefetch_instr(addr, now)

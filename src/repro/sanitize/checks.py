@@ -10,9 +10,9 @@ structures are supposed to obey, at a configurable cost:
 * ``REPRO_CHECK=cheap`` -- counter-consistency and bound checks every
   :data:`CHEAP_INTERVAL` cycles (O(structures), not O(lines));
 * ``REPRO_CHECK=full``  -- everything in *cheap* plus exhaustive walks:
-  per-line cache tag/set/LRU consistency, ARF heap ordering and
-  ARF-versus-functional register agreement, every
-  :data:`FULL_INTERVAL` cycles.
+  per-line cache tag/set consistency, policy-cache LRU stamps, clean
+  lines below L1, ARF heap ordering and ARF-versus-functional register
+  agreement, every :data:`FULL_INTERVAL` cycles.
 
 Violations raise :class:`~repro.sanitize.SanitizerError` carrying the
 component, invariant label and cycle; with a snapshot directory
@@ -130,12 +130,13 @@ class Sanitizer:
         self._check_machine(system, cycle)
         self._check_core(system, cycle)
         hierarchy = system.hierarchy
-        levels = [("mem.l1i", hierarchy.l1i), ("mem.l1d", hierarchy.l1d),
-                  ("mem.l2", hierarchy.l2)]
+        levels = [("mem.l1i", hierarchy.l1i, False),
+                  ("mem.l1d", hierarchy.l1d, False),
+                  ("mem.l2", hierarchy.l2, True)]
         if include_shared:
-            levels.append(("mem.llc", hierarchy.llc))
-        for name, cache in levels:
-            self._check_cache(system, cycle, name, cache, full)
+            levels.append(("mem.llc", hierarchy.llc, True))
+        for name, cache, lower in levels:
+            self._check_cache(system, cycle, name, cache, full, lower)
         self._check_mshr(system, cycle)
         if include_shared:
             self._check_dram(system, cycle)
@@ -186,7 +187,14 @@ class Sanitizer:
                 self._fail(system, cycle, "core", "counter-sign",
                            "%s is negative" % name)
 
-    def _check_cache(self, system, cycle, name, cache, full):
+    def _check_cache(self, system, cycle, name, cache, full, lower):
+        """Counters and occupancy; with *full*, every line too.
+
+        *lower* marks L2 and the LLC, whose default-policy sets file every
+        block under one shared line: a line there that is prefetched,
+        used, dirty or carries a meta means something wrote through it.
+        Fields are checked, not identity, so restored lines pass.
+        """
         stats = cache.stats
         if stats.hits + stats.misses != stats.accesses:
             self._fail(system, cycle, name, "hit-miss-partition",
@@ -202,6 +210,9 @@ class Sanitizer:
                            "%s is negative" % field)
         assoc = cache.assoc
         mask = cache._set_mask
+        # only a policy cache stamps its lines; the default path keeps
+        # recency in each set's key order
+        stamped = cache.policy is not None
         tick = cache._tick
         for index, cache_set in enumerate(cache.sets):
             if len(cache_set) > assoc:
@@ -215,10 +226,17 @@ class Sanitizer:
                     self._fail(system, cycle, name, "tag-set-consistency",
                                "block %#x filed in set %d, maps to set %d"
                                % (block, index, block & mask))
-                if line.lru > tick:
+                if stamped and line.lru > tick:
                     self._fail(system, cycle, name, "lru-monotonic",
                                "line %#x lru %d ahead of tick %d"
                                % (block, line.lru, tick))
+                if lower and (line.prefetched or line.used or line.dirty
+                              or line.meta is not None):
+                    self._fail(system, cycle, name, "lower-level-clean",
+                               "line %#x prefetched=%r used=%r dirty=%r "
+                               "meta=%r" % (block, line.prefetched,
+                                            line.used, line.dirty,
+                                            line.meta))
 
     def _check_mshr(self, system, cycle):
         hierarchy = system.hierarchy

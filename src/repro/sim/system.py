@@ -19,7 +19,7 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.confidence import CompositeConfidenceEstimator
 from repro.checkpoint.manager import CheckpointError
 from repro.cpu.functional import Machine
-from repro.cpu.ooo import OutOfOrderCore
+from repro.cpu.ooo import OutOfOrderCore, _bound_hook
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.registry import AdoptedStat, StatsRegistry
 from repro.obs.trace import Tracer
@@ -278,9 +278,9 @@ class System:
             dram=dram,
             pf_feedback=self.prefetcher.feedback,
         )
-        self.hierarchy.l1d.eviction_listeners.append(
-            self.prefetcher.on_l1d_eviction
-        )
+        on_eviction = _bound_hook(self.prefetcher, "on_l1d_eviction")
+        if on_eviction is not None:
+            self.hierarchy.l1d.eviction_listeners.append(on_eviction)
         if hasattr(self.prefetcher, "attach"):
             self.prefetcher.attach(self.predictor, self.confidence)
         self.core = OutOfOrderCore(

@@ -1,7 +1,7 @@
 """Set-associative cache."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.memory import Cache
 
@@ -133,3 +133,143 @@ def test_matches_reference_lru_model(ops):
     for set_index, lru in reference.items():
         for block in lru:
             assert cache.contains(block * 64)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((4096, 0), "assoc"),
+    ((4096, 4, 0), "block_bytes"),
+    ((0, 4), "size_bytes"),
+    ((-4096, 4), "size_bytes"),
+    ((4096.0, 4), "size_bytes"),
+    ((4096, True), "assoc"),
+    ((4096, 4, True), "block_bytes"),
+])
+def test_geometry_fails_fast_naming_the_parameter(args, field):
+    with pytest.raises(ValueError, match=field):
+        Cache("bad", *args)
+
+
+# ----------------------------------------------------------------------
+# the recency-ordered default path against its oracles
+
+_BLOCKS = st.integers(0, 15)  # 2 sets x 4 ways: plenty of evictions
+
+
+def _make_logged(policy):
+    """A 2-set, 4-way cache that logs each eviction's
+    ``(addr, prefetched, meta)``."""
+    log = []
+
+    def listener(addr, line):
+        log.append((addr, line.prefetched, line.meta))
+
+    cache = Cache("t", 2 * 4 * 64, 4, 64, eviction_listeners=[listener],
+                  policy=policy)
+    return cache, log
+
+
+def _line_fields(line):
+    if line is None:
+        return None
+    return (line.prefetched, line.meta, line.used, line.ready, line.dirty)
+
+
+def _apply(cache, op, block, step):
+    """One operation; returns what the caller can observe."""
+    addr = block * 64
+    if op == "access":
+        line = cache.access(addr)
+        if line is not None and line.prefetched:
+            line.used = True  # as the hierarchy marks a demanded prefetch
+        return _line_fields(line)
+    if op == "fill":
+        return _line_fields(cache.fill(addr))
+    if op == "prefetch":
+        return _line_fields(cache.fill(addr, step, prefetched=True,
+                                       meta=("pc", step), ready=step + 9))
+    if op == "lookup":
+        return _line_fields(cache.lookup(addr))
+    cache.invalidate(addr)
+    return None
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(
+        ["access", "fill", "prefetch", "lookup", "invalidate"]), _BLOCKS),
+    max_size=150,
+)
+
+
+@given(_OPS)
+@settings(max_examples=60, deadline=None)
+def test_recency_sets_match_the_lru_policy_oracle(ops):
+    """The default path's key order is its recency: after every step it
+    must agree with the tick-stamped :class:`LRUPolicy` cache on
+    residency, the order of recency, evictions and statistics."""
+    from repro.memory.replacement import LRUPolicy
+
+    fast, fast_log = _make_logged(None)
+    oracle, oracle_log = _make_logged(LRUPolicy())
+    for step, (op, block) in enumerate(ops):
+        assert (_apply(fast, op, block, step)
+                == _apply(oracle, op, block, step))
+        for fast_set, oracle_set in zip(fast.sets, oracle.sets):
+            by_stamp = sorted(oracle_set, key=lambda b: oracle_set[b].lru)
+            assert list(fast_set) == by_stamp
+        assert fast_log == oracle_log
+        assert fast.stats.as_dict() == oracle.stats.as_dict()
+    assert fast._tick == 0  # the default path stamps nothing
+
+
+def _cache_state(cache):
+    return ([[(block, _line_fields(line)) for block, line in s.items()]
+             for s in cache.sets], cache._tick, cache.stats.as_dict())
+
+
+_PREFIX = st.lists(
+    st.tuples(st.sampled_from(["access", "fill", "prefetch"]), _BLOCKS),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("policy", [None, "lru", "srrip", "pacman",
+                                    "random"])
+@given(prefix=_PREFIX, block=_BLOCKS)
+@example(prefix=[], block=0)                                 # empty set
+@example(prefix=[("fill", 0), ("fill", 2)], block=2)         # hit
+@example(prefix=[("fill", 0), ("fill", 2)], block=4)         # not full
+@example(prefix=[("fill", b) for b in (0, 2, 4, 6)], block=4)  # full, hit
+@example(prefix=[("prefetch", 0)] + [("fill", b) for b in (2, 4, 6)],
+         block=8)                                # full: evicts a prefetch
+@settings(max_examples=40, deadline=None)
+def test_probe_allocate_equals_access_then_fill(policy, prefix, block):
+    """On two caches built alike, one ``probe_allocate`` must leave the
+    same state, evictions and statistics as ``access`` followed, on a
+    miss, by ``fill``."""
+    from repro.memory.replacement import make_policy
+
+    def build():
+        cache, log = _make_logged(
+            None if policy is None else make_policy(policy))
+        for step, (op, b) in enumerate(prefix):
+            _apply(cache, op, b, step)
+        return cache, log
+
+    probed, probed_log = build()
+    reference, reference_log = build()
+    hit = probed.probe_allocate(block * 64)
+    reference_hit = reference.access(block * 64) is not None
+    if not reference_hit:
+        reference.fill(block * 64)
+    assert hit == reference_hit
+    assert _cache_state(probed) == _cache_state(reference)
+    assert probed_log == reference_log
+
+
+def test_probe_allocate_files_the_shared_clean_line():
+    cache = make()
+    cache.probe_allocate(0x1000)
+    cache.probe_allocate(0x2000)
+    first, second = cache.lookup(0x1000), cache.lookup(0x2000)
+    assert first is second
+    assert _line_fields(first) == (False, None, False, 0, False)

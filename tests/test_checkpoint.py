@@ -203,6 +203,32 @@ def test_mismatched_checkpoint_restarts_clean(tmp_path):
         _system("mcf").restore(donor.snapshot())
 
 
+def test_version_1_checkpoint_is_discarded(tmp_path):
+    """A version-1 checkpoint lists each cache set in insertion order,
+    not recency order: loading deletes it, and the run restarts clean."""
+    from repro.resilience.envelope import wrap_envelope
+
+    budget = 10_000
+    reference = _system("mcf").run(budget).as_dict()
+    donor = _system("mcf")
+    donor.run(3_000)
+    path = str(tmp_path / "run.ckpt.json")
+
+    def plant():
+        payload = {"cycle": 999, "state": donor.snapshot()}
+        with open(path, "w") as handle:
+            json.dump(wrap_envelope(payload, 1), handle, sort_keys=True)
+
+    plant()
+    assert Checkpointer(path).load() is None
+    assert not os.path.exists(path)
+    plant()
+    ckpt = Checkpointer(path, every=1_000)
+    result = _system("mcf").run(budget, checkpointer=ckpt).as_dict()
+    assert ckpt.loads == 0
+    assert result == reference
+
+
 def test_snapshot_is_json_safe():
     system = _system(prefetcher="bfetch")
     system.run(5_000)

@@ -114,6 +114,51 @@ def test_full_detects_misfiled_line():
     assert excinfo.value.invariant == "tag-set-consistency"
 
 
+def test_full_detects_a_written_lower_level_line():
+    """L2 and the LLC file their blocks under one shared clean line, so
+    a line there that was written would corrupt every block at once.
+    Counters stay legal (the cheap tier passes); the full walk names the
+    dirty line."""
+    from repro.memory.cache import Line
+
+    system = _system()
+    system.run(3_000)
+    cache_set = next(s for s in system.hierarchy.llc.sets if s)
+    # a fresh line: writing through the shared one would dirty them all
+    written = Line(0)
+    written.dirty = True
+    cache_set[next(iter(cache_set))] = written
+    Sanitizer("cheap").check_system(system, cycle=3_000)  # passes
+    with pytest.raises(SanitizerError) as excinfo:
+        Sanitizer("full").check_system(system, cycle=3_000)
+    assert excinfo.value.component == "mem.llc"
+    assert excinfo.value.invariant == "lower-level-clean"
+
+
+def test_full_checks_stamps_only_where_a_policy_keeps_them():
+    """A default-policy cache stamps nothing; an LLC with a policy object
+    still has its stamps checked against its tick."""
+    from repro.memory.hierarchy import HierarchyConfig
+
+    config = SystemConfig(prefetcher="none",
+                          hierarchy=HierarchyConfig(llc_policy="lru"))
+    system = System(build_workload("mcf"), config)
+    system.run(3_000)
+    assert system.hierarchy.l1d._tick == 0
+    Sanitizer("full").check_system(system, cycle=3_000)  # passes
+
+    policy_config = SystemConfig(
+        prefetcher="none", hierarchy=HierarchyConfig(llc_policy="srrip"))
+    system = System(build_workload("mcf"), policy_config)
+    system.run(3_000)
+    llc = system.hierarchy.llc
+    line = next(line for s in llc.sets for line in s.values())
+    line.lru = llc._tick + 1
+    with pytest.raises(SanitizerError) as excinfo:
+        Sanitizer("full").check_system(system, cycle=3_000)
+    assert excinfo.value.invariant == "lru-monotonic"
+
+
 def test_arf_functional_agreement_check():
     system = _system(prefetcher="bfetch")
     system.run(10_000)
