@@ -23,6 +23,7 @@ import signal
 import threading
 import time
 
+from repro._validate import require_ints
 from repro.obs.io import atomic_write_text
 from repro.resilience.envelope import read_envelope_text, wrap_envelope
 from repro.resilience.errors import CacheCorruption
@@ -84,11 +85,8 @@ class Checkpointer:
     """
 
     def __init__(self, path, every=DEFAULT_EVERY):
-        if not isinstance(every, int) or every <= 0:
-            raise CheckpointError(
-                "checkpoint interval must be a positive integer number "
-                "of cycles, got %r" % (every,)
-            )
+        require_ints("Checkpointer", (("every", every),),
+                     error=CheckpointError)
         self.path = path
         self.every = every
         self.saves = 0

@@ -1,5 +1,7 @@
 """B-Fetch configuration (defaults = the paper's 12.84KB design point)."""
 
+from repro._validate import require_ints
+
 
 class BFetchConfig:
     """All sizing and threshold knobs for the B-Fetch engine.
@@ -43,7 +45,7 @@ class BFetchConfig:
     ):
         # fail fast on non-positive sizing knobs: a zero-entry table or
         # a non-positive lookahead depth silently degenerates the engine
-        for field, value in (
+        require_ints("BFetchConfig", (
             ("brtc_entries", brtc_entries),
             ("mht_entries", mht_entries),
             ("mht_reg_slots", mht_reg_slots),
@@ -54,11 +56,7 @@ class BFetchConfig:
             ("queue_capacity", queue_capacity),
             ("max_instr_blocks", max_instr_blocks),
             ("block_bytes", block_bytes),
-        ):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    "%s must be a positive integer, got %r" % (field, value)
-                )
+        ))
         if not 0.0 <= path_confidence_threshold <= 1.0:
             raise ValueError(
                 "path_confidence_threshold must be in [0, 1], got %r"

@@ -30,6 +30,7 @@ returns, so the public drivers differ only in where they stop:
 :meth:`~OutOfOrderCore.run` at the instruction budget.
 """
 
+from repro._validate import require_ints
 from repro.isa.opcodes import (
     IS_ALU as _IS_ALU,
     IS_BRANCH as _IS_BRANCH,
@@ -96,24 +97,16 @@ class CoreConfig:
     ):
         # fail fast: a zero-wide pipeline or non-positive latency makes
         # the cycle loop diverge or silently stall forever
-        for field, value in (
+        require_ints("CoreConfig", (
             ("width", width), ("rob_entries", rob_entries),
             ("alu_latency", alu_latency), ("mul_latency", mul_latency),
             ("store_latency", store_latency),
             ("prefetch_drain_rate", prefetch_drain_rate),
-        ):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    "CoreConfig.%s must be a positive integer, got %r"
-                    % (field, value)
-                )
-        if not isinstance(redirect_penalty, int) or redirect_penalty < 0:
-            raise ValueError(
-                "CoreConfig.redirect_penalty must be a non-negative "
-                "integer, got %r" % (redirect_penalty,)
-            )
-        if (not isinstance(block_bytes, int) or block_bytes < 1
-                or block_bytes & (block_bytes - 1)):
+            ("block_bytes", block_bytes),
+        ))
+        require_ints("CoreConfig", (("redirect_penalty", redirect_penalty),),
+                     minimum=0)
+        if block_bytes & (block_bytes - 1):
             raise ValueError(
                 "CoreConfig.block_bytes must be a positive power of two, "
                 "got %r" % (block_bytes,)
@@ -226,14 +219,15 @@ class OutOfOrderCore:
     def run_until(self, now, stop_cycle, retire_mark=None):
         """Run from time *now* until completion or ``stop_cycle``.
 
-        The driver for callers that need control back mid-run: the
-        chunked checkpoint/sanitizer driver, and the CMP scheduler, which
-        runs each core in bursts.  It is the same loop as :meth:`run`, so
-        the step sequence (and therefore every counter) is byte-identical
-        to an uninterrupted run -- the bounds only decide *when* the
-        caller gets control back.  With *retire_mark* the run also stops
-        after the step at which ``retired`` reaches the mark, and that
-        step's time is left in :attr:`mark_cycle`.
+        The driver for callers that need control back mid-run: the run
+        loop (:func:`repro.sim.system.drive`), once per chunk, and the
+        CMP scheduler, which runs each core in bursts.  It is the same
+        loop as :meth:`run`, so the step sequence (and therefore every
+        counter) is byte-identical to an uninterrupted run -- the bounds
+        only decide *when* the caller gets control back.  With
+        *retire_mark* the run also stops after the step at which
+        ``retired`` reaches the mark, and that step's time is left in
+        :attr:`mark_cycle`.
         """
         if self.done or now >= stop_cycle:
             return now

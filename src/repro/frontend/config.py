@@ -6,6 +6,8 @@ string, everything else lives here and flows into
 :class:`~repro.frontend.DecoupledFrontEnd` at system assembly.
 """
 
+from repro._validate import require_ints
+
 #: legal values of ``CoreConfig.frontend`` / ``SystemConfig.frontend``
 FRONTEND_MODES = ("off", "ftq")
 
@@ -40,24 +42,16 @@ class FrontendConfig:
         drain_rate=2,
         queue_capacity=32,
     ):
-        for field, value in (
+        require_ints("FrontendConfig", (
             ("ftq_entries", ftq_entries),
             ("fill_width", fill_width),
             ("fdip_degree", fdip_degree),
             ("nextline_degree", nextline_degree),
             ("drain_rate", drain_rate),
             ("queue_capacity", queue_capacity),
-        ):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    "FrontendConfig.%s must be a positive integer, got %r"
-                    % (field, value)
-                )
-        if not isinstance(fdip_distance, int) or fdip_distance < 0:
-            raise ValueError(
-                "FrontendConfig.fdip_distance must be a non-negative "
-                "integer, got %r" % (fdip_distance,)
-            )
+        ))
+        require_ints("FrontendConfig", (("fdip_distance", fdip_distance),),
+                     minimum=0)
         self.ftq_entries = ftq_entries
         self.fill_width = fill_width
         self.fdip_degree = fdip_degree

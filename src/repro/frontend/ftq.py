@@ -10,6 +10,8 @@ cycle.
 from collections import deque
 from itertools import islice
 
+from repro._validate import require_ints
+
 
 class FetchTargetQueue:
     """Bounded FIFO of ``[block_addr, issued]`` entries.
@@ -18,11 +20,7 @@ class FetchTargetQueue:
     """
 
     def __init__(self, entries=32):
-        if not isinstance(entries, int) or entries < 1:
-            raise ValueError(
-                "FetchTargetQueue entries must be a positive integer, "
-                "got %r" % (entries,)
-            )
+        require_ints("FetchTargetQueue", (("entries", entries),))
         self.entries = entries
         self._queue = deque()
 

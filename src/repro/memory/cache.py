@@ -21,6 +21,8 @@ default-policy cache therefore files every block allocated that way
 under one shared clean line instead of a new :class:`Line`.
 """
 
+from repro._validate import require_ints
+
 
 class Line:
     """One cache line's metadata."""
@@ -90,14 +92,8 @@ class Cache:
                  eviction_listeners=None, policy=None):
         # fail fast before any arithmetic: a zero divides by zero below,
         # and an empty cache would fail only at its first access
-        for field, value in (("size_bytes", size_bytes), ("assoc", assoc),
-                             ("block_bytes", block_bytes)):
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or value < 1):
-                raise ValueError(
-                    "Cache.%s must be a positive integer, got %r"
-                    % (field, value)
-                )
+        require_ints("Cache", (("size_bytes", size_bytes), ("assoc", assoc),
+                               ("block_bytes", block_bytes)))
         if size_bytes % (assoc * block_bytes):
             raise ValueError("size must be a multiple of assoc * block size")
         self.name = name

@@ -12,6 +12,7 @@ hierarchies, which is where the inter-application contention the paper
 studies comes from.
 """
 
+from repro._validate import require_ints
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel
 
@@ -44,7 +45,7 @@ class HierarchyConfig:
     ):
         # fail fast on non-positive geometry/latency knobs: a zero-cycle
         # latency or an empty cache silently warps every downstream stat
-        for field, value in (
+        require_ints("HierarchyConfig", (
             ("l1i_size", l1i_size), ("l1i_assoc", l1i_assoc),
             ("l1d_size", l1d_size), ("l1d_assoc", l1d_assoc),
             ("l1_latency", l1_latency),
@@ -56,20 +57,12 @@ class HierarchyConfig:
             ("block_bytes", block_bytes),
             ("mshr_entries", mshr_entries),
             ("imshr_entries", imshr_entries),
-        ):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    "HierarchyConfig.%s must be a positive integer, got %r"
-                    % (field, value)
-                )
+        ))
         # zero is legal here: it disables transfer serialisation
         # (infinite DRAM bandwidth), which microbenchmarks rely on
-        if (not isinstance(dram_cycles_per_transfer, int)
-                or dram_cycles_per_transfer < 0):
-            raise ValueError(
-                "HierarchyConfig.dram_cycles_per_transfer must be a "
-                "non-negative integer, got %r" % (dram_cycles_per_transfer,)
-            )
+        require_ints("HierarchyConfig", (
+            ("dram_cycles_per_transfer", dram_cycles_per_transfer),
+        ), minimum=0)
         if llc_policy != "lru":
             # the default needs no policy object (make_llc), so only a
             # different name loads the policy module to check it

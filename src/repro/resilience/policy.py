@@ -19,13 +19,14 @@ pool rebuilds tolerated before a batch degrades to the calling thread,
 the scheduler tick -- is a module constant, not a knob.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 ON_ERROR_MODES = ("raise", "skip", "serial")
 
 
-@dataclass(frozen=True)
-class FailurePolicy:
+class FailurePolicy(
+    namedtuple("FailurePolicy", ("retries", "task_timeout", "on_error"))
+):
     """Retries, per-task timeout and terminal behaviour of a batch.
 
     :param retries: additional attempts after the first failure
@@ -35,18 +36,20 @@ class FailurePolicy:
         Only enforced on the process-pool path -- an in-process job
         cannot be interrupted.
     :param on_error: terminal behaviour once retries are exhausted.
+
+    An override goes through the constructor, which validates it, not
+    through ``_replace``, which skips ``__new__``.
     """
 
-    retries: int = 2
-    task_timeout: float = None
-    on_error: str = "raise"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0, got %r" % (self.retries,))
-        if self.task_timeout is not None and self.task_timeout <= 0:
+    def __new__(cls, retries=2, task_timeout=None, on_error="raise"):
+        if retries < 0:
+            raise ValueError("retries must be >= 0, got %r" % (retries,))
+        if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive or None, got %r"
-                             % (self.task_timeout,))
-        if self.on_error not in ON_ERROR_MODES:
+                             % (task_timeout,))
+        if on_error not in ON_ERROR_MODES:
             raise ValueError("on_error must be one of %s, got %r"
-                             % ("/".join(ON_ERROR_MODES), self.on_error))
+                             % ("/".join(ON_ERROR_MODES), on_error))
+        return super().__new__(cls, retries, task_timeout, on_error)

@@ -13,8 +13,10 @@ the last saved checkpoint and return a :class:`DivergenceReport` naming
 the first divergent cycle.
 """
 
+from repro.cpu.ooo import _NEVER
 from repro.sanitize.checks import Sanitizer
 from repro.sanitize.errors import SanitizerError
+from repro.sim.system import drive
 
 
 class DivergenceReport:
@@ -58,6 +60,10 @@ def bisect_first_bad_cycle(system_factory, instructions,
                            stop_cycle=None, step=1):
     """Replay with per-*step*-cycle full checks; find the first bad cycle.
 
+    The replay is the run loop itself (:func:`repro.sim.system.drive`)
+    with a ``full`` sanitizer at a *step*-cycle cadence, bounded by
+    *stop_cycle*.
+
     :param system_factory: zero-argument callable building a fresh
         :class:`~repro.sim.System` identical to the diverged one.
     :param instructions: the run's instruction budget.
@@ -73,22 +79,13 @@ def bisect_first_bad_cycle(system_factory, instructions,
     system = system_factory()
     if checkpoint_state is not None:
         system.restore(checkpoint_state)
-    sanitizer = Sanitizer("full", interval=step)
-    core = system.core
-    core.start(instructions)
-    now = core.cycle
-    corrupted = False
-    while not core.done and (stop_cycle is None or now < stop_cycle):
-        now = core.run_until(now, now + step)
-        core.cycle = now
-        if corrupt_at is not None and not corrupted and now >= corrupt_at:
-            from repro.resilience.faults import apply_state_corruption
-            apply_state_corruption(system)
-            corrupted = True
-        try:
-            sanitizer.check_system(system, now)
-        except SanitizerError as error:
-            return now, error
+    try:
+        drive(system, instructions,
+              sanitizer=Sanitizer("full", interval=step),
+              corrupt_at=corrupt_at,
+              until=_NEVER if stop_cycle is None else stop_cycle)
+    except SanitizerError as error:
+        return error.cycle, error
     return None
 
 

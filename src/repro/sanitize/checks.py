@@ -23,6 +23,7 @@ the error carries its path.
 import json
 import os
 
+from repro._validate import require_ints
 from repro.sanitize.errors import SanitizerError
 
 MODES = ("off", "cheap", "full")
@@ -54,7 +55,8 @@ class Sanitizer:
 
     :param mode: ``"cheap"`` or ``"full"`` (``"off"`` builds an inert
         instance with ``active == False``).
-    :param interval: cycles between checks; mode-dependent default.
+    :param interval: cycles between checks, a positive ``int``;
+        mode-dependent default when None.
     :param snapshot_dir: when set, the offending system state is dumped
         there (atomic, integrity-enveloped) before the error is raised.
     """
@@ -66,7 +68,8 @@ class Sanitizer:
         self.mode = mode
         if interval is None:
             interval = FULL_INTERVAL if mode == "full" else CHEAP_INTERVAL
-        self.interval = max(1, int(interval))
+        require_ints("Sanitizer", (("interval", interval),))
+        self.interval = interval
         self.snapshot_dir = snapshot_dir
         self.checks_run = 0
         self.violations = 0

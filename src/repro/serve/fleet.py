@@ -42,7 +42,6 @@ running job is re-checked at every task boundary by the job body.
 
 import asyncio
 import time
-from dataclasses import replace
 
 from repro.resilience.errors import SimulationError
 from repro.resilience.policy import FailurePolicy
@@ -109,7 +108,7 @@ class WorkerSupervisor(object):
         base = self.policy if self.policy is not None else FailurePolicy()
         overrides = job.spec.get("policy") or {}
         if overrides:
-            base = replace(base, **overrides)
+            base = FailurePolicy(**dict(base._asdict(), **overrides))
         return base
 
     # -- scheduling ----------------------------------------------------

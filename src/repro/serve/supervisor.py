@@ -49,7 +49,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import asdict
 
 from repro.serve import protocol
 from repro.serve.health import (
@@ -392,7 +391,7 @@ class WorkerProcess(object):
                 "id": job.id, "key": job.key, "attempt": attempt,
                 "deadline": remaining,
                 "requests": [list(request) for request in job.requests],
-                "policy": asdict(policy),
+                "policy": policy._asdict(),
             }})
         except WorkerLost:
             self.kill()

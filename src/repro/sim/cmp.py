@@ -16,19 +16,20 @@ realistic) and only its first ``budget`` instructions count toward its
 IPC; the simulation stops once every application has reached the
 budget.
 
-Checkpoint support mirrors the single-core :class:`~repro.sim.System`:
-the snapshot captures every per-core system (minus the shared LLC/DRAM,
-stored once at the top level) *plus* the scheduler's own state -- the
-event heap, per-core finish cycles and the instruction target -- so a
-resumed CMP run replays the exact interleaving of the original.
+A mix runs through the single-core run loop
+(:func:`repro.sim.system.drive`) with this scheduler as its advance
+step.  Its checkpoint holds every per-core system (minus the shared
+LLC/DRAM, stored once at the top level) *plus* the scheduler's state --
+the event heap, per-core finish cycles and the instruction target -- so
+a resumed CMP run replays the exact interleaving of the original.
 """
 
-import heapq
+from heapq import heappop, heappush
 
 from repro.checkpoint.manager import CheckpointError
-from repro.cpu.ooo import _NEVER
+from repro.obs.trace import Tracer
 from repro.sim.config import SystemConfig
-from repro.sim.system import _DEFAULT_CHUNK_CYCLES, RunResult, System
+from repro.sim.system import RunResult, System, drive, flush_traces
 
 _KEEP_RUNNING_FACTOR = 1000  # effectively "until the driver stops us"
 
@@ -49,8 +50,10 @@ class CMPSystem:
         self.num_cores = len(workloads)
         self.llc = self.config.hierarchy.make_llc(self.num_cores)
         self.dram = self.config.hierarchy.make_dram()
+        tracer = Tracer.from_env()
         self.systems = [
-            System(workload, self.config, llc=self.llc, dram=self.dram)
+            System(workload, self.config, llc=self.llc, dram=self.dram,
+                   tracer=tracer)
             for workload in workloads
         ]
 
@@ -62,127 +65,19 @@ class CMPSystem:
         ``cycles`` is the cycle at which that core reached the budget.
 
         The optional collaborators behave as in
-        :meth:`repro.sim.System.run`: an existing checkpoint is resumed,
-        state is re-saved every ``checkpointer.every`` cycles of shared
-        clock, sanitizer checks run at their cadence, and a tripped
-        *interrupt* saves + flushes before re-raising.  With none active
-        there are no chunk boundaries, so bursts run until the heap head
-        or the finish target stops them.
+        :meth:`repro.sim.System.run`, through the same loop, on the
+        shared clock.  With none active there are no chunk boundaries,
+        so bursts run until the heap head or the finish target stops
+        them.  All cores share one tracer.
         """
         target = instructions_per_app
-        chunked = (
-            checkpointer is not None
-            or interrupt is not None
-            or corrupt_at is not None
-            or (sanitizer is not None and sanitizer.active)
-        )
-        finish_cycle = [None] * self.num_cores
-        remaining = self.num_cores
-        heap = []
-        resumed = False
-        if checkpointer is not None:
-            loaded = checkpointer.load()
-            if loaded is not None:
-                state, _cycle = loaded
-                try:
-                    run_state = self.restore(state)
-                except CheckpointError:
-                    checkpointer.clear()
-                else:
-                    if run_state is not None \
-                            and run_state["target"] == target:
-                        heap = [tuple(entry)
-                                for entry in run_state["heap"]]
-                        finish_cycle = [
-                            None if cycle is None else int(cycle)
-                            for cycle in run_state["finish_cycle"]
-                        ]
-                        remaining = sum(1 for cycle in finish_cycle
-                                        if cycle is None)
-                        resumed = True
-                    else:
-                        checkpointer.clear()
-        if not resumed:
-            for index, system in enumerate(self.systems):
-                system.core.start(target * _KEEP_RUNNING_FACTOR)
-                heapq.heappush(heap, (0, index))
-        else:
-            for system in self.systems:
-                system.core.start(target * _KEEP_RUNNING_FACTOR)
-
-        chunk = _DEFAULT_CHUNK_CYCLES
-        if checkpointer is not None:
-            chunk = min(chunk, checkpointer.every)
-        if sanitizer is not None and sanitizer.active:
-            chunk = min(chunk, sanitizer.interval)
-        if corrupt_at is not None:
-            chunk = min(chunk, max(1, corrupt_at))
-        # no chunk boundaries on an unchunked run
-        next_stop = (heap[0][0] + chunk) if (chunked and heap) else _NEVER
-        corrupted = False
-        cores = [system.core for system in self.systems]
-        while remaining:
-            if chunked and heap[0][0] >= next_stop:
-                now = heap[0][0]
-                if corrupt_at is not None and not corrupted \
-                        and now >= corrupt_at:
-                    from repro.resilience.faults import (
-                        apply_state_corruption,
-                    )
-                    apply_state_corruption(self.systems[0])
-                    corrupted = True
-                if sanitizer is not None and sanitizer.active:
-                    for index, system in enumerate(self.systems):
-                        sanitizer.check_system(
-                            system, now, include_shared=(index == 0))
-                if checkpointer is not None and checkpointer.due(now):
-                    checkpointer.save(
-                        self._snapshot_run(target, heap, finish_cycle),
-                        now)
-                if interrupt is not None and interrupt:
-                    if checkpointer is not None:
-                        checkpointer.save(
-                            self._snapshot_run(target, heap, finish_cycle),
-                            now)
-                    for system in self.systems:
-                        if system.tracer is not None:
-                            system.tracer.flush()
-                    interrupt.raise_pending()
-                next_stop = now + chunk
-            now, index = heapq.heappop(heap)
-            core = cores[index]
-            # burst: keep stepping this core while it would be popped
-            # again -- while its next time still orders ahead of the
-            # heap head under (time, index) -- and stop at the chunk
-            # boundary and at the step that reaches the finish target
-            stop = next_stop
-            if heap:
-                head_time, head_index = heap[0]
-                if index < head_index:
-                    head_time += 1
-                if head_time < stop:
-                    stop = head_time
-            if core.done:
-                # past the keep-running budget: one step per pop
-                next_time = core.step_cycle(now)
-            elif finish_cycle[index] is None:
-                next_time = core.run_until(now, stop, target)
-                if core.retired >= target:
-                    finish_cycle[index] = max(core.mark_cycle, 1)
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-            else:
-                next_time = core.run_until(now, stop)
-            heapq.heappush(heap, (next_time, index))
-        if checkpointer is not None:
-            checkpointer.clear()
-
+        drive(self, target, checkpointer, sanitizer, interrupt, corrupt_at)
+        flush_traces(self.systems)
         results = []
         for index, system in enumerate(self.systems):
             core = system.core
             saved_cycle, saved_retired = core.cycle, core.retired
-            core.cycle = finish_cycle[index]
+            core.cycle = self._finish_cycle[index]
             core.retired = min(core.retired, target)
             result = RunResult.from_core(
                 core, system.workload.name, self.config.prefetcher
@@ -191,6 +86,83 @@ class CMPSystem:
             core.cycle, core.retired = saved_cycle, saved_retired
             results.append(result)
         return results
+
+    # ------------------------------------------------------------------
+    # the hooks :func:`~repro.sim.system.drive` steps a mix through
+
+    def _arm(self, target, state=None):
+        """Start the scheduler, or resume it from a checkpoint's state
+        (raising, before anything is restored, for another target's)."""
+        run = {"target": target, "finish_cycle": [None] * self.num_cores,
+               "heap": [(0, index) for index in range(self.num_cores)]}
+        if state is not None:
+            saved = state.get("run") or {}
+            if saved.get("target") != target:
+                raise CheckpointError(
+                    "checkpoint was taken for target %r, not %r"
+                    % (saved.get("target"), target))
+            self.restore(state)
+            run = saved
+        self._target = target
+        self._heap = [tuple(entry) for entry in run["heap"]]
+        self._finish_cycle = list(run["finish_cycle"])
+        self._remaining = self._finish_cycle.count(None)
+        for system in self.systems:
+            system.core.start(target * _KEEP_RUNNING_FACTOR)
+        return self._heap[0][0]
+
+    def _advance(self, now, stop):
+        """The scheduler: pop cores in ``(time, index)`` order until the
+        heap head reaches *stop* (returning its time) or every core has
+        reached the target (returning the last burst's next time)."""
+        heap = self._heap
+        finish_cycle = self._finish_cycle
+        target = self._target
+        cores = [system.core for system in self.systems]
+        while heap[0][0] < stop:
+            now, index = heappop(heap)
+            core = cores[index]
+            # burst: keep stepping this core while it would be popped
+            # again -- while its next time still orders ahead of the
+            # heap head under (time, index) -- and stop at the chunk
+            # boundary and at the step that reaches the finish target
+            burst_stop = stop
+            if heap:
+                head_time, head_index = heap[0]
+                if index < head_index:
+                    head_time += 1
+                if head_time < burst_stop:
+                    burst_stop = head_time
+            if core.done:
+                # past the keep-running budget: one step per pop
+                next_time = core.step_cycle(now)
+            elif finish_cycle[index] is None:
+                next_time = core.run_until(now, burst_stop, target)
+                if core.retired >= target:
+                    finish_cycle[index] = max(core.mark_cycle, 1)
+                    self._remaining -= 1
+                    if not self._remaining:
+                        return next_time
+            else:
+                next_time = core.run_until(now, burst_stop)
+            heappush(heap, (next_time, index))
+        return heap[0][0]
+
+    def _done(self):
+        return not self._remaining
+
+    def _checkpoint_state(self):
+        """Snapshot plus the scheduler state needed to resume mid-run."""
+        state = self.snapshot()
+        state["run"] = {
+            "target": self._target,
+            "heap": [list(entry) for entry in self._heap],
+            "finish_cycle": list(self._finish_cycle),
+        }
+        return state
+
+    def _core_systems(self):
+        return self.systems
 
     # ------------------------------------------------------------------
     # checkpoint/restore
@@ -214,23 +186,12 @@ class CMPSystem:
         })
         return state
 
-    def _snapshot_run(self, target, heap, finish_cycle):
-        """Snapshot plus the scheduler state needed to resume mid-run."""
-        state = self.snapshot()
-        state["run"] = {
-            "target": target,
-            "heap": [list(entry) for entry in heap],
-            "finish_cycle": list(finish_cycle),
-        }
-        return state
-
     def restore(self, state):
         """Restore CMP state from :meth:`snapshot` output.
 
-        Returns the embedded scheduler state (``state["run"]``) when the
-        snapshot was taken mid-run, else None.  Raises
-        :class:`~repro.checkpoint.CheckpointError` on a fingerprint
-        mismatch.
+        Raises :class:`~repro.checkpoint.CheckpointError` on a
+        fingerprint mismatch.  A checkpoint's scheduler state
+        (``state["run"]``) is read by the run loop, not here.
         """
         expected = self.fingerprint()
         found = {"workloads": state.get("workloads"),
@@ -244,4 +205,3 @@ class CMPSystem:
             system.restore(core_state)
         self.llc.restore(state["llc"])
         self.dram.restore(state["dram"])
-        return state.get("run")

@@ -10,6 +10,7 @@ B-Fetch storage for Fig. 15).
 from operator import attrgetter
 from types import SimpleNamespace
 
+from repro._validate import require_ints
 from repro.branch.tournament import TournamentConfig, TournamentPredictor
 from repro.core.config import BFetchConfig
 from repro.cpu.ooo import CoreConfig
@@ -133,14 +134,10 @@ class SystemConfig:
             )
         # fail fast on nonsensical sizes instead of letting a zero-wide
         # pipeline or a negative degree corrupt a run far downstream
-        for field, value in (("width", width),
-                             ("rob_entries", rob_entries),
-                             ("stride_degree", stride_degree),
-                             ("nextn_degree", nextn_degree)):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    "%s must be a positive integer, got %r" % (field, value)
-                )
+        require_ints("SystemConfig", (("width", width),
+                                      ("rob_entries", rob_entries),
+                                      ("stride_degree", stride_degree),
+                                      ("nextn_degree", nextn_degree)))
         if not bp_scale > 0:
             raise ValueError(
                 "bp_scale must be positive, got %r" % (bp_scale,)

@@ -65,7 +65,6 @@ import traceback
 from collections import deque, namedtuple
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
 from concurrent.futures import wait as _futures_wait
-from dataclasses import replace
 
 from repro.resilience.errors import (
     BatchReport,
@@ -241,6 +240,23 @@ def _process_pool(jobs):
     return ProcessPoolExecutor(max_workers=jobs)
 
 
+def _run_armed(system, instructions, run_key, corrupt_at):
+    """Run a built :class:`~repro.sim.System` or
+    :class:`~repro.sim.CMPSystem` with what the environment arms: the
+    ``REPRO_CKPT_DIR`` checkpoint ``<run_key>.ckpt.json``, the
+    ``REPRO_CHECK`` sanitizer and the ``corrupt-state`` cycle; with any
+    of them armed, under a SIGINT/SIGTERM guard."""
+    sanitizer = _sanitizer_from_env()
+    checkpointer = _checkpointer_from_env(run_key)
+    if checkpointer is None and sanitizer is None and corrupt_at is None:
+        return system.run(instructions)
+    with signal_guard() as interrupt:
+        return system.run(
+            instructions, checkpointer=checkpointer, sanitizer=sanitizer,
+            interrupt=interrupt, corrupt_at=corrupt_at,
+        )
+
+
 def _execute_single(benchmark, prefetcher, instructions, config, variant,
                     attempt=0, fault_key=None):
     """Worker body: build and run one system; returns the result dict.
@@ -250,16 +266,10 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
     which is what makes parallel output byte-identical to serial.
 
     *attempt*/*fault_key* feed the deterministic fault-injection harness
-    (``REPRO_FAULTS``); they never influence the simulation itself.
-
-    When ``REPRO_CKPT_DIR`` and/or ``REPRO_CHECK`` are set the run goes
-    through the chunked :meth:`~repro.sim.System.run` path with a
-    per-job :class:`~repro.checkpoint.Checkpointer` (keyed on the job's
-    cache digest so resumes find their own checkpoint), a
-    :class:`~repro.sanitize.Sanitizer`, and a SIGINT/SIGTERM guard that
-    saves a final checkpoint and flushes traces before exiting.  A
+    (``REPRO_FAULTS``); they never influence the simulation itself.  A
     ``corrupt-state`` fault deliberately damages the microarchitectural
-    state mid-run to exercise the sanitizer.
+    state mid-run to exercise the sanitizer.  The checkpoint is keyed on
+    *fault_key* (see :func:`_run_armed`).
     """
     if fault_key is None:
         fault_key = repr((benchmark, prefetcher, instructions, variant))
@@ -269,17 +279,9 @@ def _execute_single(benchmark, prefetcher, instructions, config, variant,
         plan.inject_execution_faults(fault_key, attempt)
         corrupt_at = plan.corrupt_state_cycle(fault_key, attempt)
     system = System(build_workload(benchmark, variant), config)
-    sanitizer = _sanitizer_from_env()
-    checkpointer = _checkpointer_from_env(
-        "single-%s" % hashlib.sha1(str(fault_key).encode()).hexdigest()[:16]
-    )
-    if checkpointer is None and sanitizer is None and corrupt_at is None:
-        return system.run(instructions).as_dict()
-    with signal_guard() as interrupt:
-        return system.run(
-            instructions, checkpointer=checkpointer, sanitizer=sanitizer,
-            interrupt=interrupt, corrupt_at=corrupt_at,
-        ).as_dict()
+    run_key = "single-%s" % hashlib.sha1(
+        str(fault_key).encode()).hexdigest()[:16]
+    return _run_armed(system, instructions, run_key, corrupt_at).as_dict()
 
 
 class _InlineExecutor(object):
@@ -625,7 +627,8 @@ class ExperimentRunner:
         once the retry budget is exhausted, whatever the policy's
         ``on_error``.
         """
-        policy = replace(self._resolve_policy(policy), on_error="raise")
+        policy = FailurePolicy(
+            **dict(self._resolve_policy(policy)._asdict(), on_error="raise"))
         results, _report = self.run_batch(
             [RunRequest(benchmark, prefetcher, instructions, config,
                         variant)],
@@ -998,22 +1001,12 @@ class ExperimentRunner:
         cached = self._cached(path, memo_key)
         if cached is not None:
             return [RunResult(dict(entry)) for entry in cached]
-        workloads = [build_workload(name) for name in mix]
-        sanitizer = _sanitizer_from_env()
-        checkpointer = _checkpointer_from_env("mix-%s" % memo_key[1][:16])
         plan = active_fault_plan()
         corrupt_at = (plan.corrupt_state_cycle(memo_key[1])
                       if plan is not None else None)
-        cmp_system = CMPSystem(workloads, config)
-        if checkpointer is None and sanitizer is None and corrupt_at is None:
-            results = cmp_system.run(instructions)
-        else:
-            with signal_guard() as interrupt:
-                results = cmp_system.run(
-                    instructions, checkpointer=checkpointer,
-                    sanitizer=sanitizer, interrupt=interrupt,
-                    corrupt_at=corrupt_at,
-                )
+        cmp_system = CMPSystem([build_workload(name) for name in mix], config)
+        results = _run_armed(cmp_system, instructions,
+                             "mix-%s" % memo_key[1][:16], corrupt_at)
         self._save(path, [result.as_dict() for result in results], memo_key)
         return results
 

@@ -1,4 +1,4 @@
-"""Single-core system assembly, run-result records, and observability.
+"""Single-core systems, the one run loop, run results and observability.
 
 Every :class:`System` carries a :class:`~repro.obs.StatsRegistry` that
 *adopts* the component counters under hierarchical dotted names
@@ -19,7 +19,7 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.confidence import CompositeConfidenceEstimator
 from repro.checkpoint.manager import CheckpointError
 from repro.cpu.functional import Machine
-from repro.cpu.ooo import OutOfOrderCore, _bound_hook
+from repro.cpu.ooo import _NEVER, OutOfOrderCore, _bound_hook
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.registry import AdoptedStat, StatsRegistry
 from repro.obs.trace import Tracer
@@ -32,6 +32,74 @@ from repro.sim.config import (
 # chunk length for interrupt polling when neither a checkpointer nor a
 # sanitizer dictates a cadence
 _DEFAULT_CHUNK_CYCLES = 65536
+
+
+def drive(machine, instructions, checkpointer=None, sanitizer=None,
+          interrupt=None, corrupt_at=None, until=_NEVER):
+    """The one run loop of :meth:`System.run`, :meth:`CMPSystem.run
+    <repro.sim.CMPSystem.run>` and the sanitizer's bisect replay.
+
+    *machine* (a :class:`System` or :class:`~repro.sim.CMPSystem`)
+    supplies the run through its hooks: ``_arm`` starts the run or
+    resumes it from a checkpoint's state (raising
+    :class:`~repro.checkpoint.CheckpointError`, before restoring
+    anything, for a checkpoint of another run, which is then cleared),
+    ``_advance`` steps it to a stop cycle, ``_done``,
+    ``_checkpoint_state`` and ``_core_systems``.  With nothing armed
+    there is no boundary: one ``_advance`` runs to the end.  Otherwise
+    every chunk of ``min(65536, every, interval, corrupt_at)`` cycles,
+    the last included, ends at a boundary that fires ``corrupt-state``
+    once, checks every core, saves a due checkpoint while the run is not
+    done, and on a tripped *interrupt* saves, flushes the traces and
+    re-raises.  Boundaries only decide when those happen: every
+    simulated outcome is that of a run with nothing armed.  *until*
+    stops the loop at the first boundary at or past it.
+    """
+    if sanitizer is not None and not sanitizer.active:
+        sanitizer = None
+    loaded = None if checkpointer is None else checkpointer.load()
+    try:
+        now = machine._arm(instructions,
+                           None if loaded is None else loaded[0])
+    except CheckpointError:
+        checkpointer.clear()
+        now = machine._arm(instructions)
+    chunk = _NEVER
+    if checkpointer is not None or sanitizer is not None \
+            or interrupt is not None or corrupt_at is not None:
+        chunk = min(_DEFAULT_CHUNK_CYCLES,
+                    _NEVER if checkpointer is None else checkpointer.every,
+                    _NEVER if sanitizer is None else sanitizer.interval,
+                    _NEVER if corrupt_at is None else max(1, corrupt_at))
+    systems = machine._core_systems()
+    done = False
+    while not done and now < until:
+        now = machine._advance(now, now + chunk)
+        done = machine._done()
+        if corrupt_at is not None and now >= corrupt_at:
+            from repro.resilience.faults import apply_state_corruption
+            apply_state_corruption(systems[0])
+            corrupt_at = None  # fires once
+        if sanitizer is not None:  # every core; the shared levels once
+            for index, system in enumerate(systems):
+                sanitizer.check_system(system, now,
+                                       include_shared=(index == 0))
+        if checkpointer is not None and not done \
+                and (interrupt or checkpointer.due(now)):
+            checkpointer.save(machine._checkpoint_state(), now)
+        if interrupt:
+            flush_traces(systems)
+            interrupt.raise_pending()
+    if checkpointer is not None and done:
+        checkpointer.clear()  # finished: a resume would be stale
+
+
+def flush_traces(systems):
+    """Flush each distinct tracer of *systems* once."""
+    tracers = {id(system.tracer): system.tracer for system in systems
+               if system.tracer is not None}
+    for tracer in tracers.values():
+        tracer.flush()
 
 
 class RunResult:
@@ -344,77 +412,39 @@ class System:
         :param corrupt_at: cycle at which a deterministic state
             corruption is injected (``corrupt-state`` fault testing).
 
-        With none of the optional collaborators active this takes the
-        original tight ``core.run`` path -- checkpoint support costs
-        nothing when it is off.
+        With none of the optional collaborators active the run is one
+        uninterrupted pass of the core's cycle loop -- checkpoint support
+        costs nothing when it is off (see :func:`drive`).
         """
-        chunked = (
-            checkpointer is not None
-            or interrupt is not None
-            or corrupt_at is not None
-            or (sanitizer is not None and sanitizer.active)
-        )
-        if not chunked:
-            self.core.run(instructions)
-        else:
-            self._run_chunked(instructions, checkpointer, sanitizer,
-                              interrupt, corrupt_at)
-        if self.tracer is not None:
-            self.tracer.flush()
+        drive(self, instructions, checkpointer, sanitizer, interrupt,
+              corrupt_at)
+        flush_traces((self,))
         return RunResult.from_core(
             self.core, self.workload.name, self.config.prefetcher
         )
 
-    def _run_chunked(self, instructions, checkpointer, sanitizer,
-                     interrupt, corrupt_at):
-        """The checkpoint/sanitizer driver: the core's one cycle loop,
-        entered through :meth:`OutOfOrderCore.run_until` once per chunk,
-        so the step sequence is that of :meth:`OutOfOrderCore.run`.
-        Chunk boundaries only decide when snapshots, checks and
-        interrupt polls happen -- every simulated outcome is
-        byte-identical to the uninterrupted fast path."""
-        core = self.core
-        if checkpointer is not None:
-            loaded = checkpointer.load()
-            if loaded is not None:
-                state, _cycle = loaded
-                try:
-                    self.restore(state)
-                except CheckpointError:
-                    # stale checkpoint from another configuration: drop
-                    # it and start clean rather than resuming garbage
-                    checkpointer.clear()
-        core.start(instructions)
-        chunk = _DEFAULT_CHUNK_CYCLES
-        if checkpointer is not None:
-            chunk = min(chunk, checkpointer.every)
-        if sanitizer is not None and sanitizer.active:
-            chunk = min(chunk, sanitizer.interval)
-        if corrupt_at is not None:
-            chunk = min(chunk, max(1, corrupt_at))
-        now = core.cycle
-        corrupted = False
-        while not core.done:
-            now = core.run_until(now, now + chunk)
-            core.cycle = now
-            if corrupt_at is not None and not corrupted and now >= corrupt_at:
-                from repro.resilience.faults import apply_state_corruption
-                apply_state_corruption(self)
-                corrupted = True
-            if sanitizer is not None and sanitizer.active:
-                sanitizer.check_system(self, now)
-            if checkpointer is not None and not core.done \
-                    and checkpointer.due(now):
-                checkpointer.save(self.snapshot(), now)
-            if interrupt is not None and interrupt:
-                if checkpointer is not None and not core.done:
-                    checkpointer.save(self.snapshot(), now)
-                if self.tracer is not None:
-                    self.tracer.flush()
-                interrupt.raise_pending()
-        core.cycle = now
-        if checkpointer is not None:
-            checkpointer.clear()  # finished: a resume would be stale
+    # ------------------------------------------------------------------
+    # the hooks :func:`drive` steps a single-core run through
+
+    def _arm(self, instructions, state=None):
+        if state is not None:
+            self.restore(state)
+        self.core.start(instructions)
+        return self.core.cycle
+
+    def _advance(self, now, stop):
+        now = self.core.run_until(now, stop)
+        self.core.cycle = now
+        return now
+
+    def _done(self):
+        return self.core.done
+
+    def _checkpoint_state(self):
+        return self.snapshot()
+
+    def _core_systems(self):
+        return (self,)
 
     # ------------------------------------------------------------------
     # checkpoint/restore

@@ -8,7 +8,6 @@ run, and an interrupted sweep must resume from the cache without
 recomputing completed entries.
 """
 
-import dataclasses
 import json
 import os
 
@@ -142,7 +141,7 @@ def test_failure_policy_validates_fields():
 
 def test_failure_policy_keeps_only_the_values_callers_set():
     """Backoff, rebuild cap and scheduler tick are constants, not fields."""
-    assert [field.name for field in dataclasses.fields(FailurePolicy)] \
+    assert list(FailurePolicy._fields) \
         == ["retries", "task_timeout", "on_error"]
 
 

@@ -269,6 +269,21 @@ def test_cli_imports_no_server_or_analysis(argv):
                   or m.startswith(("repro.serve.", "repro.analysis"))) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["-m", "repro", "--help"],
+    ["-c", "\n".join((
+        "from repro.sim import ExperimentRunner",
+        "runner = ExperimentRunner(cache_dir=None)",
+        "runner.run_single('mcf', 'bfetch', 2000)",
+        "runner.run_mix(['mcf', 'libquantum'], 'bfetch', 1000)",
+    ))],
+], ids=["help", "serial-runs"])
+def test_cold_paths_import_no_dataclasses_or_inspect(argv):
+    """``FailurePolicy`` is a namedtuple: neither ``repro --help`` nor a
+    serial run pays for ``dataclasses`` and the ``inspect`` it loads."""
+    assert {"dataclasses", "inspect"} & _imported_by(argv) == set()
+
+
 def test_started_server_has_imported_every_model():
     """A started ``JobServer`` has imported every prefetcher module and
     the front end, and a sweep over every prefetcher compiles no module

@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.checkpoint import CheckpointError, Checkpointer
+from repro.core.config import BFetchConfig
+from repro.cpu.ooo import CoreConfig
+from repro.frontend.config import FrontendConfig
+from repro.memory.hierarchy import HierarchyConfig
+from repro.sanitize import Sanitizer
 from repro.sim import RunResult, System, SystemConfig
 from repro.sim.config import PREFETCHER_NAMES, make_prefetcher
 from repro.workloads import build_workload
@@ -10,6 +16,30 @@ from repro.workloads import build_workload
 def test_unknown_prefetcher_rejected():
     with pytest.raises(ValueError):
         SystemConfig(prefetcher="oracle9000")
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (HierarchyConfig, "l2_latency", True),
+    (HierarchyConfig, "dram_cycles_per_transfer", False),
+    (BFetchConfig, "brtc_entries", True),
+    (SystemConfig, "width", True),
+    (FrontendConfig, "ftq_entries", True),
+    (CoreConfig, "width", True),
+    (CoreConfig, "block_bytes", True),
+    (Checkpointer, "every", True),
+    (Sanitizer, "interval", True),
+    (Sanitizer, "interval", 0),
+    (Sanitizer, "interval", -3),
+    (Sanitizer, "interval", 2.5),
+    (Sanitizer, "interval", "7"),
+], ids=lambda arg: getattr(arg, "__name__", str(arg)))
+def test_integer_knobs_reject_non_integers(cls, field, value, tmp_path):
+    """``bool`` is an ``int`` subclass; no integer knob takes it, and the
+    error names the class and the field."""
+    args = (str(tmp_path / "run.ckpt.json"),) if cls is Checkpointer else ()
+    with pytest.raises((ValueError, CheckpointError),
+                       match=r"^%s\.%s " % (cls.__name__, field)):
+        cls(*args, **{field: value})
 
 
 @pytest.mark.parametrize("name", PREFETCHER_NAMES)
