@@ -23,19 +23,6 @@ def lazy_exports(package, exports):
     origin = {name: package + "." + module
               for module, names in exports.items() for name in names}
 
-    if any(module == package + "." + name for name, module in origin.items()):
-        class _Package(type(sys)):
-            """Loading a submodule binds it on its package; an export
-            named like the submodule that defines it (``repro.sim.catalog``)
-            stays the export instead."""
-
-            def __setattr__(self, name, value):
-                if origin.get(name) == getattr(value, "__name__", None):
-                    value = getattr(value, name)
-                super().__setattr__(name, value)
-
-        sys.modules[package].__class__ = _Package
-
     def __getattr__(name):
         module = origin.get(name)
         if module is None:

@@ -21,13 +21,25 @@ totals; see EXPERIMENTS.md for the two fields where the paper's packing
 is under-specified (BrTC entry layout, SMS PHT compression).
 """
 
+from repro.core.config import BFetchConfig
+from repro.core.mht import MHT_REG_SLOTS
+from repro.core.perload_filter import FILTER_COUNTER_BITS, FILTER_ENTRIES
+from repro.isa import NUM_REGS
+from repro.memory.hierarchy import HierarchyConfig
+from repro.prefetchers.sms import AGT_ENTRIES, PHT_ENTRIES
+
 _KB = 8 * 1024  # bits per KB
+
+# the simulated design point: Table I's entry counts are read from the
+# models, not restated here
+_BFETCH = BFetchConfig()
+_HIERARCHY = HierarchyConfig()
+PATH_CONF_ENTRIES = 2048      # Table I's path confidence estimator
 
 # per-entry bit widths reconstructed from the paper
 BRTC_ENTRY_BITS = 66          # 2.06KB / 256 entries
-MHT_ENTRY_BITS = 32 + 3 * 85  # Fig. 6: tag + 3 register-history slots
+MHT_ENTRY_BITS = 32 + MHT_REG_SLOTS * 85  # Fig. 6: tag + register slots
 ARF_ENTRY_BITS = 40           # 32-bit value + 8-bit sequence
-FILTER_COUNTER_BITS = 3       # 3 tables x entries x 3 bits
 CACHE_LINE_EXTRA_BITS = 11    # 10-bit load PC hash + 1 useful bit
 PREFETCH_QUEUE_ENTRY_BITS = 42
 PATH_CONF_ENTRY_BITS = 8      # 2KB / 2048 entries
@@ -35,32 +47,33 @@ SMS_AGT_ENTRY_BITS = 73       # 0.57KB / 64 entries
 SMS_PHT_ENTRY_BITS = 18       # 36KB / 16K entries (compressed pattern)
 
 
-def bfetch_overhead_kb(brtc_entries=256, mht_entries=128, arf_entries=32,
-                       filter_entries=2048, filter_tables=3,
-                       l1d_size=64 * 1024, block_bytes=64,
-                       queue_entries=100, path_conf_entries=2048):
-    """Component-wise B-Fetch storage in KB, keyed like Table I."""
-    lines = l1d_size // block_bytes
+def bfetch_overhead_kb(brtc_entries=_BFETCH.brtc_entries,
+                       mht_entries=_BFETCH.mht_entries):
+    """Component-wise B-Fetch storage in KB, keyed like Table I (Fig. 15
+    scales the BrTC and MHT)."""
+    lines = _HIERARCHY.l1d_size // _HIERARCHY.block_bytes
     components = {
         "Branch Trace Cache": brtc_entries * BRTC_ENTRY_BITS / _KB,
         "Memory History Table": mht_entries * MHT_ENTRY_BITS / _KB,
-        "Alternate Register File": arf_entries * ARF_ENTRY_BITS / _KB,
+        "Alternate Register File": NUM_REGS * ARF_ENTRY_BITS / _KB,
         "Per-Load Prefetch Filter":
-            filter_tables * filter_entries * FILTER_COUNTER_BITS / _KB,
+            _BFETCH.filter_tables * FILTER_ENTRIES * FILTER_COUNTER_BITS
+            / _KB,
         "Additional Cache bits": lines * CACHE_LINE_EXTRA_BITS / _KB,
-        "Prefetch Queue": queue_entries * PREFETCH_QUEUE_ENTRY_BITS / _KB,
+        "Prefetch Queue":
+            _BFETCH.queue_capacity * PREFETCH_QUEUE_ENTRY_BITS / _KB,
         "Path Confidence Estimator":
-            path_conf_entries * PATH_CONF_ENTRY_BITS / _KB,
+            PATH_CONF_ENTRIES * PATH_CONF_ENTRY_BITS / _KB,
     }
     components["TOTAL"] = sum(components.values())
     return components
 
 
-def sms_overhead_kb(agt_entries=64, pht_entries=16 * 1024):
+def sms_overhead_kb():
     """Component-wise SMS storage in KB (paper's practical config)."""
     components = {
-        "Active Generation Table": agt_entries * SMS_AGT_ENTRY_BITS / _KB,
-        "Pattern History Table": pht_entries * SMS_PHT_ENTRY_BITS / _KB,
+        "Active Generation Table": AGT_ENTRIES * SMS_AGT_ENTRY_BITS / _KB,
+        "Pattern History Table": PHT_ENTRIES * SMS_PHT_ENTRY_BITS / _KB,
     }
     components["TOTAL"] = sum(components.values())
     return components
@@ -78,15 +91,15 @@ def overhead_table():
     bf = bfetch_overhead_kb()
     sms = sms_overhead_kb()
     entries = {
-        "Branch Trace Cache": 256,
-        "Memory History Table": 128,
-        "Alternate Register File": 32,
-        "Per-Load Prefetch Filter": 2048,
+        "Branch Trace Cache": _BFETCH.brtc_entries,
+        "Memory History Table": _BFETCH.mht_entries,
+        "Alternate Register File": NUM_REGS,
+        "Per-Load Prefetch Filter": FILTER_ENTRIES,
         "Additional Cache bits": None,
-        "Prefetch Queue": 100,
-        "Path Confidence Estimator": 2048,
-        "Active Generation Table": 64,
-        "Pattern History Table": 16 * 1024,
+        "Prefetch Queue": _BFETCH.queue_capacity,
+        "Path Confidence Estimator": PATH_CONF_ENTRIES,
+        "Active Generation Table": AGT_ENTRIES,
+        "Pattern History Table": PHT_ENTRIES,
     }
     rows = []
     for name, size in bf.items():

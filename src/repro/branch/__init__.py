@@ -13,7 +13,6 @@ __all__ = [
     "GsharePredictor",
     "LocalPredictor",
     "TournamentPredictor",
-    "TournamentConfig",
     "PerceptronPredictor",
     "BranchTargetBuffer",
     "JRSEstimator",
@@ -28,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "gshare": ("GsharePredictor",),
     "local": ("LocalPredictor",),
     "perceptron": ("PerceptronPredictor",),
-    "tournament": ("TournamentConfig", "TournamentPredictor"),
+    "tournament": ("TournamentPredictor",),
     "btb": ("BranchTargetBuffer",),
     "confidence": (
         "CompositeConfidenceEstimator",

@@ -9,37 +9,20 @@ sweep (0.5x / default / 2x / 4x).
 from repro.branch.gshare import GsharePredictor
 from repro.branch.local import LocalPredictor
 
+# table sizes at scale 1: a 21264-flavoured predictor of roughly the
+# paper's 6.55KB budget
+LOCAL_HISTORY_ENTRIES = 1024
+LOCAL_HISTORY_BITS = 10
+GLOBAL_ENTRIES = 4096
+GLOBAL_HISTORY_BITS = 12
+CHOOSER_ENTRIES = 4096
 
-class TournamentConfig:
-    """Size parameters for :class:`TournamentPredictor`.
 
-    Defaults (scale=1) give a 21264-flavoured predictor of roughly the
-    paper's 6.55KB budget.
-    """
-
-    def __init__(
-        self,
-        scale=1.0,
-        local_history_entries=1024,
-        local_history_bits=10,
-        global_entries=4096,
-        global_history_bits=12,
-        chooser_entries=4096,
-    ):
-        def scaled(value):
-            result = max(16, int(value * scale))
-            # round down to a power of two
-            return 1 << (result.bit_length() - 1)
-
-        self.scale = scale
-        self.local_history_entries = scaled(local_history_entries)
-        self.local_history_bits = local_history_bits
-        self.global_entries = scaled(global_entries)
-        self.global_history_bits = min(
-            global_history_bits + max(0, int(scale).bit_length() - 1),
-            (self.global_entries - 1).bit_length(),
-        )
-        self.chooser_entries = scaled(chooser_entries)
+def _scaled(entries, scale):
+    """*entries* times *scale*, at least 16, rounded down to a power of
+    two."""
+    result = max(16, int(entries * scale))
+    return 1 << (result.bit_length() - 1)
 
 
 class TournamentPredictor:
@@ -48,17 +31,24 @@ class TournamentPredictor:
     The chooser is trained only when the components disagree; the global
     history register lives in the embedded gshare component and is shared
     for chooser indexing, as in the 21264.
+
+    :param scale: table-size multiplier (``SystemConfig.bp_scale``).
     """
 
     name = "tournament"
 
-    def __init__(self, config=None):
-        self.config = config or TournamentConfig()
-        cfg = self.config
-        self.local = LocalPredictor(cfg.local_history_entries, cfg.local_history_bits)
-        self.gshare = GsharePredictor(cfg.global_entries, cfg.global_history_bits)
-        self.chooser = [2] * cfg.chooser_entries  # 2 = weakly prefer global
-        self._cmask = cfg.chooser_entries - 1
+    def __init__(self, scale=1.0):
+        global_entries = _scaled(GLOBAL_ENTRIES, scale)
+        history_bits = min(
+            GLOBAL_HISTORY_BITS + max(0, int(scale).bit_length() - 1),
+            (global_entries - 1).bit_length(),
+        )
+        chooser_entries = _scaled(CHOOSER_ENTRIES, scale)
+        self.local = LocalPredictor(_scaled(LOCAL_HISTORY_ENTRIES, scale),
+                                    LOCAL_HISTORY_BITS)
+        self.gshare = GsharePredictor(global_entries, history_bits)
+        self.chooser = [2] * chooser_entries  # 2 = weakly prefer global
+        self._cmask = chooser_entries - 1
 
     @property
     def history(self):

@@ -27,9 +27,14 @@ from repro.branch.path_confidence import PathConfidence  # noqa: F401 (API)
 from repro.branch.tournament import TournamentPredictor
 from repro.core.arf import AlternateRegisterFile
 from repro.core.brtc import BranchTraceCache
-from repro.core.config import BFetchConfig
+from repro.core.config import MAX_LOOKAHEAD, BFetchConfig
 from repro.core.hashing import bb_hash, load_pc_hash
-from repro.core.mht import MemoryHistoryTable
+from repro.core.mht import (
+    LOOPDELTA_LIMIT,
+    OFFSET_LIMIT,
+    PATTERN_BITS,
+    MemoryHistoryTable,
+)
 from repro.core.perload_filter import PerLoadFilter
 from repro.isa.opcodes import IS_BRANCH as _IS_BRANCH, Op
 from repro.prefetchers.base import _RECENT_BLOCKS, Prefetcher
@@ -43,25 +48,18 @@ class BFetchPrefetcher(Prefetcher):
 
     name = "bfetch"
 
-    def __init__(self, config=None, block_bytes=None):
+    def __init__(self, config=None, block_bytes=64):
         self.config = config or BFetchConfig()
         cfg = self.config
         # geometry: the engine must agree with the L1 it feeds -- the
-        # factory passes the hierarchy's line size, which overrides the
-        # BFetchConfig default so non-64B systems keep dedup and delta
-        # learning block-aligned
-        super().__init__(cfg.queue_capacity,
-                         block_bytes if block_bytes else cfg.block_bytes)
+        # factory passes the hierarchy's line size, so non-64B systems
+        # keep dedup and delta learning block-aligned
+        super().__init__(cfg.queue_capacity, block_bytes)
         self.brtc = BranchTraceCache(cfg.brtc_entries)
-        self.mht = MemoryHistoryTable(cfg.mht_entries, cfg.mht_reg_slots)
+        self.mht = MemoryHistoryTable(cfg.mht_entries)
         self.arf = AlternateRegisterFile(delay=cfg.arf_delay)
-        self.filter = PerLoadFilter(
-            cfg.filter_tables,
-            cfg.filter_entries,
-            cfg.filter_counter_bits,
-            cfg.filter_threshold,
-            cfg.filter_initial,
-        )
+        self.filter = PerLoadFilter(cfg.filter_tables,
+                                    initial=cfg.filter_initial)
         self.predictor = None
         self.confidence = None
         self._walk = None  # the bound lookahead walk (attach)
@@ -80,7 +78,7 @@ class BFetchPrefetcher(Prefetcher):
         self.filtered = 0
         # per-walk depth distribution (bucket = basic blocks walked;
         # index 0 collects walks rejected before the first step)
-        self.depth_hist = [0] * (cfg.max_lookahead + 1)
+        self.depth_hist = [0] * (MAX_LOOKAHEAD + 1)
         # tracing (None = "bfetch" category disabled)
         self._trace_bfetch = None
 
@@ -151,12 +149,11 @@ class BFetchPrefetcher(Prefetcher):
     def _train_load(self, instr, ea):
         if self._prev_hash is None:
             return
-        cfg = self.config
         regidx = instr.ra
         primary_ea = self._bb_primary_ea.get(regidx)
         entry = self.mht.get_or_allocate(self._prev_hash, self._prev_tag)
         if primary_ea is not None:
-            if not cfg.pattern_prefetch:
+            if not self.config.pattern_prefetch:
                 return
             # secondary load off the same register: learn the block pattern
             slot = entry.slot_for(regidx, allocate=False)
@@ -165,16 +162,16 @@ class BFetchPrefetcher(Prefetcher):
             entry.issue = None
             shift = self.block_shift  # configured L1 line geometry
             delta_blocks = (ea >> shift) - (primary_ea >> shift)
-            if 1 <= delta_blocks <= cfg.pattern_bits:
+            if 1 <= delta_blocks <= PATTERN_BITS:
                 slot.pospatt |= 1 << (delta_blocks - 1)
-            elif -cfg.pattern_bits <= delta_blocks <= -1:
+            elif -PATTERN_BITS <= delta_blocks <= -1:
                 slot.negpatt |= 1 << (-delta_blocks - 1)
             return
         entry.issue = None
         self._bb_primary_ea[regidx] = ea
         slot = entry.slot_for(regidx, allocate=True)
         offset = ea - self._branch_snapshot[regidx]
-        if abs(offset) > cfg.offset_limit:
+        if abs(offset) > OFFSET_LIMIT:
             # not representable in the 16-bit field: the slot cannot cover
             # this load (the per-load filter will suppress stale issues)
             slot.valid = False
@@ -188,7 +185,7 @@ class BFetchPrefetcher(Prefetcher):
             slot.stable -= 1
         if slot.last_ea is not None:
             loopdelta = ea - slot.last_ea
-            if abs(loopdelta) <= cfg.loopdelta_limit:
+            if abs(loopdelta) <= LOOPDELTA_LIMIT:
                 slot.loopdelta = loopdelta
             else:
                 slot.loopdelta = 0
@@ -266,7 +263,7 @@ class BFetchPrefetcher(Prefetcher):
         engine = self
         cfg = self.config
         threshold = cfg.path_confidence_threshold
-        max_lookahead = cfg.max_lookahead
+        max_lookahead = MAX_LOOKAHEAD
         instruction_prefetch = cfg.instruction_prefetch
         use_filter = cfg.use_filter
         prefetch_instr_range = self._prefetch_instr_range
@@ -511,19 +508,6 @@ class BFetchPrefetcher(Prefetcher):
                            end_pc=next_pc, path_conf=round(path_value, 6))
 
         return walk
-
-    def _prefetch_instr_range(self, start_pc, end_pc):
-        """B-Fetch-I: queue the instruction blocks of one predicted basic
-        block (entry PC through its terminating branch)."""
-        block_bytes = self.block_bytes
-        first = start_pc & ~(block_bytes - 1)
-        last = end_pc & ~(block_bytes - 1)
-        limit = self.config.max_instr_blocks
-        block = first
-        while block <= last and limit > 0:
-            self.push_instr(block)
-            block += block_bytes
-            limit -= 1
 
     # ------------------------------------------------------------------
 

@@ -2,60 +2,48 @@
 
 from repro._validate import require_ints
 
+#: basic blocks one lookahead walk may visit (D-side and B-Fetch-I)
+MAX_LOOKAHEAD = 16
+
 
 class BFetchConfig:
-    """All sizing and threshold knobs for the B-Fetch engine.
+    """The B-Fetch knobs the figures and ablations vary.
 
     Defaults follow Table I / Table II of the paper:
 
     * 256-entry Branch Trace Cache,
-    * 128-entry Memory History Table with 3 register-history slots,
-    * 32-entry Alternate Register File,
-    * 3 x 2048-entry, 3-bit per-load filter with threshold 3,
+    * 128-entry Memory History Table,
     * path-confidence threshold 0.75,
+    * 3-table per-load filter,
     * 100-entry prefetch queue.
 
     The Fig. 15 storage sweep scales ``brtc_entries``/``mht_entries``
-    together (64/128/256/512).
+    together (64/128/256/512).  Every other Table I/II value is a
+    constant of the module that simulates it (DESIGN.md §4); the line
+    size is the hierarchy's.
     """
 
     def __init__(
         self,
         brtc_entries=256,
         mht_entries=128,
-        mht_reg_slots=3,
-        offset_bits=16,
-        loopdelta_bits=16,
-        pattern_bits=5,
         path_confidence_threshold=0.75,
-        max_lookahead=16,
-        filter_tables=3,
-        filter_entries=2048,
-        filter_counter_bits=3,
-        filter_threshold=3,
-        filter_initial=2,
-        queue_capacity=100,
-        arf_delay=6,
+        use_filter=True,
         loop_prefetch=True,
         pattern_prefetch=True,
-        use_filter=True,
+        arf_delay=6,
         instruction_prefetch=False,
-        max_instr_blocks=8,
-        block_bytes=64,
+        filter_initial=2,
+        filter_tables=3,
+        queue_capacity=100,
     ):
-        # fail fast on non-positive sizing knobs: a zero-entry table or
-        # a non-positive lookahead depth silently degenerates the engine
+        # fail fast on non-positive sizing knobs: a zero-entry table
+        # silently degenerates the engine
         require_ints("BFetchConfig", (
             ("brtc_entries", brtc_entries),
             ("mht_entries", mht_entries),
-            ("mht_reg_slots", mht_reg_slots),
-            ("max_lookahead", max_lookahead),
             ("filter_tables", filter_tables),
-            ("filter_entries", filter_entries),
-            ("filter_counter_bits", filter_counter_bits),
             ("queue_capacity", queue_capacity),
-            ("max_instr_blocks", max_instr_blocks),
-            ("block_bytes", block_bytes),
         ))
         if not 0.0 <= path_confidence_threshold <= 1.0:
             raise ValueError(
@@ -68,36 +56,17 @@ class BFetchConfig:
             )
         self.brtc_entries = brtc_entries
         self.mht_entries = mht_entries
-        self.mht_reg_slots = mht_reg_slots
-        self.offset_bits = offset_bits
-        self.loopdelta_bits = loopdelta_bits
-        self.pattern_bits = pattern_bits
         self.path_confidence_threshold = path_confidence_threshold
-        self.max_lookahead = max_lookahead
-        self.filter_tables = filter_tables
-        self.filter_entries = filter_entries
-        self.filter_counter_bits = filter_counter_bits
-        self.filter_threshold = filter_threshold
-        self.filter_initial = filter_initial
-        self.queue_capacity = queue_capacity
-        self.arf_delay = arf_delay
+        self.use_filter = use_filter
         self.loop_prefetch = loop_prefetch
         self.pattern_prefetch = pattern_prefetch
-        self.use_filter = use_filter
+        self.arf_delay = arf_delay
         # B-Fetch-I (paper future work): also prefetch the instruction
         # blocks of predicted basic blocks into the L1I
         self.instruction_prefetch = instruction_prefetch
-        self.max_instr_blocks = max_instr_blocks
-        self.block_bytes = block_bytes
-
-    @property
-    def offset_limit(self):
-        """Largest representable |offset| (signed field)."""
-        return (1 << (self.offset_bits - 1)) - 1
-
-    @property
-    def loopdelta_limit(self):
-        return (1 << (self.loopdelta_bits - 1)) - 1
+        self.filter_initial = filter_initial
+        self.filter_tables = filter_tables
+        self.queue_capacity = queue_capacity
 
     @classmethod
     def sized(cls, entries, **kwargs):

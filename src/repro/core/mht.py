@@ -27,6 +27,16 @@ None until a walk needs it, and the trainer resets it whenever it
 touches the entry.
 """
 
+# Fig. 6 / Table I field widths
+MHT_REG_SLOTS = 3      # register-history slots per entry
+OFFSET_BITS = 16       # signed Offset field
+LOOPDELTA_BITS = 16    # signed LoopDelta field
+PATTERN_BITS = 5       # posPatt/negPatt: blocks either side of a load
+
+# largest |offset| and |loop delta| the signed fields represent
+OFFSET_LIMIT = (1 << (OFFSET_BITS - 1)) - 1
+LOOPDELTA_LIMIT = (1 << (LOOPDELTA_BITS - 1)) - 1
+
 
 class RegisterHistory:
     """One register-history slot of an MHT entry."""
@@ -93,7 +103,7 @@ class MHTEntry:
 class MemoryHistoryTable:
     """Direct-mapped MHT."""
 
-    def __init__(self, entries=128, reg_slots=3):
+    def __init__(self, entries=128, reg_slots=MHT_REG_SLOTS):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self.entries = entries
@@ -183,5 +193,6 @@ class MemoryHistoryTable:
         # Fig. 6: Branch tag (32) + 3 x (regIdx 5 + RegVal 32 + Offset 16 +
         # negPatt 5 + posPatt 5 + Valid 1 + LoopCnt 5 + LoopDelta 16) = 287
         # bits per entry => 4.5KB at 128 entries, matching Table I.
-        per_slot = 5 + 32 + 16 + 5 + 5 + 1 + 5 + 16
+        per_slot = (5 + 32 + OFFSET_BITS + 2 * PATTERN_BITS + 1 + 5
+                    + LOOPDELTA_BITS)
         return self.entries * (32 + self.reg_slots * per_slot)

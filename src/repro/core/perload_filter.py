@@ -18,11 +18,17 @@ blocked load is allowed through periodically (one in
 ``probe_interval``) so it can re-earn its confidence.
 """
 
+# Table I / Table II values
+FILTER_ENTRIES = 2048       # counters per table
+FILTER_COUNTER_BITS = 3
+FILTER_THRESHOLD = 3        # summed confidence a load needs to prefetch
+
 
 class PerLoadFilter:
     """Skewed three-table per-load confidence filter."""
 
-    def __init__(self, tables=3, entries=2048, counter_bits=3, threshold=3,
+    def __init__(self, tables=3, entries=FILTER_ENTRIES,
+                 counter_bits=FILTER_COUNTER_BITS, threshold=FILTER_THRESHOLD,
                  initial=2, probe_interval=256, useless_penalty=2):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")

@@ -38,6 +38,7 @@ from repro.isa.opcodes import (
     NUM_OPS as _NUM_OPS,
     Op,
 )
+from repro.memory.hierarchy import L1_LATENCY
 from repro.prefetchers.base import Prefetcher as _BasePrefetcher
 
 _FETCH_HIST_BUCKETS = 4
@@ -80,44 +81,35 @@ def _bound_hook(prefetcher, name, base=_BasePrefetcher):
     return hook
 
 
-class CoreConfig:
-    """Pipeline parameters (defaults = paper Table II)."""
+# Table II pipeline values no run varies; CoreConfig holds the rest
+ROB_ENTRIES = 192
+REDIRECT_PENALTY = 3      # flush bubble after a mispredict resolves
+ALU_LATENCY = 1
+MUL_LATENCY = 3
+STORE_LATENCY = 1
+PREFETCH_DRAIN_RATE = 2   # queued D-side prefetches issued per cycle
 
-    def __init__(
-        self,
-        width=4,
-        rob_entries=192,
-        redirect_penalty=3,
-        alu_latency=1,
-        mul_latency=3,
-        store_latency=1,
-        prefetch_drain_rate=2,
-        block_bytes=64,
-        frontend="off",
-    ):
-        # fail fast: a zero-wide pipeline or non-positive latency makes
-        # the cycle loop diverge or silently stall forever
+
+class CoreConfig:
+    """Pipeline parameters a run varies (defaults = paper Table II).
+
+    :class:`~repro.sim.config.SystemConfig` fills it: ``width`` is its
+    own, ``block_bytes`` the hierarchy's line size and ``frontend`` its
+    front-end mode.
+    """
+
+    def __init__(self, width=4, block_bytes=64, frontend="off"):
+        # fail fast: a zero-wide pipeline makes the cycle loop stall
+        # forever, a non-power-of-two line breaks fetch-block redirects
         require_ints("CoreConfig", (
-            ("width", width), ("rob_entries", rob_entries),
-            ("alu_latency", alu_latency), ("mul_latency", mul_latency),
-            ("store_latency", store_latency),
-            ("prefetch_drain_rate", prefetch_drain_rate),
-            ("block_bytes", block_bytes),
+            ("width", width), ("block_bytes", block_bytes),
         ))
-        require_ints("CoreConfig", (("redirect_penalty", redirect_penalty),),
-                     minimum=0)
         if block_bytes & (block_bytes - 1):
             raise ValueError(
                 "CoreConfig.block_bytes must be a positive power of two, "
                 "got %r" % (block_bytes,)
             )
         self.width = width
-        self.rob_entries = rob_entries
-        self.redirect_penalty = redirect_penalty
-        self.alu_latency = alu_latency
-        self.mul_latency = mul_latency
-        self.store_latency = store_latency
-        self.prefetch_drain_rate = prefetch_drain_rate
         self.block_bytes = block_bytes
         self.block_shift = block_bytes.bit_length() - 1
         from repro.frontend.config import FRONTEND_MODES
@@ -249,18 +241,18 @@ class OutOfOrderCore:
         """
         cfg = self.config
         width = cfg.width
-        rob_cap = cfg.rob_entries
-        redirect_penalty = cfg.redirect_penalty
-        alu_latency = cfg.alu_latency
-        mul_latency = cfg.mul_latency
-        store_latency = cfg.store_latency
-        drain_rate = cfg.prefetch_drain_rate
+        rob_cap = ROB_ENTRIES
+        redirect_penalty = REDIRECT_PENALTY
+        alu_latency = ALU_LATENCY
+        mul_latency = MUL_LATENCY
+        store_latency = STORE_LATENCY
+        drain_rate = PREFETCH_DRAIN_RATE
         fetch_shift = self._fetch_shift
         machine = self.machine
         machine_step = machine.step
         pc_of = machine.program.pc_of
         hierarchy = self.hierarchy
-        l1_latency = hierarchy.config.l1_latency
+        l1_latency = L1_LATENCY
         h_load = hierarchy.load
         h_store = hierarchy.store
         h_oracle = hierarchy.access_oracle

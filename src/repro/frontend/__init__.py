@@ -11,7 +11,7 @@ I-side prefetcher family (``fdip`` run-ahead off the FTQ per
 baseline, and ``bfetch-i`` driving the B-Fetch lookahead walk at
 fetch-block granularity) turns the run-ahead into L1-I fills.
 
-Everything here is gated behind ``CoreConfig.frontend="ftq"``; the
+Everything here is gated behind ``SystemConfig(frontend="ftq")``; the
 default ``"off"`` leaves the legacy fetch path byte-identical.
 """
 
@@ -19,7 +19,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "FRONTEND_MODES",
-    "FrontendConfig",
     "DecoupledFrontEnd",
     "FetchTargetQueue",
     "IPREFETCHER_NAMES",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "config": ("FRONTEND_MODES", "IPREFETCHER_NAMES", "FrontendConfig"),
+    "config": ("FRONTEND_MODES", "IPREFETCHER_NAMES"),
     "frontend": ("DecoupledFrontEnd",),
     "ftq": ("FetchTargetQueue",),
     "iprefetch": (

@@ -1,12 +1,12 @@
 """The decoupled front end orchestrator.
 
 One :class:`DecoupledFrontEnd` per core, created at system assembly when
-``CoreConfig.frontend="ftq"``.  The timing core calls exactly three
+``SystemConfig.frontend="ftq"``.  The timing core calls exactly three
 methods:
 
 * :meth:`tick` once per step of the core's cycle loop
   (``OutOfOrderCore._cycle_loop``) -- the BPU walker advances up to
-  ``fill_width`` fetch blocks down the predicted path (BTB-visible
+  :data:`FILL_WIDTH` fetch blocks down the predicted path (BTB-visible
   branches only, which is what makes shadow-branch fills matter),
   enqueues them into the FTQ, lets the I-side prefetcher scan the queue
   and drains its request queue into the hierarchy.  This runs during
@@ -20,42 +20,36 @@ methods:
 
 from bisect import bisect_left
 
+FTQ_ENTRIES = 32           # fetch target queue capacity, in fetch blocks
+FILL_WIDTH = 2             # fetch blocks the BPU enqueues per cycle
+IPREFETCH_DRAIN_RATE = 2   # queued I-side prefetches issued per cycle
+
 
 class DecoupledFrontEnd:
     """FTQ + predecode + I-side prefetch, wired between BPU and L1-I.
 
-    :param config: :class:`~repro.frontend.FrontendConfig`.
+    Fetch blocks are the hierarchy's lines, the same geometry the core
+    fetches in.
+
     :param hierarchy: the core's :class:`~repro.memory.MemoryHierarchy`.
     :param predictor: shared direction predictor (read-only use).
     :param btb: shared :class:`~repro.branch.BranchTargetBuffer`.
     :param program: static :class:`~repro.isa.Program` image.
     :param iprefetcher: an :class:`~repro.frontend.IPrefetcher`.
-    :param core_config: the owning :class:`~repro.cpu.ooo.CoreConfig`;
-        its fetch-block geometry must agree with the hierarchy's.
     """
 
-    def __init__(self, config, hierarchy, predictor, btb, program,
-                 iprefetcher, core_config):
+    def __init__(self, hierarchy, predictor, btb, program, iprefetcher):
         from repro.cpu.ooo import _bound_hook
         from repro.frontend.ftq import FetchTargetQueue
         from repro.frontend.iprefetch import IPrefetcher
         from repro.frontend.predecode import Predecoder, branch_tables
         block_bytes = hierarchy.config.block_bytes
-        if core_config.block_bytes != block_bytes:
-            raise ValueError(
-                "front-end fetch-block geometry disagrees: core %dB vs "
-                "hierarchy %dB lines (both must derive from "
-                "HierarchyConfig.block_bytes)"
-                % (core_config.block_bytes, block_bytes)
-            )
-        self.config = config
         self.hierarchy = hierarchy
         self.predictor = predictor
         self.btb = btb
         self.block_bytes = block_bytes
-        self.block_shift = core_config.block_shift
         self._block_mask = ~(block_bytes - 1)
-        self.ftq = FetchTargetQueue(config.ftq_entries)
+        self.ftq = FetchTargetQueue(FTQ_ENTRIES)
         self.predecoder = Predecoder(program, btb, block_bytes)
         self.iprefetcher = iprefetcher
         iprefetcher.predecode = self.predecoder.on_fill
@@ -111,10 +105,9 @@ class DecoupledFrontEnd:
         if pc is None:
             self.bpu_stalls += 1
         else:
-            config = self.config
-            fill = config.ftq_entries - occupancy  # free FTQ room
-            if fill > config.fill_width:
-                fill = config.fill_width
+            fill = FTQ_ENTRIES - occupancy  # free FTQ room
+            if fill > FILL_WIDTH:
+                fill = FILL_WIDTH
             if fill > 0:
                 push = self.ftq.push
                 block_mask = self._block_mask
@@ -135,7 +128,7 @@ class DecoupledFrontEnd:
             on_ftq(self.ftq, now)
         if self._iq_queue:
             self.iprefetcher.drain(self.hierarchy, now,
-                                   self.config.drain_rate)
+                                   IPREFETCH_DRAIN_RATE)
 
     def _walk_next(self, pc):
         """One walker step: from *pc*, return the entry PC of the next
@@ -226,7 +219,7 @@ class DecoupledFrontEnd:
         if self._iq_queue:
             return True
         return (self._bpu_pc is not None
-                and len(self._ftq_queue) < self.config.ftq_entries)
+                and len(self._ftq_queue) < FTQ_ENTRIES)
 
     # ------------------------------------------------------------------
     # reporting

@@ -21,26 +21,31 @@ predecoder so prefetched lines expose their shadow branches too.
 """
 
 from repro.core.brtc import BranchTraceCache
-from repro.core.config import BFetchConfig
+from repro.core.config import MAX_LOOKAHEAD, BFetchConfig
 from repro.core.hashing import bb_hash
 from repro.frontend.config import IPREFETCHER_NAMES
 from repro.isa.opcodes import IS_BRANCH as _IS_BRANCH
 from repro.prefetchers.base import Prefetcher
 
+IPREFETCH_QUEUE_CAPACITY = 32   # bounded I-side prefetch request queue
+NEXTLINE_DEGREE = 2    # blocks ``nextline-i`` pushes per demand L1-I miss
+FDIP_DEGREE = 4        # FTQ entries FDIP turns into prefetches per cycle
+# FTQ entries (nearest first) FDIP skips: the in-flight fetch distance
+# that demand fetch covers anyway
+FDIP_DISTANCE = 1
+
 
 class IPrefetcher(Prefetcher):
     """I-side base: an inert queue; doubles as the ``none`` selection.
 
-    :param config: :class:`~repro.frontend.FrontendConfig`.
     :param block_bytes: L1-I line size (fetch-block geometry).
     """
 
     name = "none"
 
-    def __init__(self, config, block_bytes=64):
-        super().__init__(queue_capacity=config.queue_capacity,
+    def __init__(self, block_bytes=64):
+        super().__init__(queue_capacity=IPREFETCH_QUEUE_CAPACITY,
                          block_bytes=block_bytes)
-        self.config = config
         # set by the front end: fn(addr) called on every issued fill so
         # prefetched lines get predecoded like demand fills
         self.predecode = None
@@ -93,7 +98,7 @@ class NextLineIPrefetcher(IPrefetcher):
             return
         block_bytes = self.block_bytes
         block = (pc & ~(block_bytes - 1)) + block_bytes
-        for _ in range(self.config.nextline_degree):
+        for _ in range(NEXTLINE_DEGREE):
             self.push_instr(block)
             block += block_bytes
 
@@ -102,8 +107,7 @@ class _FTQRunAhead(object):
     """Mixin: turn un-issued FTQ entries into L1-I prefetches (FDIP)."""
 
     def on_ftq(self, ftq, now):
-        cfg = self.config
-        pending = ftq.pending(cfg.fdip_distance, cfg.fdip_degree)
+        pending = ftq.pending(FDIP_DISTANCE, FDIP_DEGREE)
         push = self.push_instr
         for entry in pending:
             entry[1] = True  # issued: never rescanned
@@ -128,13 +132,11 @@ class BFetchIPrefetcher(IPrefetcher):
 
     name = "bfetch-i"
 
-    def __init__(self, config, block_bytes=64, bfetch_config=None):
-        super().__init__(config, block_bytes=block_bytes)
+    def __init__(self, block_bytes=64, bfetch_config=None):
+        super().__init__(block_bytes=block_bytes)
         bf = bfetch_config or BFetchConfig()
         self.brtc = BranchTraceCache(bf.brtc_entries)
         self.path_confidence_threshold = bf.path_confidence_threshold
-        self.max_lookahead = bf.max_lookahead
-        self.max_instr_blocks = bf.max_instr_blocks
         self.predictor = None
         self.confidence = None
         self._prev_hash = None
@@ -193,7 +195,7 @@ class BFetchIPrefetcher(IPrefetcher):
         state_tag = pc & 0xFFFFFFFF
         depth = 0
         entry_pc = next_pc
-        while depth < self.max_lookahead:
+        while depth < MAX_LOOKAHEAD:
             depth += 1
             step = brtc_lookup(state_hash, state_tag)
             if step is None:
@@ -216,19 +218,6 @@ class BFetchIPrefetcher(IPrefetcher):
             spec_history = (spec_history << 1) | (1 if direction else 0)
             entry_pc = next_pc
         self.total_depth += depth
-
-    def _prefetch_instr_range(self, start_pc, end_pc):
-        """Queue one predicted basic block's instruction blocks."""
-        block_bytes = self.block_bytes
-        first = start_pc & ~(block_bytes - 1)
-        last = end_pc & ~(block_bytes - 1)
-        limit = self.max_instr_blocks
-        push = self.push_instr
-        block = first
-        while block <= last and limit > 0:
-            push(block)
-            block += block_bytes
-            limit -= 1
 
     # -- checkpoint/restore -------------------------------------------
 
@@ -259,20 +248,20 @@ class CombinedIPrefetcher(_FTQRunAhead, BFetchIPrefetcher):
     name = "combined"
 
 
-def make_iprefetcher(name, config, block_bytes=64, bfetch_config=None):
+def make_iprefetcher(name, block_bytes=64, bfetch_config=None):
     """Instantiate the I-side prefetcher *name* (one of
     :data:`IPREFETCHER_NAMES`)."""
     if name == "none":
-        return IPrefetcher(config, block_bytes=block_bytes)
+        return IPrefetcher(block_bytes=block_bytes)
     if name == "nextline-i":
-        return NextLineIPrefetcher(config, block_bytes=block_bytes)
+        return NextLineIPrefetcher(block_bytes=block_bytes)
     if name == "fdip":
-        return FDIPPrefetcher(config, block_bytes=block_bytes)
+        return FDIPPrefetcher(block_bytes=block_bytes)
     if name == "bfetch-i":
-        return BFetchIPrefetcher(config, block_bytes=block_bytes,
+        return BFetchIPrefetcher(block_bytes=block_bytes,
                                  bfetch_config=bfetch_config)
     if name == "combined":
-        return CombinedIPrefetcher(config, block_bytes=block_bytes,
+        return CombinedIPrefetcher(block_bytes=block_bytes,
                                    bfetch_config=bfetch_config)
     raise ValueError(
         "unknown iprefetcher %r (choose from %s)"

@@ -17,22 +17,26 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DramModel
 
 
+# Table II values no run varies; HierarchyConfig holds the rest
+L1I_SIZE = 64 * 1024
+L1I_ASSOC = 8
+L1_LATENCY = 2         # L1I and L1D hit
+L2_SIZE = 256 * 1024
+L2_ASSOC = 8
+L2_LATENCY = 10
+LLC_LATENCY = 20
+IMSHR_ENTRIES = 4      # I-side demand MSHRs (front end only)
+
+
 class HierarchyConfig:
     """Cache geometry and latency knobs (defaults = paper Table II)."""
 
     def __init__(
         self,
-        l1i_size=64 * 1024,
-        l1i_assoc=8,
         l1d_size=64 * 1024,
         l1d_assoc=8,
-        l1_latency=2,
-        l2_size=256 * 1024,
-        l2_assoc=8,
-        l2_latency=10,
         llc_size_per_core=2 * 1024 * 1024,
         llc_assoc=16,
-        llc_latency=20,
         dram_latency=200,
         # Table II's 12.8GB/s controller at the ~2GHz core clock implied
         # by the 200-cycle (~100ns) DRAM latency = 6.4B/cycle = one 64B
@@ -40,23 +44,17 @@ class HierarchyConfig:
         dram_cycles_per_transfer=10,
         block_bytes=64,
         mshr_entries=8,
-        imshr_entries=4,
         llc_policy="lru",
     ):
         # fail fast on non-positive geometry/latency knobs: a zero-cycle
         # latency or an empty cache silently warps every downstream stat
         require_ints("HierarchyConfig", (
-            ("l1i_size", l1i_size), ("l1i_assoc", l1i_assoc),
             ("l1d_size", l1d_size), ("l1d_assoc", l1d_assoc),
-            ("l1_latency", l1_latency),
-            ("l2_size", l2_size), ("l2_assoc", l2_assoc),
-            ("l2_latency", l2_latency),
             ("llc_size_per_core", llc_size_per_core),
-            ("llc_assoc", llc_assoc), ("llc_latency", llc_latency),
+            ("llc_assoc", llc_assoc),
             ("dram_latency", dram_latency),
             ("block_bytes", block_bytes),
             ("mshr_entries", mshr_entries),
-            ("imshr_entries", imshr_entries),
         ))
         # zero is legal here: it disables transfer serialisation
         # (infinite DRAM bandwidth), which microbenchmarks rely on
@@ -72,22 +70,14 @@ class HierarchyConfig:
                     "HierarchyConfig.llc_policy must be one of %s, got %r"
                     % (", ".join(sorted(POLICIES)), llc_policy)
                 )
-        self.l1i_size = l1i_size
-        self.l1i_assoc = l1i_assoc
         self.l1d_size = l1d_size
         self.l1d_assoc = l1d_assoc
-        self.l1_latency = l1_latency
-        self.l2_size = l2_size
-        self.l2_assoc = l2_assoc
-        self.l2_latency = l2_latency
         self.llc_size_per_core = llc_size_per_core
         self.llc_assoc = llc_assoc
-        self.llc_latency = llc_latency
         self.dram_latency = dram_latency
         self.dram_cycles_per_transfer = dram_cycles_per_transfer
         self.block_bytes = block_bytes
         self.mshr_entries = mshr_entries
-        self.imshr_entries = imshr_entries
         self.llc_policy = llc_policy
 
     def make_llc(self, num_cores=1):
@@ -123,9 +113,9 @@ class MemoryHierarchy:
     def __init__(self, config=None, llc=None, dram=None, pf_feedback=None):
         self.config = config or HierarchyConfig()
         cfg = self.config
-        self.l1i = Cache("L1I", cfg.l1i_size, cfg.l1i_assoc, cfg.block_bytes)
+        self.l1i = Cache("L1I", L1I_SIZE, L1I_ASSOC, cfg.block_bytes)
         self.l1d = Cache("L1D", cfg.l1d_size, cfg.l1d_assoc, cfg.block_bytes)
-        self.l2 = Cache("L2", cfg.l2_size, cfg.l2_assoc, cfg.block_bytes)
+        self.l2 = Cache("L2", L2_SIZE, L2_ASSOC, cfg.block_bytes)
         self.llc = llc if llc is not None else cfg.make_llc(1)
         self.dram = dram if dram is not None else cfg.make_dram()
         self.pf_feedback = pf_feedback
@@ -138,7 +128,7 @@ class MemoryHierarchy:
         self._mshr = [0] * cfg.mshr_entries
         # I-side demand MSHRs, used only by the decoupled front end's
         # ifetch_demand() path; the legacy ifetch() path stays MSHR-free
-        self._imshr = [0] * cfg.imshr_entries
+        self._imshr = [0] * IMSHR_ENTRIES
         # tracing: channels are None when their category is disabled, so
         # the demand path pays at most one identity test per event site
         self._trace_cache = None
@@ -176,12 +166,11 @@ class MemoryHierarchy:
         of prefetches), False for a prefetch, and None for the perfect
         prefetcher, which never reaches the DRAM channel.
         """
-        cfg = self.config
         if self.l2.probe_allocate(addr):
             if demand:
                 self.llc.access(addr, now)  # keep shared-LLC LRU warm
-            return cfg.l2_latency
-        latency = cfg.l2_latency + cfg.llc_latency
+            return L2_LATENCY
+        latency = L2_LATENCY + LLC_LATENCY
         if self.llc.probe_allocate(addr) or demand is None:
             return latency
         return latency + self.dram.access(now, demand)
@@ -195,11 +184,10 @@ class MemoryHierarchy:
         A hit on an in-flight prefetched line waits for its ``ready`` cycle
         (a *late* prefetch -- partial benefit, counted separately).
         """
-        cfg = self.config
         self._now = now
         line = self.l1d.access(addr, now)
         if line is not None:
-            latency = cfg.l1_latency
+            latency = L1_LATENCY
             if line.ready > now:
                 latency += line.ready - now
                 self.l1d.stats.late_hits += 1
@@ -227,7 +215,7 @@ class MemoryHierarchy:
         start = now if now > earliest else earliest
         miss_latency = self._fill_below_l1(addr, start, True)
         mshr[mshr.index(earliest)] = start + miss_latency
-        latency = (start - now) + cfg.l1_latency + miss_latency
+        latency = (start - now) + L1_LATENCY + miss_latency
         self.l1d.fill(addr, now)
         trace = self._trace_cache
         if trace is not None:
@@ -247,7 +235,7 @@ class MemoryHierarchy:
         if self.l1d.access(addr, now) is None:
             self._fill_below_l1(addr, now, None)
             self.l1d.fill(addr, now)
-        return self.config.l1_latency
+        return L1_LATENCY
 
     def store(self, addr, now, pc=None):
         """Demand store (write-allocate); returns ``(latency, l1_hit)``.
@@ -266,7 +254,6 @@ class MemoryHierarchy:
 
     def ifetch(self, addr, now):
         """Instruction fetch for one block; returns latency."""
-        cfg = self.config
         line = self.l1i.access(addr, now)
         if line is not None:
             if line.ready > now:
@@ -274,12 +261,12 @@ class MemoryHierarchy:
                 if line.prefetched and not line.used:
                     line.used = True
                     self.l1i.stats.prefetch_useful += 1
-                return cfg.l1_latency + (line.ready - now)
+                return L1_LATENCY + (line.ready - now)
             if line.prefetched and not line.used:
                 line.used = True
                 self.l1i.stats.prefetch_useful += 1
-            return cfg.l1_latency
-        latency = cfg.l1_latency + self._fill_below_l1(addr, now, True)
+            return L1_LATENCY
+        latency = L1_LATENCY + self._fill_below_l1(addr, now, True)
         self.l1i.fill(addr, now)
         return latency
 
@@ -291,11 +278,10 @@ class MemoryHierarchy:
         bounds I-side memory-level parallelism with its own MSHR file,
         so a burst of FTQ-driven fills cannot overlap without limit.
         """
-        cfg = self.config
         self._now = now
         line = self.l1i.access(addr, now)
         if line is not None:
-            latency = cfg.l1_latency
+            latency = L1_LATENCY
             if line.ready > now:
                 latency += line.ready - now
                 self.l1i.stats.late_hits += 1
@@ -311,7 +297,7 @@ class MemoryHierarchy:
         start = now if now > earliest else earliest
         miss_latency = self._fill_below_l1(addr, start, True)
         imshr[imshr.index(earliest)] = start + miss_latency
-        latency = (start - now) + cfg.l1_latency + miss_latency
+        latency = (start - now) + L1_LATENCY + miss_latency
         self.l1i.fill(addr, now)
         trace = self._trace_cache
         if trace is not None:

@@ -20,7 +20,6 @@ __all__ = [
     "NextNPrefetcher",
     "StridePrefetcher",
     "SMSPrefetcher",
-    "SMSConfig",
     "PerfectPrefetcher",
     "TangoPrefetcher",
     "ISBPrefetcher",
@@ -31,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "base": ("Prefetcher",),
     "nextn": ("NextNPrefetcher",),
     "stride": ("StridePrefetcher",),
-    "sms": ("SMSConfig", "SMSPrefetcher"),
+    "sms": ("SMSPrefetcher",),
     "perfect": ("PerfectPrefetcher",),
     "tango": ("TangoPrefetcher",),
     "isb": ("ISBPrefetcher",),

@@ -18,6 +18,9 @@ from repro.memory.stats import PrefetchStats
 
 _RECENT_BLOCKS = 256  # issue-side dedup window (blocks)
 
+#: instruction blocks B-Fetch-I queues per predicted basic block
+MAX_INSTR_BLOCKS = 8
+
 # queue meta sentinel marking an instruction-side (L1I) prefetch request
 IFETCH_META = ("ifetch",)
 
@@ -126,6 +129,20 @@ class Prefetcher:
     def push_instr(self, addr):
         """Queue an instruction-side (L1I) prefetch request."""
         self.push(addr, IFETCH_META)
+
+    def _prefetch_instr_range(self, start_pc, end_pc):
+        """B-Fetch-I: queue the instruction blocks of one predicted basic
+        block (entry PC through its terminating branch), at most
+        :data:`MAX_INSTR_BLOCKS` of them."""
+        block_bytes = self.block_bytes
+        block = start_pc & ~(block_bytes - 1)
+        last = end_pc & ~(block_bytes - 1)
+        limit = MAX_INSTR_BLOCKS
+        push = self.push_instr
+        while block <= last and limit > 0:
+            push(block)
+            block += block_bytes
+            limit -= 1
 
     def drain(self, hierarchy, now, allowance):
         """Issue up to *allowance* queued requests into *hierarchy*."""

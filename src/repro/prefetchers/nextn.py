@@ -7,13 +7,16 @@ cheapest design in the light-weight class; included as the paper's
 
 from repro.prefetchers.base import Prefetcher
 
+#: blocks queued past each missing block
+NEXTN_DEGREE = 4
+
 
 class NextNPrefetcher(Prefetcher):
     """Prefetch the *n* blocks following each missing block."""
 
     name = "nextn"
 
-    def __init__(self, n=4, block_bytes=64, queue_capacity=100):
+    def __init__(self, n=NEXTN_DEGREE, block_bytes=64, queue_capacity=100):
         super().__init__(queue_capacity, block_bytes)
         self.n = n
 

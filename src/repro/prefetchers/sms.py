@@ -20,25 +20,14 @@ the authors describe (duplicate suppression via the AGT bit vectors).
 
 from repro.prefetchers.base import Prefetcher
 
-
-class SMSConfig:
-    """SMS geometry: 2KB regions, 64-entry AGT, 16K-entry PHT (paper's
-    best practical configuration)."""
-
-    def __init__(self, region_bytes=2048, agt_entries=64, pht_entries=16384,
-                 block_bytes=64, pht_tag_bits=4):
-        if region_bytes % block_bytes:
-            raise ValueError("region must be a multiple of the block size")
-        self.region_bytes = region_bytes
-        self.agt_entries = agt_entries
-        self.pht_entries = pht_entries
-        self.block_bytes = block_bytes
-        self.blocks_per_region = region_bytes // block_bytes
-        # Table I budgets 36KB for 16K entries = 18 bits/entry; with a
-        # 32-block pattern that leaves only a ~4-bit partial tag, so PHT
-        # aliasing (replaying the wrong trigger's pattern) is part of the
-        # design point
-        self.pht_tag_bits = pht_tag_bits
+# the paper's best practical configuration (Table I)
+REGION_BYTES = 2048
+AGT_ENTRIES = 64
+PHT_ENTRIES = 16384
+# Table I budgets 36KB for 16K entries = 18 bits/entry; with a 32-block
+# pattern that leaves only a ~4-bit partial tag, so PHT aliasing
+# (replaying the wrong trigger's pattern) is part of the design point
+PHT_TAG_BITS = 4
 
 
 class _Generation:
@@ -51,19 +40,19 @@ class _Generation:
 
 
 class SMSPrefetcher(Prefetcher):
-    """Spatial Memory Streaming over the configured region size."""
+    """Spatial Memory Streaming over :data:`REGION_BYTES` regions of
+    *block_bytes* lines (the hierarchy's line size)."""
 
     name = "sms"
 
-    def __init__(self, config=None, queue_capacity=100):
-        self.config = config or SMSConfig()
-        cfg = self.config
-        super().__init__(queue_capacity, cfg.block_bytes)
-        self._region_shift = cfg.region_bytes.bit_length() - 1
-        if 1 << self._region_shift != cfg.region_bytes:
-            raise ValueError("region size must be a power of two")
+    def __init__(self, block_bytes=64, queue_capacity=100):
+        super().__init__(queue_capacity, block_bytes)
+        if REGION_BYTES % block_bytes:
+            raise ValueError("region must be a multiple of the block size")
+        self.blocks_per_region = REGION_BYTES // block_bytes
+        self._region_shift = REGION_BYTES.bit_length() - 1
         self._block_shift = self.block_shift
-        self._offset_mask = cfg.blocks_per_region - 1
+        self._offset_mask = self.blocks_per_region - 1
         self.agt = {}  # region base -> _Generation
         self.pht = {}  # slot index -> (tag, pattern)
         self._tick = 0
@@ -74,10 +63,8 @@ class SMSPrefetcher(Prefetcher):
         return ((pc >> 2) << 6) ^ offset
 
     def _pht_slot(self, key):
-        slot = key % self.config.pht_entries
-        tag = (key // self.config.pht_entries) & (
-            (1 << self.config.pht_tag_bits) - 1
-        )
+        slot = key % PHT_ENTRIES
+        tag = (key // PHT_ENTRIES) & ((1 << PHT_TAG_BITS) - 1)
         return slot, tag
 
     def _commit_generation(self, generation):
@@ -93,7 +80,6 @@ class SMSPrefetcher(Prefetcher):
     # ------------------------------------------------------------------
 
     def _train(self, pc, addr, hit, now):
-        cfg = self.config
         region = addr >> self._region_shift
         offset = (addr >> self._block_shift) & self._offset_mask
         self._tick += 1
@@ -115,10 +101,10 @@ class SMSPrefetcher(Prefetcher):
             meta = pc & 0x3FF
             while pattern:
                 low = pattern & -pattern
-                self.push(region_base + (low.bit_length() - 1) * cfg.block_bytes,
-                          meta)
+                self.push(region_base
+                          + (low.bit_length() - 1) * self.block_bytes, meta)
                 pattern ^= low
-        if len(self.agt) >= cfg.agt_entries:
+        if len(self.agt) >= AGT_ENTRIES:
             victim = min(self.agt, key=lambda r: self.agt[r].lru)
             self._commit_generation(self.agt.pop(victim))
         self.agt[region] = _Generation(key, 1 << offset, self._tick)
@@ -163,14 +149,12 @@ class SMSPrefetcher(Prefetcher):
         self._tick = state["tick"]
 
     def storage_bits(self):
-        cfg = self.config
         # AGT: region tag(26) + trigger key(32) + pattern + lru(4)
-        agt_bits = cfg.agt_entries * (26 + 32 + cfg.blocks_per_region + 4)
+        agt_bits = AGT_ENTRIES * (26 + 32 + self.blocks_per_region + 4)
         # PHT: partial tag + raw pattern.  (Table I's 36KB assumes the
         # pattern is stored compressed to ~14 bits; we model the raw
         # vector and report the uncompressed size here -- the Table I
         # reproduction in repro.analysis.overhead uses the paper's
         # 18-bit-per-entry budget.)
-        pht_bits = cfg.pht_entries * (cfg.pht_tag_bits
-                                      + cfg.blocks_per_region)
+        pht_bits = PHT_ENTRIES * (PHT_TAG_BITS + self.blocks_per_region)
         return agt_bits + pht_bits

@@ -13,7 +13,7 @@ metadata, the temporal log grows with the footprint and its size is
 surfaced by :meth:`storage_bits` rather than capped.
 """
 
-from repro.prefetchers.sms import SMSConfig, SMSPrefetcher
+from repro.prefetchers.sms import SMSPrefetcher
 
 
 class STeMSPrefetcher(SMSPrefetcher):
@@ -21,8 +21,8 @@ class STeMSPrefetcher(SMSPrefetcher):
 
     name = "stems"
 
-    def __init__(self, config=None, stream_ahead=4, queue_capacity=100):
-        super().__init__(config or SMSConfig(), queue_capacity)
+    def __init__(self, block_bytes=64, stream_ahead=4, queue_capacity=100):
+        super().__init__(block_bytes, queue_capacity)
         self.stream_ahead = stream_ahead
         self.temporal_log = []      # ordered (region, trigger key) events
         self._log_position = {}     # trigger key -> last log index
@@ -54,8 +54,8 @@ class STeMSPrefetcher(SMSPrefetcher):
             pattern = stored[1]
             while pattern:
                 low = pattern & -pattern
-                self.push(base + (low.bit_length() - 1)
-                          * self.config.block_bytes, pc & 0x3FF)
+                self.push(base + (low.bit_length() - 1) * self.block_bytes,
+                          pc & 0x3FF)
                 pattern ^= low
 
     def snapshot(self):

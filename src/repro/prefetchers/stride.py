@@ -19,6 +19,9 @@ from repro.prefetchers.base import Prefetcher
 
 _INITIAL, _TRANSIENT, _STEADY = 0, 1, 2
 
+#: prefetch depth in strides (degree 8 performed best in the paper)
+STRIDE_DEGREE = 8
+
 
 class _Entry:
     __slots__ = ("tag", "last_addr", "stride", "state")
@@ -39,7 +42,8 @@ class StridePrefetcher(Prefetcher):
 
     name = "stride"
 
-    def __init__(self, entries=256, degree=8, block_bytes=64, queue_capacity=100):
+    def __init__(self, entries=256, degree=STRIDE_DEGREE, block_bytes=64,
+                 queue_capacity=100):
         super().__init__(queue_capacity, block_bytes)
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")

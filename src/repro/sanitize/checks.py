@@ -24,6 +24,8 @@ import json
 import os
 
 from repro._validate import require_ints
+from repro.cpu.ooo import ROB_ENTRIES
+from repro.memory.hierarchy import IMSHR_ENTRIES
 from repro.sanitize.errors import SanitizerError
 
 MODES = ("off", "cheap", "full")
@@ -166,7 +168,7 @@ class Sanitizer:
             self._fail(system, cycle, "core", "rob-head-range",
                        "head %d outside ROB of %d" % (head, rob_len))
         in_flight = rob_len - head
-        cap = core.config.rob_entries
+        cap = ROB_ENTRIES
         if in_flight > cap:
             self._fail(system, cycle, "core", "rob-size-bound",
                        "%d in flight exceeds %d ROB entries"
@@ -253,10 +255,10 @@ class Sanitizer:
                 self._fail(system, cycle, "mem.mshr", "mshr-time-sign",
                            "slot %d busy until %r" % (slot, busy_until))
         imshr = hierarchy._imshr
-        if len(imshr) != hierarchy.config.imshr_entries:
+        if len(imshr) != IMSHR_ENTRIES:
             self._fail(system, cycle, "mem.imshr", "imshr-shape",
                        "%d slots, configured %d"
-                       % (len(imshr), hierarchy.config.imshr_entries))
+                       % (len(imshr), IMSHR_ENTRIES))
         for slot, busy_until in enumerate(imshr):
             if busy_until < 0:
                 self._fail(system, cycle, "mem.imshr", "imshr-time-sign",

@@ -142,8 +142,8 @@ class _LatencySeries(object):
 class ServeMetrics(object):
     """The server's ``serve.*`` stats registry plus latency windows."""
 
-    def __init__(self, queue=None, table=None, registry=None):
-        self.registry = registry if registry is not None else StatsRegistry()
+    def __init__(self, queue=None, table=None):
+        self.registry = StatsRegistry()
         self.started = time.monotonic()
         self._counters = {}
         for name, desc in _COUNTERS:

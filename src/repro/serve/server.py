@@ -79,7 +79,7 @@ SUBMIT_KINDS = ("single", "sweep")
 
 DEFAULT_HIGH_WATER = 64
 DEFAULT_MAX_CONCURRENT = 2
-DEFAULT_MAX_REQUESTS_PER_JOB = 256
+MAX_REQUESTS_PER_JOB = 256  # sweep size cap per submission
 DEFAULT_MAX_INSTRUCTIONS = 10_000_000
 DEFAULT_HEARTBEAT_SECONDS = 5.0
 DEFAULT_DRAIN_GRACE = 30.0
@@ -111,17 +111,13 @@ class JobServer(object):
         reported by :attr:`address` after :meth:`start`).
     :param cache_dir: result-cache directory shared by every job (also
         the dedup/coalescing identity and the crash checkpoint).
-    :param runner: pre-built :class:`ExperimentRunner` (tests); when
-        None one is built over *cache_dir*.
     :param high_water: admission-queue bound (backpressure threshold).
     :param max_concurrent: jobs executing simultaneously on the
         in-process tier (one thread member each).
     :param policy: default :class:`~repro.resilience.FailurePolicy`.
-    :param max_requests_per_job: sweep size cap per submission.
     :param max_instructions: per-run instruction budget cap.
     :param heartbeat_interval: seconds between heartbeat events for
         running jobs (0 disables); a negative value is a ``ValueError``.
-    :param retain_jobs: terminal jobs kept for late result fetches.
     :param stats_path: JSON stats dump written on drain.
     :param trace_path: JSONL job-lifecycle trace written via the obs
         tracer ("serve" category).
@@ -138,14 +134,12 @@ class JobServer(object):
     """
 
     def __init__(self, host="127.0.0.1", port=0, cache_dir=None,
-                 runner=None, high_water=DEFAULT_HIGH_WATER,
+                 high_water=DEFAULT_HIGH_WATER,
                  max_concurrent=DEFAULT_MAX_CONCURRENT, policy=None,
-                 max_requests_per_job=DEFAULT_MAX_REQUESTS_PER_JOB,
                  max_instructions=DEFAULT_MAX_INSTRUCTIONS,
                  heartbeat_interval=DEFAULT_HEARTBEAT_SECONDS,
-                 retain_jobs=256, stats_path=None, trace_path=None,
+                 stats_path=None, trace_path=None,
                  drain_grace=DEFAULT_DRAIN_GRACE,
-                 max_frame_bytes=protocol.MAX_FRAME_BYTES,
                  workers=0, beat_interval=DEFAULT_BEAT_INTERVAL,
                  max_missed=4, breaker=None):
         if isinstance(workers, bool) or not isinstance(workers, int) \
@@ -160,15 +154,13 @@ class JobServer(object):
                              "number, got %r" % (heartbeat_interval,))
         self.host = host
         self.port = port
-        self.max_requests_per_job = max_requests_per_job
         self.max_instructions = max_instructions
         self.heartbeat_interval = heartbeat_interval
         self.stats_path = stats_path
         self.trace_path = trace_path
         self.drain_grace = drain_grace
-        self.max_frame_bytes = max_frame_bytes
         self._tmp_cache = None
-        if workers >= 1 and cache_dir is None and runner is None:
+        if workers >= 1 and cache_dir is None:
             # fleet workers are separate processes: they need a real
             # shared on-disk cache (it is also the requeue checkpoint)
             import tempfile
@@ -176,20 +168,15 @@ class JobServer(object):
             cache_dir = self._tmp_cache = tempfile.mkdtemp(
                 prefix="repro-fleet-cache-"
             )
-        self.runner = runner if runner is not None else ExperimentRunner(
-            cache_dir=cache_dir
-        )
-        self.table = JobTable(retain=retain_jobs)
+        self.runner = ExperimentRunner(cache_dir=cache_dir)
+        self.table = JobTable()
         self.queue = AdmissionQueue(high_water=high_water,
                                     on_shed=self._shed_expired)
         self.metrics = ServeMetrics(queue=self.queue, table=self.table)
         if workers >= 1:
-            # a pre-built runner: share its disk cache when it has one
-            fleet_cache = cache_dir if cache_dir is not None \
-                else getattr(self.runner, "cache_dir", None)
             self.mode = "fleet"
             members = [
-                WorkerProcess(index, cache_dir=fleet_cache,
+                WorkerProcess(index, cache_dir=cache_dir,
                               beat_interval=beat_interval,
                               max_missed=max_missed)
                 for index in range(workers)
@@ -469,9 +456,7 @@ class JobServer(object):
         try:
             while True:
                 try:
-                    message = await protocol.read_frame(
-                        reader, self.max_frame_bytes
-                    )
+                    message = await protocol.read_frame(reader)
                 except ProtocolError as exc:
                     self.metrics.bump("protocol_errors")
                     if exc.code == "truncated":
@@ -720,10 +705,10 @@ class JobServer(object):
             for bench in benchmarks
             for prefetcher in prefetchers
         ]
-        if len(requests) > self.max_requests_per_job:
+        if len(requests) > MAX_REQUESTS_PER_JOB:
             raise _bad(
                 "submission expands to %d runs, above the per-job cap "
-                "of %d" % (len(requests), self.max_requests_per_job)
+                "of %d" % (len(requests), MAX_REQUESTS_PER_JOB)
             )
         spec = {
             "kind": kind,

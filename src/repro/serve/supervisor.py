@@ -64,7 +64,7 @@ from repro.serve.workers import execute_job, failure_error, frame_outcome
 HANG_FREEZE_SECONDS = 600.0
 
 #: how long the parent waits for a fresh worker's ``ready`` frame
-DEFAULT_SPAWN_TIMEOUT = 30.0
+SPAWN_TIMEOUT = 30.0
 
 #: seconds between the parent's liveness checks while a job runs
 POLL_INTERVAL = 0.05
@@ -234,13 +234,11 @@ class WorkerProcess(object):
 
     def __init__(self, worker_id, cache_dir=None,
                  beat_interval=DEFAULT_BEAT_INTERVAL,
-                 max_missed=DEFAULT_MAX_MISSED,
-                 spawn_timeout=DEFAULT_SPAWN_TIMEOUT):
+                 max_missed=DEFAULT_MAX_MISSED):
         self.id = worker_id
         self.cache_dir = cache_dir
         self.beat_interval = beat_interval
         self.max_missed = max_missed
-        self.spawn_timeout = spawn_timeout
         self.health = WorkerHealth(beat_interval, max_missed)
         self.state = "starting"
         self.pid = None
@@ -283,7 +281,7 @@ class WorkerProcess(object):
         )
         try:
             frame = await asyncio.wait_for(self._frames.get(),
-                                           self.spawn_timeout)
+                                           SPAWN_TIMEOUT)
         except asyncio.TimeoutError:
             self.kill()
             raise WorkerLost("worker %d never sent ready" % self.id)

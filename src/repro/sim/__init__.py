@@ -3,7 +3,6 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "catalog",
     "SystemConfig",
     "make_prefetcher",
     "System",
@@ -19,7 +18,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "catalog": ("catalog",),
     "config": ("SystemConfig", "make_prefetcher"),
     "system": ("RunResult", "System"),
     "cmp": ("CMPSystem",),

@@ -1,27 +1,30 @@
 """Top-level system configuration and the prefetcher factory.
 
-:class:`SystemConfig` aggregates every knob of the simulated machine; the
-defaults reproduce the paper's Table II baseline.  Each sensitivity sweep
-in the evaluation overrides exactly one field (pipeline width for Fig. 14,
-``bp_scale`` for Fig. 13, the B-Fetch confidence threshold for Fig. 12,
-B-Fetch storage for Fig. 15).
+:class:`SystemConfig` holds the knobs of the simulated machine that runs
+vary; the defaults reproduce the paper's Table II baseline.  Each
+sensitivity sweep in the evaluation overrides exactly one field (pipeline
+width for Fig. 14, ``bp_scale`` for Fig. 13, the B-Fetch confidence
+threshold for Fig. 12, B-Fetch storage for Fig. 15).  Every other Table
+I/II value is a constant of the module that simulates it (DESIGN.md §4).
 """
 
 from operator import attrgetter
 from types import SimpleNamespace
 
 from repro._validate import require_ints
-from repro.branch.tournament import TournamentConfig, TournamentPredictor
+from repro.branch.tournament import TournamentPredictor
 from repro.core.config import BFetchConfig
-from repro.cpu.ooo import CoreConfig
-from repro.frontend.config import (
-    FRONTEND_MODES,
-    IPREFETCHER_NAMES,
-    FrontendConfig,
+from repro.cpu.ooo import ROB_ENTRIES, CoreConfig
+from repro.frontend.config import FRONTEND_MODES, IPREFETCHER_NAMES
+from repro.memory.hierarchy import (
+    L1_LATENCY,
+    L2_ASSOC,
+    L2_LATENCY,
+    L2_SIZE,
+    LLC_LATENCY,
+    HierarchyConfig,
 )
-from repro.memory.hierarchy import HierarchyConfig
 from repro.prefetchers.base import Prefetcher
-from repro.prefetchers.sms import SMSConfig, SMSPrefetcher
 
 PREFETCHER_NAMES = (
     "none", "nextn", "stride", "sms", "perfect", "tango", "bfetch",
@@ -43,32 +46,24 @@ ON_DEMAND_MODULES = (
     "repro.prefetchers.isb",
     "repro.prefetchers.nextn",
     "repro.prefetchers.perfect",
+    "repro.prefetchers.sms",
     "repro.prefetchers.stems",
     "repro.prefetchers.stride",
     "repro.prefetchers.tango",
 )
 
-# sub-config fields the fixed part of SystemConfig.key() carries (the
-# I-MSHR count with the front end on; without it the count is unused),
-# fields an implicit core takes from SystemConfig (compared in key()),
-# and fields derived from others
+# sub-config fields the fixed part of SystemConfig.key() carries
 _FIXED_KEY_FIELDS = frozenset((
     "hierarchy.llc_size_per_core", "hierarchy.llc_policy",
-    "hierarchy.mshr_entries", "hierarchy.imshr_entries",
+    "hierarchy.mshr_entries",
     "bfetch.brtc_entries", "bfetch.mht_entries",
     "bfetch.path_confidence_threshold", "bfetch.use_filter",
     "bfetch.loop_prefetch", "bfetch.pattern_prefetch",
-    "bfetch.arf_delay", "bfetch.filter_threshold",
-    "bfetch.instruction_prefetch",
-    "sms.region_bytes", "sms.blocks_per_region",
-    "core.width", "core.rob_entries", "core.block_bytes",
-    "core.block_shift", "core.frontend",
+    "bfetch.arf_delay", "bfetch.instruction_prefetch",
 ))
 _DEFAULTS = {
     "hierarchy": HierarchyConfig(),
-    "core": CoreConfig(),
     "bfetch": BFetchConfig(),
-    "sms": SMSConfig(),
 }
 # every other sub-config field, read in one call, and its defaults: such
 # a field enters the key only when it leaves its default
@@ -85,27 +80,27 @@ _OPTIONAL_KEY_DEFAULTS = _optional_key_values(SimpleNamespace(**_DEFAULTS))
 class SystemConfig:
     """Whole-system parameters (paper Table II defaults).
 
-    :param width: pipeline width (fetch/issue/retire).
+    :param width: pipeline width (fetch/issue/retire, Fig. 14).
     :param bp_scale: tournament-predictor size multiplier (Fig. 13).
     :param prefetcher: one of :data:`PREFETCHER_NAMES`.
+    :param hierarchy: :class:`~repro.memory.HierarchyConfig`; its line
+        size is the core's fetch-block size and every prefetcher's block.
+    :param bfetch: :class:`~repro.core.BFetchConfig`.
+    :param branch_predictor: one of :data:`PREDICTOR_NAMES`.
+    :param frontend: ``"off"`` or ``"ftq"`` (the decoupled front end).
+    :param iprefetcher: the I-side prefetcher; needs ``frontend="ftq"``.
     """
 
     def __init__(
         self,
         width=4,
-        rob_entries=192,
         bp_scale=1.0,
         prefetcher="none",
-        core=None,
         hierarchy=None,
         bfetch=None,
-        sms=None,
-        stride_degree=8,
-        nextn_degree=4,
         branch_predictor="tournament",
         frontend="off",
         iprefetcher="none",
-        frontend_cfg=None,
     ):
         if branch_predictor not in PREDICTOR_NAMES:
             raise ValueError(
@@ -133,44 +128,26 @@ class SystemConfig:
                 "frontend=\"ftq\"" % (iprefetcher,)
             )
         # fail fast on nonsensical sizes instead of letting a zero-wide
-        # pipeline or a negative degree corrupt a run far downstream
-        require_ints("SystemConfig", (("width", width),
-                                      ("rob_entries", rob_entries),
-                                      ("stride_degree", stride_degree),
-                                      ("nextn_degree", nextn_degree)))
+        # pipeline corrupt a run far downstream
+        require_ints("SystemConfig", (("width", width),))
         if not bp_scale > 0:
             raise ValueError(
                 "bp_scale must be positive, got %r" % (bp_scale,)
             )
         self.width = width
-        self.rob_entries = rob_entries
         self.bp_scale = bp_scale
         self.prefetcher = prefetcher
         self.hierarchy = hierarchy or HierarchyConfig()
-        # the core's fetch-block geometry follows the L1 line size unless
-        # an explicit CoreConfig overrides it
-        self.core = core or CoreConfig(
+        # the core fetches in the hierarchy's lines
+        self.core = CoreConfig(
             width=width,
-            rob_entries=rob_entries,
             block_bytes=self.hierarchy.block_bytes,
             frontend=frontend,
         )
-        if self.core.frontend != frontend:
-            raise ValueError(
-                "explicit CoreConfig.frontend=%r disagrees with "
-                "SystemConfig.frontend=%r" % (self.core.frontend, frontend)
-            )
         self.frontend = frontend
         self.iprefetcher = iprefetcher
-        self.frontend_cfg = frontend_cfg or FrontendConfig()
         self.bfetch = bfetch or BFetchConfig()
-        self.sms = sms or SMSConfig()
-        self.stride_degree = stride_degree
-        self.nextn_degree = nextn_degree
         self.branch_predictor = branch_predictor
-
-    def tournament_config(self):
-        return TournamentConfig(scale=self.bp_scale)
 
     def make_predictor(self):
         """Build the configured direction predictor."""
@@ -179,7 +156,7 @@ class SystemConfig:
             entries = max(16, int(512 * self.bp_scale))
             entries = 1 << (entries.bit_length() - 1)
             return PerceptronPredictor(entries=entries)
-        return TournamentPredictor(self.tournament_config())
+        return TournamentPredictor(self.bp_scale)
 
     def key(self):
         """Stable identity tuple for result caching.
@@ -191,75 +168,69 @@ class SystemConfig:
         """
         key = self._base_key()
         if self.frontend != "off":
-            key += (
-                self.frontend,
-                self.iprefetcher,
-                self.hierarchy.imshr_entries,
-            ) + self.frontend_cfg.key()
+            # the I-MSHR count, then the FTQ entries, fill width, FDIP
+            # degree and distance, next-line degree, I-side drain rate
+            # and queue capacity (see _base_key's literals)
+            key += (self.frontend, self.iprefetcher,
+                    4, 32, 2, 4, 1, 2, 2, 32)
         values = _optional_key_values(self)
         if values != _OPTIONAL_KEY_DEFAULTS:
             for field, value, default in zip(_OPTIONAL_KEY_FIELDS, values,
                                              _OPTIONAL_KEY_DEFAULTS):
                 if value != default:
                     key += (field, value)
-        # an explicit core may disagree with what an implicit one takes
-        # from width, rob_entries and the line size
-        core = self.core
-        if core.width != self.width:
-            key += ("core.width", core.width)
-        if core.rob_entries != self.rob_entries:
-            key += ("core.rob_entries", core.rob_entries)
-        if core.block_bytes != self.hierarchy.block_bytes:
-            key += ("core.block_bytes", core.block_bytes)
         return key
 
     def _base_key(self):
         bf = self.bfetch
+        # a literal holds the slot of a field that became a constant, so
+        # every existing cache key stays valid; a change to such a
+        # constant changes results, so its literal must change with it
         return (
             self.width,
-            self.rob_entries,
+            192,    # ROB entries
             self.bp_scale,
             self.branch_predictor,
             self.prefetcher,
             self.hierarchy.llc_size_per_core,
             self.hierarchy.llc_policy,
             self.hierarchy.mshr_entries,
-            self.stride_degree,
-            self.nextn_degree,
-            self.sms.region_bytes,
+            8,      # stride degree
+            4,      # next-n degree
+            2048,   # SMS region bytes
             bf.brtc_entries,
             bf.mht_entries,
             bf.path_confidence_threshold,
             bf.use_filter,
             bf.loop_prefetch,
             bf.pattern_prefetch,
-            # the slot of a removed ARF-mode knob that selected nothing,
-            # kept so every existing cache key stays valid
+            # a removed ARF-mode knob that selected nothing
             "execute",
             bf.arf_delay,
-            bf.filter_threshold,
+            3,      # per-load filter threshold
             bf.instruction_prefetch,
         )
 
     def describe(self):
         """Table II-style description rows."""
+        from repro.core.perload_filter import FILTER_THRESHOLD
         hier = self.hierarchy
         return [
             ("CPU", "%d-wide O3 processor, %d-entry ROB"
-             % (self.width, self.rob_entries)),
+             % (self.width, ROB_ENTRIES)),
             ("L1I & L1D cache", "%dKB %d-way, %d-cycle latency"
-             % (hier.l1d_size // 1024, hier.l1d_assoc, hier.l1_latency)),
+             % (hier.l1d_size // 1024, hier.l1d_assoc, L1_LATENCY)),
             ("L2 cache", "Unified %dKB %d-way, %d-cycle latency"
-             % (hier.l2_size // 1024, hier.l2_assoc, hier.l2_latency)),
+             % (L2_SIZE // 1024, L2_ASSOC, L2_LATENCY)),
             ("Shared L3 cache", "%dMB/core %d-way, %d-cycle latency"
              % (hier.llc_size_per_core // (1024 * 1024), hier.llc_assoc,
-                hier.llc_latency)),
+                LLC_LATENCY)),
             ("Off-chip DRAM", "%d-cycle latency" % hier.dram_latency),
             ("Branch predictor", "Tournament predictor (scale %.2fx)"
              % self.bp_scale),
             ("Branch path confidence threshold",
              "%.2f" % self.bfetch.path_confidence_threshold),
-            ("Per-load filter threshold", str(self.bfetch.filter_threshold)),
+            ("Per-load filter threshold", str(FILTER_THRESHOLD)),
         ]
 
 
@@ -267,9 +238,10 @@ def make_prefetcher(config):
     """Instantiate the prefetcher selected by *config*.
 
     Every prefetcher's block geometry (issue-side dedup, sequential
-    stepping, delta learning) is derived from the hierarchy's L1 line
-    size rather than an assumed 64 bytes, so non-default
-    ``HierarchyConfig.block_bytes`` values stay consistent end to end.
+    stepping, delta learning, SMS regions) is derived from the
+    hierarchy's L1 line size rather than an assumed 64 bytes, so
+    non-default ``HierarchyConfig.block_bytes`` values stay consistent
+    end to end.
     Each prefetcher's module is imported here, for the name asked.
     """
     name = config.prefetcher
@@ -278,14 +250,13 @@ def make_prefetcher(config):
         return Prefetcher(block_bytes=block_bytes)
     if name == "nextn":
         from repro.prefetchers.nextn import NextNPrefetcher
-        return NextNPrefetcher(n=config.nextn_degree,
-                               block_bytes=block_bytes)
+        return NextNPrefetcher(block_bytes=block_bytes)
     if name == "stride":
         from repro.prefetchers.stride import StridePrefetcher
-        return StridePrefetcher(degree=config.stride_degree,
-                                block_bytes=block_bytes)
+        return StridePrefetcher(block_bytes=block_bytes)
     if name == "sms":
-        return SMSPrefetcher(config.sms)
+        from repro.prefetchers.sms import SMSPrefetcher
+        return SMSPrefetcher(block_bytes=block_bytes)
     if name == "perfect":
         from repro.prefetchers.perfect import PerfectPrefetcher
         return PerfectPrefetcher(block_bytes=block_bytes)
@@ -300,7 +271,7 @@ def make_prefetcher(config):
         return ISBPrefetcher(block_bytes=block_bytes)
     if name == "stems":
         from repro.prefetchers.stems import STeMSPrefetcher
-        return STeMSPrefetcher(config.sms)
+        return STeMSPrefetcher(block_bytes=block_bytes)
     raise ValueError("unknown prefetcher %r" % name)
 
 
@@ -310,7 +281,6 @@ def make_iprefetcher_for(config):
     from repro.frontend.iprefetch import make_iprefetcher
     return make_iprefetcher(
         config.iprefetcher,
-        config.frontend_cfg,
         block_bytes=config.hierarchy.block_bytes,
         bfetch_config=config.bfetch,
     )

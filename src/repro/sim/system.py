@@ -168,17 +168,12 @@ class RunResult:
         )
 
 
-def build_registry(core, hierarchy, prefetcher, registry=None, core_prefix=""):
-    """Adopt a system's component counters into a stats registry.
+def build_registry(core, hierarchy, prefetcher):
+    """Adopt a system's component counters into a fresh stats registry
+    and return it."""
+    reg = StatsRegistry()
 
-    :param core_prefix: optional disambiguator for CMP systems (e.g.
-        ``"core0."``) so several cores can share one registry.
-    :returns: the (possibly freshly created) registry.
-    """
-    reg = registry if registry is not None else StatsRegistry()
-    p = core_prefix
-
-    reg.adopt(p + "core", core, fields=(
+    reg.adopt("core", core, fields=(
         "retired", "cycle", "branches", "cond_branches", "mispredicts",
         "fetch_cycles", "flush_stall_cycles",
     ), descs={
@@ -188,16 +183,16 @@ def build_registry(core, hierarchy, prefetcher, registry=None, core_prefix=""):
         "fetch_cycles": "cycles with at least one fetched instruction",
         "flush_stall_cycles": "idle steps spent in redirect bubbles",
     })
-    reg.register(_adopted(p + "core.rob.full_stalls", core,
+    reg.register(_adopted("core.rob.full_stalls", core,
                           "rob_full_stalls",
                           "idle steps blocked by a full ROB"))
-    reg.register(_adopted(p + "core.fetch.branches_per_cycle", core,
+    reg.register(_adopted("core.fetch.branches_per_cycle", core,
                           "fetch_branch_hist",
                           "Fig. 7 branches-per-fetch-cycle histogram"))
-    reg.ratio(p + "core.ipc",
+    reg.ratio("core.ipc",
               lambda: core.retired, lambda: max(core.cycle, 1),
               "instructions per cycle")
-    reg.ratio(p + "core.mispredict_rate",
+    reg.ratio("core.mispredict_rate",
               lambda: core.mispredicts,
               lambda: core.cond_branches,
               "mispredicts per conditional branch")
@@ -205,16 +200,16 @@ def build_registry(core, hierarchy, prefetcher, registry=None, core_prefix=""):
     for level_name, cache in (("l1i", hierarchy.l1i), ("l1d", hierarchy.l1d),
                               ("l2", hierarchy.l2), ("llc", hierarchy.llc)):
         stats = cache.stats
-        reg.adopt(p + "mem." + level_name, stats)
-        reg.ratio(p + "mem.%s.miss_rate" % level_name,
+        reg.adopt("mem." + level_name, stats)
+        reg.ratio("mem.%s.miss_rate" % level_name,
                   _attr(stats, "misses"), _attr(stats, "accesses"),
                   "demand misses per access")
     dram = hierarchy.dram
-    reg.adopt(p + "mem.dram", dram,
+    reg.adopt("mem.dram", dram,
               fields=("accesses", "prefetch_accesses", "busy_cycles"),
               descs={"busy_cycles": "channel occupancy in cycles"})
 
-    pf = p + "pf.%s" % prefetcher.name
+    pf = "pf.%s" % prefetcher.name
     stats = prefetcher.stats
     reg.adopt(pf, stats)
     reg.ratio(pf + ".accuracy",
@@ -269,26 +264,26 @@ def build_registry(core, hierarchy, prefetcher, registry=None, core_prefix=""):
             ("bpu_stalls", "ticks with a stalled run-ahead walker"),
         ):
             name = attr[4:] if attr.startswith("ftq_") else attr
-            reg.register(_adopted(p + "core.ftq." + name, frontend,
+            reg.register(_adopted("core.ftq." + name, frontend,
                                   attr, desc))
-        reg.ratio(p + "core.ftq.mean_occupancy",
+        reg.ratio("core.ftq.mean_occupancy",
                   lambda: frontend.occupancy_sum,
                   lambda: max(frontend.occupancy_samples, 1),
                   "average FTQ occupancy in fetch blocks")
         predecoder = frontend.predecoder
-        reg.adopt(p + "core.predecode", predecoder,
+        reg.adopt("core.predecode", predecoder,
                   fields=("blocks", "shadow_fills", "shadow_hits"),
                   descs={
                       "blocks": "L1-I fills scanned by the predecoder",
                       "shadow_fills": "shadow-branch BTB entries installed",
                       "shadow_hits": "walker discoveries via a shadow fill",
                   })
-        reg.ratio(p + "core.predecode.shadow_hit_rate",
+        reg.ratio("core.predecode.shadow_hit_rate",
                   _attr(predecoder, "shadow_hits"),
                   _attr(predecoder, "shadow_fills"),
                   "walker-used fraction of shadow fills")
         iprefetcher = frontend.iprefetcher
-        ipf = p + "pf.ifetch.%s" % iprefetcher.name
+        ipf = "pf.ifetch.%s" % iprefetcher.name
         istats = iprefetcher.stats
         reg.adopt(ipf, istats)
         l1i_stats = hierarchy.l1i.stats
@@ -325,14 +320,10 @@ class System:
     :param dram: optional shared DRAM (CMP mode).
     :param tracer: optional :class:`~repro.obs.Tracer`; when None the
         ``REPRO_TRACE`` environment decides (unset = tracing off).
-    :param registry: optional shared :class:`~repro.obs.StatsRegistry`
-        (CMP mode); a private one is built when None.
-    :param stats_prefix: name prefix for this system's stats when
-        sharing a registry (e.g. ``"core0."``).
     """
 
     def __init__(self, workload, config=None, llc=None, dram=None,
-                 tracer=None, registry=None, stats_prefix=""):
+                 tracer=None):
         self.config = config or SystemConfig()
         self.workload = workload
         self.machine = Machine(workload.program, dict(workload.memory))
@@ -369,13 +360,11 @@ class System:
             if hasattr(iprefetcher, "attach"):
                 iprefetcher.attach(self.predictor, self.confidence)
             self.core.bind_frontend(DecoupledFrontEnd(
-                self.config.frontend_cfg,
                 self.hierarchy,
                 self.predictor,
                 self.btb,
                 self.machine.program,
                 iprefetcher,
-                self.config.core,
             ))
         # observability: tracer channels bound once at assembly; the
         # registry passively adopts every component's counters
@@ -385,10 +374,8 @@ class System:
         self.prefetcher.bind_tracer(self.tracer)
         if self.core.frontend is not None:
             self.core.frontend.bind_tracer(self.tracer)
-        self.stats = build_registry(
-            self.core, self.hierarchy, self.prefetcher,
-            registry=registry, core_prefix=stats_prefix,
-        )
+        self.stats = build_registry(self.core, self.hierarchy,
+                                    self.prefetcher)
 
     def run(self, instructions, checkpointer=None, sanitizer=None,
             interrupt=None, corrupt_at=None):

@@ -10,6 +10,8 @@ from collections import OrderedDict, deque
 import pytest
 
 from repro.core import BFetchConfig, BFetchPrefetcher, bb_hash
+from repro.core.config import MAX_LOOKAHEAD
+from repro.core.mht import OFFSET_LIMIT
 from repro.isa import assemble
 from repro.obs import Tracer
 from repro.obs.trace import parse_trace_spec
@@ -132,9 +134,29 @@ def test_filter_disabled_issues_more_candidates():
 
 
 def test_unrepresentable_offset_invalidates_slot():
-    pf = BFetchPrefetcher(BFetchConfig(offset_bits=8))
-    # offsets beyond +-127 cannot be stored
-    assert pf.config.offset_limit == 127
+    """A load further from its base register's value at the leading
+    branch than the signed Offset field holds cannot be covered: its
+    MHT slot is invalidated."""
+    program = assemble("""
+top:    bnez r1, top
+        load r2, 0(r8)
+        halt
+""")
+    branch, load = program[0], program[1]
+    regs = [0] * 32   # r8 reads 0 in the ARF, so the offset is the EA
+    pf = BFetchPrefetcher()
+
+    def train(ea, now):
+        pf.on_commit(branch, None, False, branch.pc + 4, regs, now)
+        pf.on_commit(load, ea, False, None, regs, now + 1)
+        entry = pf.mht.lookup(bb_hash(branch.pc, False, branch.pc + 4),
+                              branch.pc & 0xFFFFFFFF)
+        return entry.slot_for(8, allocate=False)
+
+    slot = train(OFFSET_LIMIT, 0)
+    assert slot.valid and slot.offset == OFFSET_LIMIT
+    slot = train(OFFSET_LIMIT + 1, 10)
+    assert not slot.valid and slot.stable == 0
 
 
 def test_lookahead_requires_attach():
@@ -282,7 +304,7 @@ class ReferenceWalk(BFetchPrefetcher):
         visits = {}
         depth = 0
         entry_pc = next_pc
-        while depth < cfg.max_lookahead:
+        while depth < MAX_LOOKAHEAD:
             depth += 1
             revisit = visits.get(state_hash, 0)
             visits[state_hash] = revisit + 1

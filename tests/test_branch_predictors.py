@@ -6,7 +6,6 @@ from repro.branch import (
     BimodalPredictor,
     GsharePredictor,
     LocalPredictor,
-    TournamentConfig,
     TournamentPredictor,
 )
 
@@ -70,7 +69,7 @@ def test_local_learns_short_period_pattern():
 
 
 def test_tournament_beats_components_on_mixed_workload():
-    p = TournamentPredictor(TournamentConfig())
+    p = TournamentPredictor()
     # branch A: biased taken; branch B: alternating (local-predictable)
     hits = 0
     total = 0
@@ -88,11 +87,10 @@ def test_tournament_beats_components_on_mixed_workload():
 
 
 def test_tournament_scaled_sizes():
-    small = TournamentConfig(scale=0.5)
-    big = TournamentConfig(scale=4.0)
-    assert small.global_entries < big.global_entries
-    assert TournamentPredictor(big).storage_bits() > \
-        TournamentPredictor(small).storage_bits()
+    small = TournamentPredictor(scale=0.5)
+    big = TournamentPredictor(scale=4.0)
+    assert small.gshare.entries < big.gshare.entries
+    assert big.storage_bits() > small.storage_bits()
 
 
 def test_tournament_speculative_history_lookup():
@@ -106,7 +104,7 @@ def test_tournament_speculative_history_lookup():
 
 def test_storage_bits_positive_and_scale_monotonic():
     sizes = [
-        TournamentPredictor(TournamentConfig(scale=s)).storage_bits()
+        TournamentPredictor(scale=s).storage_bits()
         for s in (0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))

@@ -18,7 +18,6 @@ from repro.frontend import (
     FRONTEND_MODES,
     IPREFETCHER_NAMES,
     FetchTargetQueue,
-    FrontendConfig,
     Predecoder,
     make_iprefetcher,
 )
@@ -138,11 +137,10 @@ def test_off_mode_cache_key_is_unchanged():
 
 
 def test_frontend_configs_get_distinct_keys():
-    base = SystemConfig(frontend="ftq", iprefetcher="fdip")
-    other = SystemConfig(frontend="ftq", iprefetcher="bfetch-i")
-    tuned = SystemConfig(frontend="ftq", iprefetcher="fdip",
-                         frontend_cfg=FrontendConfig(ftq_entries=16))
-    assert len({base.key(), other.key(), tuned.key()}) == 3
+    keys = {SystemConfig(frontend="ftq", iprefetcher=name).key()
+            for name in IPREFETCHER_NAMES}
+    keys.add(SystemConfig().key())
+    assert len(keys) == len(IPREFETCHER_NAMES) + 1
 
 
 def test_iprefetcher_requires_frontend():
@@ -391,14 +389,12 @@ def _walk_fixture_program(base_pc=0x1000):
 
 
 def _walk_fixture_front_end(program, log, taken):
-    from repro.cpu.ooo import CoreConfig
     from repro.frontend import DecoupledFrontEnd
     from repro.memory.hierarchy import MemoryHierarchy
     btb = _RecordingBTB(log)
     front_end = DecoupledFrontEnd(
-        FrontendConfig(), MemoryHierarchy(HierarchyConfig()),
-        _StubPredictor(log, taken), btb, program,
-        make_iprefetcher("none", FrontendConfig()), CoreConfig())
+        MemoryHierarchy(HierarchyConfig()), _StubPredictor(log, taken),
+        btb, program, make_iprefetcher("none"))
     # shadow fills, as predecoding their blocks would install them
     # (a fill of a whole block would also expose the branch at 17)
     for index in (1, 3, 8):
@@ -467,13 +463,13 @@ def test_iprefetcher_catalog_is_complete():
         "none", "nextline-i", "fdip", "bfetch-i", "combined")
     assert FRONTEND_MODES == ("off", "ftq")
     for name in IPREFETCHER_NAMES:
-        pf = make_iprefetcher(name, FrontendConfig())
+        pf = make_iprefetcher(name)
         assert pf is not None
 
 
 def test_make_iprefetcher_rejects_unknown():
     with pytest.raises(ValueError):
-        make_iprefetcher("ghost", FrontendConfig())
+        make_iprefetcher("ghost")
 
 
 # ----------------------------------------------------------------------
@@ -566,12 +562,3 @@ def test_32_byte_lines_run_end_to_end():
     system.run(2_000)
     for addr, _issued in system.core.frontend.ftq.snapshot():
         assert addr % 32 == 0
-
-
-def test_geometry_mismatch_is_rejected():
-    from repro.cpu.ooo import CoreConfig
-    config = SystemConfig(frontend="ftq", iprefetcher="none",
-                          core=CoreConfig(block_bytes=64, frontend="ftq"),
-                          hierarchy=HierarchyConfig(block_bytes=32))
-    with pytest.raises(ValueError):
-        System(build_workload("nginx"), config)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memory import DramModel, HierarchyConfig, MemoryHierarchy
+from repro.memory.hierarchy import L1_LATENCY, L2_LATENCY, LLC_LATENCY
 
 
 def make(**kwargs):
@@ -14,10 +15,10 @@ def test_latency_stack_cold_then_warm():
     cfg = h.config
     latency, hit = h.load(0x10000, now=0)
     assert not hit
-    assert latency >= cfg.l1_latency + cfg.l2_latency + cfg.llc_latency + \
+    assert latency >= L1_LATENCY + L2_LATENCY + LLC_LATENCY + \
         cfg.dram_latency
     latency, hit = h.load(0x10000, now=1000)
-    assert hit and latency == cfg.l1_latency
+    assert hit and latency == L1_LATENCY
 
 
 def test_l2_hit_latency():
@@ -25,15 +26,14 @@ def test_l2_hit_latency():
     h.l2.fill(0x20000)
     latency, hit = h.load(0x20000, now=0)
     assert not hit
-    assert latency == h.config.l1_latency + h.config.l2_latency
+    assert latency == L1_LATENCY + L2_LATENCY
 
 
 def test_llc_hit_latency():
     h = make()
     h.llc.fill(0x30000)
     latency, hit = h.load(0x30000, now=0)
-    assert latency == (h.config.l1_latency + h.config.l2_latency
-                       + h.config.llc_latency)
+    assert latency == L1_LATENCY + L2_LATENCY + LLC_LATENCY
     # fill path installed it into L2 as well
     assert h.l2.contains(0x30000)
 
@@ -66,7 +66,7 @@ def test_late_prefetch_partially_hides_latency():
     ready = line.ready
     latency, hit = h.load(0x50000, now=ready - 10)
     assert hit
-    assert latency == 10 + h.config.l1_latency
+    assert latency == 10 + L1_LATENCY
     assert h.l1d.stats.late_hits == 1
 
 
@@ -75,7 +75,7 @@ def test_timely_prefetch_is_l1_hit():
     h.prefetch(0x60000, now=0)
     ready = h.l1d.lookup(0x60000).ready
     latency, hit = h.load(0x60000, now=ready + 5)
-    assert hit and latency == h.config.l1_latency
+    assert hit and latency == L1_LATENCY
     assert h.l1d.stats.prefetch_useful == 1
 
 
@@ -115,7 +115,7 @@ def test_ifetch_uses_l1i():
     h = make()
     first = h.ifetch(0x1000, now=0)
     second = h.ifetch(0x1000, now=100)
-    assert first > second == h.config.l1_latency
+    assert first > second == L1_LATENCY
 
 
 def test_store_allocates():
@@ -199,4 +199,4 @@ def test_shared_llc_between_hierarchies():
     # the second core's miss now hits in the shared LLC
     latency, hit = h2.load(0xA0000, now=1000)
     assert not hit
-    assert latency == cfg.l1_latency + cfg.l2_latency + cfg.llc_latency
+    assert latency == L1_LATENCY + L2_LATENCY + LLC_LATENCY

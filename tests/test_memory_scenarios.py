@@ -1,6 +1,7 @@
 """Memory-system scenario tests: multi-level interactions under load."""
 
 from repro.memory import Cache, HierarchyConfig, MemoryHierarchy
+from repro.memory.hierarchy import L1_LATENCY, L2_LATENCY, LLC_LATENCY
 
 
 def test_llc_warming_by_sibling_core_changes_latency_class():
@@ -12,7 +13,7 @@ def test_llc_warming_by_sibling_core_changes_latency_class():
     cold, _ = a.load(0x500000, now=0)
     warm, _ = b.load(0x500000, now=10_000)
     assert warm < cold
-    assert warm == cfg.l1_latency + cfg.l2_latency + cfg.llc_latency
+    assert warm == L1_LATENCY + L2_LATENCY + LLC_LATENCY
 
 
 def test_llc_pollution_by_sibling_core():
@@ -39,7 +40,7 @@ def test_prefetch_traffic_bounded_demand_penalty():
     for i in range(20):
         h.prefetch(0x900000 + i * 64, now=0)
     latency, _ = h.load(0xA00000, now=0)
-    base = (cfg.l1_latency + cfg.l2_latency + cfg.llc_latency
+    base = (L1_LATENCY + L2_LATENCY + LLC_LATENCY
             + cfg.dram_latency)
     assert latency <= base + cfg.dram_cycles_per_transfer + 1
 
@@ -61,7 +62,7 @@ def test_l2_keeps_blocks_evicted_from_l1():
     assert not h.l1d.contains(0)
     latency, hit = h.load(0, now=1000)
     assert not hit
-    assert latency == cfg.l1_latency + cfg.l2_latency
+    assert latency == L1_LATENCY + L2_LATENCY
 
 
 def test_prefetched_line_upgrade_path():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu import ooo
 from repro.cpu.ooo import CoreConfig
 from repro.isa import assemble
 from repro.sim import RunResult, System, SystemConfig
@@ -111,7 +112,7 @@ loop:   load r1, 0(r8)
     assert system.hierarchy.dram.accesses > 100
 
 
-def test_rob_size_matters_under_misses():
+def test_rob_size_matters_under_misses(monkeypatch):
     stream = """
         li   r8, 0x700000
 outer:  li   r16, 100
@@ -123,11 +124,13 @@ loop:   load r1, 0(r8)
         br   outer
         halt
 """
-    small = build_system(stream, rob_entries=16)
-    big = build_system(stream, rob_entries=192)
-    small.core.run(20_000)
+    big = build_system(stream)
     big.core.run(20_000)
-    assert big.core.ipc >= small.core.ipc
+    # the cycle loop reads the Table II size each time it is entered
+    monkeypatch.setattr(ooo, "ROB_ENTRIES", 16)
+    small = build_system(stream)
+    small.core.run(20_000)
+    assert big.core.ipc > small.core.ipc
 
 
 def test_fetch_branch_histogram_populated():
@@ -150,11 +153,11 @@ def test_budget_respected():
 
 @pytest.mark.parametrize("kwargs", [
     {"width": 0},
-    {"rob_entries": -1},
-    {"alu_latency": 1.5},
-    {"redirect_penalty": -1},
-    {"redirect_penalty": 2.5},
-    {"redirect_penalty": None},
+    {"width": -1},
+    {"width": 1.5},
+    {"block_bytes": -64},
+    {"block_bytes": 2.5},
+    {"width": None},
     {"block_bytes": 0},
     {"block_bytes": 48},
     {"block_bytes": 48.0},
@@ -165,10 +168,6 @@ def test_core_config_rejects_bad_fields(kwargs):
     field = next(iter(kwargs))
     with pytest.raises(ValueError, match="CoreConfig.%s" % field):
         CoreConfig(**kwargs)
-
-
-def test_core_config_accepts_zero_redirect_penalty():
-    assert CoreConfig(redirect_penalty=0, block_bytes=32).block_shift == 5
 
 
 def _result_by_steps(system, instructions):

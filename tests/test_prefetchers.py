@@ -12,6 +12,7 @@ from repro.prefetchers import (
     StridePrefetcher,
     TangoPrefetcher,
 )
+from repro.prefetchers.sms import AGT_ENTRIES, REGION_BYTES
 
 
 def drain_addrs(prefetcher):
@@ -142,12 +143,12 @@ class TestSMS:
 
     def test_agt_capacity_commits_victims(self):
         p = SMSPrefetcher()
-        for i in range(p.config.agt_entries + 5):
+        for i in range(AGT_ENTRIES + 5):
             # vary the trigger offset so displaced generations land in
             # distinct PHT slots
-            addr = 0x100000 + i * p.config.region_bytes + (i % 7) * 64
+            addr = 0x100000 + i * REGION_BYTES + (i % 7) * 64
             p.on_load(0x300, addr, hit=False, now=0)
-        assert len(p.agt) <= p.config.agt_entries
+        assert len(p.agt) <= AGT_ENTRIES
         assert len(p.pht) >= 5
 
     def test_stores_train_too(self):

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.memory import Cache
 from repro.prefetchers import SMSPrefetcher
+from repro.prefetchers.sms import AGT_ENTRIES
 
 
 @given(st.lists(st.tuples(st.integers(0, 1023), st.booleans()), max_size=300))
@@ -133,8 +134,8 @@ def test_sms_agt_bounded_and_patterns_well_formed(accesses):
     p = SMSPrefetcher()
     for pc, addr, hit in accesses:
         p.on_load(pc, addr, hit, 0)
-        assert len(p.agt) <= p.config.agt_entries
-    mask = (1 << p.config.blocks_per_region) - 1
+        assert len(p.agt) <= AGT_ENTRIES
+    mask = (1 << p.blocks_per_region) - 1
     for generation in p.agt.values():
         assert generation.pattern & ~mask == 0
     for tag, pattern in p.pht.values():

@@ -122,11 +122,9 @@ def test_distinct_configs_never_collide():
     variants = [
         SystemConfig(),
         SystemConfig(width=2),
-        SystemConfig(rob_entries=96),
         SystemConfig(bp_scale=0.5),
         SystemConfig(prefetcher="stride"),
-        SystemConfig(prefetcher="stride", stride_degree=4),
-        SystemConfig(prefetcher="nextn", nextn_degree=8),
+        SystemConfig(prefetcher="nextn"),
         SystemConfig(branch_predictor="perceptron"),
     ]
     keys = [v.key() for v in variants]
@@ -163,62 +161,30 @@ def test_cache_key_includes_variant():
 # every sub-config field the key used to leave out, each with a
 # non-default value: (sub-config, field, value)
 _FORMERLY_UNKEYED = [
-    ("hierarchy", "l1i_size", 32 * 1024),
-    ("hierarchy", "l1i_assoc", 4),
     ("hierarchy", "l1d_size", 32 * 1024),
     ("hierarchy", "l1d_assoc", 4),
-    ("hierarchy", "l1_latency", 3),
-    ("hierarchy", "l2_size", 512 * 1024),
-    ("hierarchy", "l2_assoc", 16),
-    ("hierarchy", "l2_latency", 12),
     ("hierarchy", "llc_assoc", 8),
-    ("hierarchy", "llc_latency", 30),
     ("hierarchy", "dram_latency", 400),
     ("hierarchy", "dram_cycles_per_transfer", 0),
     ("hierarchy", "block_bytes", 32),
-    ("bfetch", "mht_reg_slots", 2),
-    ("bfetch", "offset_bits", 12),
-    ("bfetch", "loopdelta_bits", 12),
-    ("bfetch", "pattern_bits", 3),
-    ("bfetch", "max_lookahead", 8),
     ("bfetch", "filter_tables", 2),
-    ("bfetch", "filter_entries", 1024),
-    ("bfetch", "filter_counter_bits", 2),
     ("bfetch", "filter_initial", 1),
     ("bfetch", "queue_capacity", 50),
-    ("bfetch", "max_instr_blocks", 4),
-    ("bfetch", "block_bytes", 32),
-    ("sms", "agt_entries", 32),
-    ("sms", "pht_entries", 8192),
-    ("sms", "block_bytes", 32),
-    ("sms", "pht_tag_bits", 6),
-    ("core", "width", 2),
-    ("core", "rob_entries", 96),
-    ("core", "redirect_penalty", 5),
-    ("core", "alu_latency", 2),
-    ("core", "mul_latency", 4),
-    ("core", "store_latency", 2),
-    ("core", "prefetch_drain_rate", 4),
-    ("core", "block_bytes", 32),
 ]
 
 
 def _config_with(sub_config, field, value):
     from repro.core.config import BFetchConfig
-    from repro.cpu.ooo import CoreConfig
     from repro.memory.hierarchy import HierarchyConfig
-    from repro.prefetchers import SMSConfig
 
-    make = {"hierarchy": HierarchyConfig, "bfetch": BFetchConfig,
-            "sms": SMSConfig, "core": CoreConfig}[sub_config]
+    make = {"hierarchy": HierarchyConfig, "bfetch": BFetchConfig}[sub_config]
     return SystemConfig(prefetcher="bfetch",
                         **{sub_config: make(**{field: value})})
 
 
 def test_every_sub_config_field_reaches_the_key():
     """A non-default value of any field that changes results gives a
-    distinct key -- including an explicit CoreConfig, whose width and
-    ROB size the fixed key reads from SystemConfig."""
+    distinct key."""
     default = SystemConfig(prefetcher="bfetch").key()
     keys = {}
     for sub_config, field, value in _FORMERLY_UNKEYED:
@@ -229,24 +195,47 @@ def test_every_sub_config_field_reaches_the_key():
 
 
 def test_default_sub_configs_keep_their_key():
-    """Explicit sub-configs at their defaults key like implicit ones, so
-    cache entries written before the fields were keyed stay valid."""
+    """Explicit sub-configs at their defaults key like implicit ones, and
+    the default machine, a Fig. 15 storage point and the front end keep
+    the keys their cached results were written under."""
     from repro.core.config import BFetchConfig
-    from repro.cpu.ooo import CoreConfig
     from repro.memory.hierarchy import HierarchyConfig
-    from repro.prefetchers import SMSConfig
 
     default = SystemConfig(prefetcher="bfetch")
     explicit = SystemConfig(prefetcher="bfetch", hierarchy=HierarchyConfig(),
-                            bfetch=BFetchConfig(), sms=SMSConfig(),
-                            core=CoreConfig())
+                            bfetch=BFetchConfig())
     assert explicit.key() == default.key() == (
         4, 192, 1.0, "tournament", "bfetch", 2097152, "lru", 8, 8, 4,
         2048, 256, 128, 0.75, True, True, True, "execute", 6, 3, False)
-    narrow = SystemConfig(width=2, rob_entries=96)
-    assert narrow.key() == SystemConfig(
-        width=2, rob_entries=96,
-        core=CoreConfig(width=2, rob_entries=96)).key()
+    sized = SystemConfig(prefetcher="bfetch", bfetch=BFetchConfig.sized(64))
+    assert sized.key() == (
+        4, 192, 1.0, "tournament", "bfetch", 2097152, "lru", 8, 8, 4,
+        2048, 64, 32, 0.75, True, True, True, "execute", 6, 3, False)
+    ftq = SystemConfig(prefetcher="none", frontend="ftq", iprefetcher="fdip")
+    assert ftq.key() == (
+        4, 192, 1.0, "tournament", "none", 2097152, "lru", 8, 8, 4,
+        2048, 256, 128, 0.75, True, True, True, "execute", 6, 3, False,
+        "ftq", "fdip", 4, 32, 2, 4, 1, 2, 2, 32)
+
+
+def test_key_literals_are_the_constants():
+    """The key holds literals where fields became constants; each equals
+    its constant, so a changed constant cannot go on serving results
+    cached under its old value."""
+    from repro.core.perload_filter import FILTER_THRESHOLD
+    from repro.cpu.ooo import ROB_ENTRIES
+    from repro.frontend import frontend, iprefetch
+    from repro.memory.hierarchy import IMSHR_ENTRIES
+    from repro.prefetchers.nextn import NEXTN_DEGREE
+    from repro.prefetchers.sms import REGION_BYTES
+    from repro.prefetchers.stride import STRIDE_DEGREE
+
+    assert (ROB_ENTRIES, STRIDE_DEGREE, NEXTN_DEGREE, REGION_BYTES,
+            FILTER_THRESHOLD) == (192, 8, 4, 2048, 3)
+    assert (IMSHR_ENTRIES, frontend.FTQ_ENTRIES, frontend.FILL_WIDTH,
+            iprefetch.FDIP_DEGREE, iprefetch.FDIP_DISTANCE,
+            iprefetch.NEXTLINE_DEGREE, frontend.IPREFETCH_DRAIN_RATE,
+            iprefetch.IPREFETCH_QUEUE_CAPACITY) == (4, 32, 2, 4, 1, 2, 2, 32)
 
 
 def test_runner_never_serves_another_machines_result():

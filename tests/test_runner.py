@@ -229,8 +229,7 @@ def test_serial_run_imports_only_what_it_runs():
     """A serial ``run_single`` and ``run_mix`` of mcf/bfetch import no
     process pool, server, analysis, sanitizer, fault parser, front end,
     assembler, trace capture, LLC policy, synthesizer or prefetcher they
-    did not ask for (``sms`` stays: the config's key defaults read its
-    ``SMSConfig``)."""
+    did not ask for."""
     names = (
         "multiprocessing", "concurrent.futures.process", "repro.serve",
         "repro.analysis", "repro.sanitize", "repro.resilience.faults",
@@ -239,7 +238,7 @@ def test_serial_run_imports_only_what_it_runs():
         "repro.workloads.synth", "repro.prefetchers.nextn",
         "repro.prefetchers.stride", "repro.prefetchers.perfect",
         "repro.prefetchers.tango", "repro.prefetchers.isb",
-        "repro.prefetchers.stems",
+        "repro.prefetchers.stems", "repro.prefetchers.sms",
     )
     _run_fresh("\n".join((
         "import sys",
@@ -252,7 +251,6 @@ def test_serial_run_imports_only_what_it_runs():
         "bad = sorted(m for m in sys.modules",
         "             if m in names or m.startswith(prefixes))",
         "assert not bad, 'imported: %s' % ', '.join(bad)",
-        "assert 'repro.prefetchers.sms' in sys.modules",
     )))
 
 
@@ -262,10 +260,12 @@ def test_serial_run_imports_only_what_it_runs():
 def test_cli_imports_no_server_or_analysis(argv):
     """``repro --help`` and a plain ``repro run`` build the parser (it
     reads the server's default port off the ``repro.serve`` package)
-    without importing a serve or analysis module or the process pool."""
+    without importing a serve or analysis module, the process pool or a
+    prefetcher they did not ask for."""
     imported = _imported_by(["-m", "repro"] + argv)
     assert "repro.cli" in imported
-    assert sorted(m for m in imported if m == "multiprocessing"
+    assert sorted(m for m in imported
+                  if m in ("multiprocessing", "repro.prefetchers.sms")
                   or m.startswith(("repro.serve.", "repro.analysis"))) == []
 
 
@@ -313,9 +313,8 @@ def test_started_server_has_imported_every_model():
     )))
 
 
-# every name each package exported when its __init__ still imported its
-# submodules, by the module that defines it (a package's own constants
-# are defined by the package itself)
+# every name each package exports, by the module that defines it (a
+# package's own constants are defined by the package itself)
 PACKAGE_EXPORTS = {
     "repro": {
         "repro": ("__version__",),
@@ -341,8 +340,7 @@ PACKAGE_EXPORTS = {
         "repro.branch.bimodal": ("BimodalPredictor",),
         "repro.branch.gshare": ("GsharePredictor",),
         "repro.branch.local": ("LocalPredictor",),
-        "repro.branch.tournament": ("TournamentPredictor",
-                                    "TournamentConfig"),
+        "repro.branch.tournament": ("TournamentPredictor",),
         "repro.branch.perceptron": ("PerceptronPredictor",),
         "repro.branch.btb": ("BranchTargetBuffer",),
         "repro.branch.confidence": ("JRSEstimator", "UpDownEstimator",
@@ -374,8 +372,7 @@ PACKAGE_EXPORTS = {
         "repro.cpu.trace": ("TraceReplay", "capture_trace", "save_trace"),
     },
     "repro.frontend": {
-        "repro.frontend.config": ("FRONTEND_MODES", "FrontendConfig",
-                                  "IPREFETCHER_NAMES"),
+        "repro.frontend.config": ("FRONTEND_MODES", "IPREFETCHER_NAMES"),
         "repro.frontend.frontend": ("DecoupledFrontEnd",),
         "repro.frontend.ftq": ("FetchTargetQueue",),
         "repro.frontend.iprefetch": ("IPrefetcher", "NextLineIPrefetcher",
@@ -417,7 +414,7 @@ PACKAGE_EXPORTS = {
         "repro.prefetchers.base": ("Prefetcher",),
         "repro.prefetchers.nextn": ("NextNPrefetcher",),
         "repro.prefetchers.stride": ("StridePrefetcher",),
-        "repro.prefetchers.sms": ("SMSPrefetcher", "SMSConfig"),
+        "repro.prefetchers.sms": ("SMSPrefetcher",),
         "repro.prefetchers.perfect": ("PerfectPrefetcher",),
         "repro.prefetchers.tango": ("TangoPrefetcher",),
         "repro.prefetchers.isb": ("ISBPrefetcher",),
@@ -460,7 +457,6 @@ PACKAGE_EXPORTS = {
         "repro.serve.workers": ("JobCancelled", "ThreadWorker"),
     },
     "repro.sim": {
-        "repro.sim.catalog": ("catalog",),
         "repro.sim.config": ("SystemConfig", "make_prefetcher"),
         "repro.sim.system": ("System", "RunResult"),
         "repro.sim.cmp": ("CMPSystem",),
@@ -481,9 +477,7 @@ PACKAGE_EXPORTS = {
 
 def test_package_exports_resolve():
     """Every package keeps its ``__all__``, and each exported name
-    resolves to its defining module's object in a fresh interpreter --
-    ``repro.sim.catalog`` stays the function even once the module of the
-    same name has loaded."""
+    resolves to its defining module's object in a fresh interpreter."""
     _run_fresh("\n".join((
         "import importlib",
         "exports = %r" % (PACKAGE_EXPORTS,),
@@ -499,9 +493,6 @@ def test_package_exports_resolve():
         "    star = {}",
         "    exec('from %s import *' % package, star)",
         "    assert set(names) <= set(star), package",
-        "import repro.sim",
-        "from repro.sim import catalog",
-        "assert callable(catalog) and catalog is repro.sim.catalog",
     )))
 
 

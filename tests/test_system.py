@@ -1,11 +1,13 @@
 """End-to-end System assembly and RunResult contents."""
 
+import inspect
+
 import pytest
 
+from repro.branch.tournament import TournamentPredictor
 from repro.checkpoint import CheckpointError, Checkpointer
 from repro.core.config import BFetchConfig
 from repro.cpu.ooo import CoreConfig
-from repro.frontend.config import FrontendConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.sanitize import Sanitizer
 from repro.sim import RunResult, System, SystemConfig
@@ -19,11 +21,10 @@ def test_unknown_prefetcher_rejected():
 
 
 @pytest.mark.parametrize("cls, field, value", [
-    (HierarchyConfig, "l2_latency", True),
+    (HierarchyConfig, "l1d_assoc", True),
     (HierarchyConfig, "dram_cycles_per_transfer", False),
     (BFetchConfig, "brtc_entries", True),
     (SystemConfig, "width", True),
-    (FrontendConfig, "ftq_entries", True),
     (CoreConfig, "width", True),
     (CoreConfig, "block_bytes", True),
     (Checkpointer, "every", True),
@@ -42,10 +43,53 @@ def test_integer_knobs_reject_non_integers(cls, field, value, tmp_path):
         cls(*args, **{field: value})
 
 
+def test_config_surface_is_the_known_one():
+    """The machine's settable parameters, each set by a figure, an
+    ablation, an example, the CLI or a behavioural test; every other
+    Table I/II value is a module constant.  A new parameter must be
+    added here on purpose, not land unnoticed."""
+    surface = {
+        SystemConfig: ["width", "bp_scale", "prefetcher", "hierarchy",
+                       "bfetch", "branch_predictor", "frontend",
+                       "iprefetcher"],
+        HierarchyConfig: ["l1d_size", "l1d_assoc", "llc_size_per_core",
+                          "llc_assoc", "dram_latency",
+                          "dram_cycles_per_transfer", "block_bytes",
+                          "mshr_entries", "llc_policy"],
+        CoreConfig: ["width", "block_bytes", "frontend"],
+        BFetchConfig: ["brtc_entries", "mht_entries",
+                       "path_confidence_threshold", "use_filter",
+                       "loop_prefetch", "pattern_prefetch", "arf_delay",
+                       "instruction_prefetch", "filter_initial",
+                       "filter_tables", "queue_capacity"],
+        TournamentPredictor: ["scale"],
+    }
+    for cls, names in surface.items():
+        assert list(inspect.signature(cls).parameters) == names, cls
+    assert sum(len(names) for names in surface.values()) == 32
+
+
 @pytest.mark.parametrize("name", PREFETCHER_NAMES)
 def test_factory_builds_every_prefetcher(name):
     prefetcher = make_prefetcher(SystemConfig(prefetcher=name))
     assert prefetcher.storage_bits() >= 0
+
+
+@pytest.mark.parametrize("name", ["sms", "stems"])
+def test_spatial_prefetchers_take_the_line_size(name):
+    """SMS and STeMS record and replay regions in the hierarchy's lines,
+    as every other prefetcher steps in them: with 32-byte lines a
+    pattern's second block lies 32 bytes past its trigger."""
+    prefetcher = make_prefetcher(SystemConfig(
+        prefetcher=name, hierarchy=HierarchyConfig(block_bytes=32)))
+    assert prefetcher.block_bytes == 32
+    # a generation touching its region's first two blocks ...
+    prefetcher.on_load(0x200, 0x100000, hit=False, now=0)
+    prefetcher.on_load(0x204, 0x100020, hit=False, now=1)
+    prefetcher.on_l1d_eviction(0x100000, None)
+    # ... replays the second when its trigger recurs in another region
+    prefetcher.on_load(0x200, 0x200000, hit=False, now=2)
+    assert [addr for addr, _meta in prefetcher.queue._queue] == [0x200020]
 
 
 def test_run_result_contents():
