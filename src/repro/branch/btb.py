@@ -14,6 +14,8 @@ class BranchTargetBuffer:
     :param tag_bits: partial tag width.
     """
 
+    STATE = ("tags", "targets", "hits", "misses")
+
     def __init__(self, entries=2048, tag_bits=16):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
@@ -55,22 +57,6 @@ class BranchTargetBuffer:
         index, tag = self._slot(pc)
         self.tags[index] = tag
         self.targets[index] = target
-
-    def snapshot(self):
-        """Tags, targets and hit counters as a JSON-safe structure."""
-        return {
-            "tags": list(self.tags),
-            "targets": list(self.targets),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def restore(self, state):
-        """Restore BTB state from :meth:`snapshot` output."""
-        self.tags = list(state["tags"])
-        self.targets = list(state["targets"])
-        self.hits = state["hits"]
-        self.misses = state["misses"]
 
     def storage_bits(self):
         return self.entries * (self.tag_bits + 32)

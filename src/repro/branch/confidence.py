@@ -33,6 +33,8 @@ def _calibration(levels, floor, ceiling):
 class JRSEstimator:
     """Resetting-counter estimator indexed by ``PC xor global history``."""
 
+    STATE = ("table",)
+
     def __init__(self, entries=1024, counter_bits=4, history_bits=10):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
@@ -59,18 +61,14 @@ class JRSEstimator:
         else:
             self.table[index] = 0
 
-    def snapshot(self):
-        return {"table": list(self.table)}
-
-    def restore(self, state):
-        self.table[:] = state["table"]
-
     def storage_bits(self):
         return self.entries * self.counter_bits
 
 
 class UpDownEstimator:
     """Saturating up/down counter estimator indexed by PC."""
+
+    STATE = ("table",)
 
     def __init__(self, entries=1024, counter_bits=4):
         if entries & (entries - 1):
@@ -93,18 +91,14 @@ class UpDownEstimator:
         elif self.table[index] > 0:
             self.table[index] -= 1
 
-    def snapshot(self):
-        return {"table": list(self.table)}
-
-    def restore(self, state):
-        self.table[:] = state["table"]
-
     def storage_bits(self):
         return self.entries * self.counter_bits
 
 
 class SelfCounterEstimator:
     """Outcome-streak estimator: long same-direction runs imply confidence."""
+
+    STATE = ("streaks", "last_dir")
 
     def __init__(self, entries=1024, counter_bits=4):
         if entries & (entries - 1):
@@ -133,16 +127,6 @@ class SelfCounterEstimator:
             self.streaks[index] = 0
             self.last_dir[index] = taken
 
-    def snapshot(self):
-        return {
-            "streaks": list(self.streaks),
-            "last_dir": list(self.last_dir),
-        }
-
-    def restore(self, state):
-        self.streaks[:] = state["streaks"]
-        self.last_dir = [bool(value) for value in state["last_dir"]]
-
     def storage_bits(self):
         return self.entries * (self.counter_bits + 1)
 
@@ -154,6 +138,8 @@ class CompositeConfidenceEstimator:
         budgets 2KB for the whole path-confidence estimator; the default
         sizes fit that budget (see :meth:`storage_bits`).
     """
+
+    STATE = ("jrs", "updown", "selfc")
 
     def __init__(self, entries=1024, counter_bits=4, history_bits=10):
         # split the budget: JRS gets half the entries of the others since it
@@ -185,20 +171,6 @@ class CompositeConfidenceEstimator:
         self.jrs.update(pc, history, correct)
         self.updown.update(pc, history, correct)
         self.selfc.update(pc, history, correct, taken)
-
-    def snapshot(self):
-        """Component estimator tables as a JSON-safe structure."""
-        return {
-            "jrs": self.jrs.snapshot(),
-            "updown": self.updown.snapshot(),
-            "selfc": self.selfc.snapshot(),
-        }
-
-    def restore(self, state):
-        """Restore estimator state from :meth:`snapshot` output."""
-        self.jrs.restore(state["jrs"])
-        self.updown.restore(state["updown"])
-        self.selfc.restore(state["selfc"])
 
     def storage_bits(self):
         return (

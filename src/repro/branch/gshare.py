@@ -13,6 +13,7 @@ class GsharePredictor:
     """
 
     name = "gshare"
+    STATE = ("table", "history")
 
     def __init__(self, entries=4096, history_bits=12, counter_bits=2):
         if entries & (entries - 1):
@@ -46,15 +47,6 @@ class GsharePredictor:
         elif count > 0:
             self.table[index] = count - 1
         self.history = ((self.history << 1) | (1 if taken else 0)) & self._hist_mask
-
-    def snapshot(self):
-        """Counter table and live history as a JSON-safe structure."""
-        return {"table": list(self.table), "history": self.history}
-
-    def restore(self, state):
-        """Restore predictor state from :meth:`snapshot` output."""
-        self.table[:] = state["table"]
-        self.history = state["history"]
 
     def storage_bits(self):
         return self.entries * self.counter_bits + self.history_bits

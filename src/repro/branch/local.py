@@ -10,6 +10,7 @@ class LocalPredictor:
     """
 
     name = "local"
+    STATE = ("histories", "counters")
 
     def __init__(self, history_entries=1024, history_bits=10, counter_bits=3):
         if history_entries & (history_entries - 1):
@@ -43,18 +44,6 @@ class LocalPredictor:
         elif count > 0:
             self.counters[pindex] = count - 1
         self.histories[hindex] = ((local << 1) | (1 if taken else 0)) & self._pmask
-
-    def snapshot(self):
-        """Histories and pattern counters as a JSON-safe structure."""
-        return {
-            "histories": list(self.histories),
-            "counters": list(self.counters),
-        }
-
-    def restore(self, state):
-        """Restore predictor state from :meth:`snapshot` output."""
-        self.histories[:] = state["histories"]
-        self.counters[:] = state["counters"]
 
     def storage_bits(self):
         return (

@@ -25,6 +25,7 @@ class PerceptronPredictor:
     """
 
     name = "perceptron"
+    STATE = ("weights", "history")
 
     def __init__(self, entries=512, history_bits=24, weight_bits=8):
         if entries & (entries - 1):
@@ -75,18 +76,6 @@ class PerceptronPredictor:
                 if -limit <= value <= limit:
                     weights[position] = value
         self.history = ((history << 1) | (1 if taken else 0)) & self._hist_mask
-
-    def snapshot(self):
-        """Weight vectors and live history as a JSON-safe structure."""
-        return {
-            "weights": [list(vector) for vector in self.weights],
-            "history": self.history,
-        }
-
-    def restore(self, state):
-        """Restore predictor state from :meth:`snapshot` output."""
-        self.weights = [list(vector) for vector in state["weights"]]
-        self.history = state["history"]
 
     def storage_bits(self):
         return (

@@ -36,6 +36,7 @@ class TournamentPredictor:
     """
 
     name = "tournament"
+    STATE = ("local", "gshare", "chooser")
 
     def __init__(self, scale=1.0):
         global_entries = _scaled(GLOBAL_ENTRIES, scale)
@@ -99,20 +100,6 @@ class TournamentPredictor:
                 self.chooser[cindex] = count - 1
         local.update(pc, taken)
         gshare.update(pc, taken)  # also shifts the global history
-
-    def snapshot(self):
-        """Component predictors and chooser as a JSON-safe structure."""
-        return {
-            "local": self.local.snapshot(),
-            "gshare": self.gshare.snapshot(),
-            "chooser": list(self.chooser),
-        }
-
-    def restore(self, state):
-        """Restore predictor state from :meth:`snapshot` output."""
-        self.local.restore(state["local"])
-        self.gshare.restore(state["gshare"])
-        self.chooser[:] = state["chooser"]
 
     def storage_bits(self):
         return (

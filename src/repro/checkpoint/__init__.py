@@ -2,12 +2,14 @@
 
 PR 2 made *sweeps* crash-safe at task granularity (the result cache is
 the checkpoint, but only at run boundaries); this package makes the
-*inside* of a run crash-safe.  Every stateful component exposes
-``snapshot()``/``restore(state)`` returning/accepting JSON-safe
-structures; :meth:`repro.sim.System.snapshot` and
-:meth:`repro.sim.CMPSystem.snapshot` compose them; a
-:class:`Checkpointer` persists the composed snapshot every N cycles in
-the same versioned integrity envelope as the result cache.  Because the
+*inside* of a run crash-safe.  Every stateful component declares its
+state once, as a ``STATE`` tuple of attribute names;
+:mod:`~repro.checkpoint.state` snapshots a declared object as
+JSON-stable data and restores it in place;
+:meth:`repro.sim.System.snapshot` and
+:meth:`repro.sim.CMPSystem.snapshot` apply it to a whole assembly; a
+:class:`Checkpointer` persists the snapshot every N cycles in the same
+versioned integrity envelope as the result cache.  Because the
 simulator is fully deterministic, a restore is *byte-identical* replay:
 killing a run with ``kill -9`` and resuming produces exactly the same
 :class:`~repro.sim.RunResult` payload as the uninterrupted run.
@@ -18,9 +20,9 @@ Pieces:
   load / clear / due), ``REPRO_CKPT_DIR``/``REPRO_CKPT_EVERY``
   plumbing, ``.tmp-*`` garbage collection and the SIGINT/SIGTERM
   :class:`signal_guard`;
-* :mod:`~repro.checkpoint.state` -- JSON codecs for the awkward bits
-  (prefetch-meta tuples and the ``IFETCH_META`` identity sentinel,
-  order-preserving dict pair lists, ``random.Random`` streams).
+* :mod:`~repro.checkpoint.state` -- the one state codec
+  (``snapshot(obj)``/``restore(obj, state)``), imported only when a
+  checkpoint is saved or loaded.
 """
 
 from repro._lazy import lazy_exports
@@ -34,12 +36,6 @@ __all__ = [
     "from_env",
     "gc_stale_tmp",
     "signal_guard",
-    "decode_meta",
-    "encode_meta",
-    "int_dict",
-    "pairs",
-    "rng_from_json",
-    "rng_to_json",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -52,13 +48,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "from_env",
         "gc_stale_tmp",
         "signal_guard",
-    ),
-    "state": (
-        "decode_meta",
-        "encode_meta",
-        "int_dict",
-        "pairs",
-        "rng_from_json",
-        "rng_to_json",
     ),
 })

@@ -26,7 +26,12 @@ class AlternateRegisterFile:
     :param num_regs: register count (32).
     :param delay: extra cycles between a write's completion and its
         visibility in the ARF (sampling-latch depth).
+
+    The pending heap is checkpointed verbatim: a valid heap restores as
+    a valid heap (``heapq`` relies only on the array invariant).
     """
+
+    STATE = ("values", "seq", "_pending")
 
     def __init__(self, num_regs=32, delay=0):
         self.num_regs = num_regs
@@ -51,25 +56,6 @@ class AlternateRegisterFile:
     def read(self, reg):
         """Current ARF value of *reg* (call :meth:`sync` first)."""
         return self.values[reg]
-
-    def snapshot(self):
-        """ARF state as a JSON-safe structure.
-
-        The pending heap is stored verbatim (a valid heap restores as a
-        valid heap -- ``heapq`` only relies on the array invariant).
-        """
-        return {
-            "values": list(self.values),
-            "seq": list(self.seq),
-            "pending": [list(entry) for entry in self._pending],
-        }
-
-    def restore(self, state):
-        """Restore ARF state from :meth:`snapshot` output, into the
-        existing lists (the B-Fetch engine binds them once)."""
-        self.values[:] = [int(value) for value in state["values"]]
-        self.seq[:] = [int(value) for value in state["seq"]]
-        self._pending[:] = [tuple(entry) for entry in state["pending"]]
 
     def storage_bits(self):
         # 32-bit value + 8-bit sequence field per register (Table I: 0.156KB)

@@ -16,9 +16,9 @@ ports); call :meth:`BFetchPrefetcher.attach` during system assembly.
 A walk step reads precomputed flat data (docs/bfetch.md, "How a walk is
 computed"): each MHT entry's compiled issue list, each BrTC entry's
 successor hashes, and the predictor's and confidence estimator's tables,
-all bound once per engine by :meth:`BFetchPrefetcher.attach`.  Every
-``restore()`` the walk reads through refills its lists in place, so the
-bindings never go stale.
+all bound once per engine by :meth:`BFetchPrefetcher.attach`.  A
+checkpoint restore refills every list the walk reads in place
+(:mod:`repro.checkpoint.state`), so the bindings never go stale.
 """
 
 from heapq import heappush
@@ -35,7 +35,7 @@ from repro.core.mht import (
     PATTERN_BITS,
     MemoryHistoryTable,
 )
-from repro.core.perload_filter import PerLoadFilter
+from repro.core.perload_filter import FILTER_THRESHOLD, PerLoadFilter
 from repro.isa.opcodes import IS_BRANCH as _IS_BRANCH, Op
 from repro.prefetchers.base import _RECENT_BLOCKS, Prefetcher
 
@@ -47,6 +47,12 @@ class BFetchPrefetcher(Prefetcher):
     """Branch-prediction-directed data prefetcher."""
 
     name = "bfetch"
+    # the predictor and confidence estimator are the system's
+    STATE = Prefetcher.STATE + (
+        "brtc", "mht", "arf", "filter", "_prev_hash", "_prev_tag",
+        "_branch_snapshot", "_bb_primary_ea", "_commit_seq", "walks",
+        "total_depth", "candidates", "filtered", "depth_hist",
+    )
 
     def __init__(self, config=None, block_bytes=64):
         self.config = config or BFetchConfig()
@@ -284,7 +290,7 @@ class BFetchPrefetcher(Prefetcher):
         filt = self.filter
         # the filter confidence is the sum of up to three counters
         table0, table1, table2 = (filt.tables + [(0,), (0,)])[:3]
-        filter_threshold = filt.threshold
+        filter_threshold = FILTER_THRESHOLD
         probe_interval = filt.probe_interval
         stats = self.stats
         queue = self.queue
@@ -516,57 +522,6 @@ class BFetchPrefetcher(Prefetcher):
         super().feedback(meta, outcome)
         if meta is not None:
             self.filter.update(meta, outcome != "useless")
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Full engine state: base queue/stats plus BrTC/MHT/ARF/filter
-        tables and the commit-path trainer registers."""
-        state = super().snapshot()
-        state.update({
-            "brtc": self.brtc.snapshot(),
-            "mht": self.mht.snapshot(),
-            "arf": self.arf.snapshot(),
-            "filter": self.filter.snapshot(),
-            "prev_hash": self._prev_hash,
-            "prev_tag": self._prev_tag,
-            "branch_snapshot": (
-                list(self._branch_snapshot)
-                if self._branch_snapshot is not None else None
-            ),
-            "bb_primary_ea": [[regidx, ea] for regidx, ea
-                              in self._bb_primary_ea.items()],
-            "commit_seq": self._commit_seq,
-            "walks": self.walks,
-            "total_depth": self.total_depth,
-            "candidates": self.candidates,
-            "filtered": self.filtered,
-            "depth_hist": list(self.depth_hist),
-        })
-        return state
-
-    def restore(self, state):
-        """Restore engine state from :meth:`snapshot` output.  Every
-        table the bound walk reads is refilled in place."""
-        super().restore(state)
-        self.brtc.restore(state["brtc"])
-        self.mht.restore(state["mht"])
-        self.arf.restore(state["arf"])
-        self.filter.restore(state["filter"])
-        self._prev_hash = state["prev_hash"]
-        self._prev_tag = state["prev_tag"]
-        snapshot = state["branch_snapshot"]
-        self._branch_snapshot = (list(snapshot) if snapshot is not None
-                                 else None)
-        self._bb_primary_ea = {int(regidx): ea for regidx, ea
-                               in state["bb_primary_ea"]}
-        self._commit_seq = state["commit_seq"]
-        self.walks = state["walks"]
-        self.total_depth = state["total_depth"]
-        self.candidates = state["candidates"]
-        self.filtered = state["filtered"]
-        self.depth_hist[:] = state["depth_hist"]
 
     def storage_bits(self):
         """Sum of Table I components (cache bits are counted by the

@@ -11,8 +11,9 @@ Entries are installed at commit time only.
 Each entry also carries its *successors*: the ending branch's PC word
 and 32-bit tag, and the ``bb_hash`` of the block each direction enters
 (None for a taken target never observed).  They are a pure function of
-the entry, recomputed whenever an update changes it and on restore, so
-a lookahead step reads one tuple instead of re-deriving two hashes.
+the entry, recomputed whenever an update changes it and after a
+checkpoint restore (they are not stored), so a lookahead step reads one
+tuple instead of re-deriving two hashes.
 """
 
 from repro.core.hashing import _MASK32, bb_hash
@@ -32,6 +33,8 @@ def _successors(end_branch_pc, taken_target):
 
 class BranchTraceCache:
     """Direct-mapped BrTC with 32-bit branch-PC tags."""
+
+    STATE = ("tags", "end_branch_pc", "end_taken_target", "lookups", "hits")
 
     def __init__(self, entries=256):
         if entries & (entries - 1):
@@ -76,29 +79,14 @@ class BranchTraceCache:
     def hit_rate(self):
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self):
-        """BrTC contents and counters as a JSON-safe structure."""
-        return {
-            "tags": list(self.tags),
-            "end_branch_pc": list(self.end_branch_pc),
-            "end_taken_target": list(self.end_taken_target),
-            "lookups": self.lookups,
-            "hits": self.hits,
-        }
-
-    def restore(self, state):
-        """Restore BrTC state from :meth:`snapshot` output, into the
-        existing lists (the B-Fetch engine binds them once)."""
-        self.tags[:] = state["tags"]
-        self.end_branch_pc[:] = state["end_branch_pc"]
-        self.end_taken_target[:] = state["end_taken_target"]
+    def after_restore(self):
+        """Rebuild the successor hashes of the restored entries, into
+        the list the B-Fetch walk binds."""
         self.successors[:] = [
             _successors(end_pc, target) if tag is not None else None
             for tag, end_pc, target in zip(
                 self.tags, self.end_branch_pc, self.end_taken_target)
         ]
-        self.lookups = state["lookups"]
-        self.hits = state["hits"]
 
     def storage_bits(self):
         # tag(32) + end branch PC(32) + target(32) + valid  (Table I: 2.06KB

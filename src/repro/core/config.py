@@ -1,6 +1,8 @@
 """B-Fetch configuration (defaults = the paper's 12.84KB design point)."""
 
-from repro._validate import require_ints
+from repro._validate import require_bools, require_fraction, require_ints
+from repro.core.perload_filter import FILTER_MAX_COUNT
+from repro.memory.prefetch_queue import PREFETCH_QUEUE_ENTRIES
 
 #: basic blocks one lookahead walk may visit (D-side and B-Fetch-I)
 MAX_LOOKAHEAD = 16
@@ -35,25 +37,28 @@ class BFetchConfig:
         instruction_prefetch=False,
         filter_initial=2,
         filter_tables=3,
-        queue_capacity=100,
+        queue_capacity=PREFETCH_QUEUE_ENTRIES,
     ):
-        # fail fast on non-positive sizing knobs: a zero-entry table
-        # silently degenerates the engine
+        # fail fast: a zero-entry table silently degenerates the engine,
+        # and a flag or counter of the wrong type would build and run
         require_ints("BFetchConfig", (
             ("brtc_entries", brtc_entries),
             ("mht_entries", mht_entries),
             ("filter_tables", filter_tables),
             ("queue_capacity", queue_capacity),
         ))
-        if not 0.0 <= path_confidence_threshold <= 1.0:
-            raise ValueError(
-                "path_confidence_threshold must be in [0, 1], got %r"
-                % (path_confidence_threshold,)
-            )
-        if arf_delay < 0:
-            raise ValueError(
-                "arf_delay must be >= 0 cycles, got %r" % (arf_delay,)
-            )
+        require_ints("BFetchConfig", (("arf_delay", arf_delay),), minimum=0)
+        # the filter's counters are 3-bit
+        require_ints("BFetchConfig", (("filter_initial", filter_initial),),
+                     minimum=0, maximum=FILTER_MAX_COUNT)
+        require_bools("BFetchConfig", (
+            ("use_filter", use_filter),
+            ("loop_prefetch", loop_prefetch),
+            ("pattern_prefetch", pattern_prefetch),
+            ("instruction_prefetch", instruction_prefetch),
+        ))
+        require_fraction("BFetchConfig", "path_confidence_threshold",
+                         path_confidence_threshold)
         self.brtc_entries = brtc_entries
         self.mht_entries = mht_entries
         self.path_confidence_threshold = path_confidence_threshold

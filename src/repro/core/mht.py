@@ -24,7 +24,7 @@ Each entry also caches its *issue list*: the slots a lookahead may
 issue from, compiled by the engine into flat tuples
 (:meth:`~repro.core.bfetch.BFetchPrefetcher._compile_issue`).  It is
 None until a walk needs it, and the trainer resets it whenever it
-touches the entry.
+touches the entry; a checkpoint does not store it.
 """
 
 # Fig. 6 / Table I field widths
@@ -53,6 +53,7 @@ class RegisterHistory:
         "last_ea",
         "stable",
     )
+    STATE = __slots__  # a checkpoint record
 
     def __init__(self, regidx):
         self.regidx = regidx
@@ -75,6 +76,9 @@ class MHTEntry:
     """One basic block's worth of register history."""
 
     __slots__ = ("tag", "slots", "next_victim", "max_slots", "issue")
+    # a checkpoint record; the issue list is derived, so a restored entry
+    # starts without one
+    STATE = ("tag", "slots", "next_victim", "max_slots")
 
     def __init__(self, tag, max_slots):
         self.tag = tag
@@ -102,6 +106,8 @@ class MHTEntry:
 
 class MemoryHistoryTable:
     """Direct-mapped MHT."""
+
+    STATE = ("table", "lookups", "hits")
 
     def __init__(self, entries=128, reg_slots=MHT_REG_SLOTS):
         if entries & (entries - 1):
@@ -134,60 +140,6 @@ class MemoryHistoryTable:
     @property
     def hit_rate(self):
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self):
-        """MHT contents and counters as a JSON-safe structure."""
-        table = []
-        for entry in self.table:
-            if entry is None:
-                table.append(None)
-                continue
-            table.append({
-                "tag": entry.tag,
-                "next_victim": entry.next_victim,
-                "slots": [
-                    {
-                        "regidx": slot.regidx,
-                        "regval": slot.regval,
-                        "offset": slot.offset,
-                        "pospatt": slot.pospatt,
-                        "negpatt": slot.negpatt,
-                        "valid": slot.valid,
-                        "loopdelta": slot.loopdelta,
-                        "load_hash": slot.load_hash,
-                        "last_ea": slot.last_ea,
-                        "stable": slot.stable,
-                    }
-                    for slot in entry.slots
-                ],
-            })
-        return {"table": table, "lookups": self.lookups, "hits": self.hits}
-
-    def restore(self, state):
-        """Restore MHT state from :meth:`snapshot` output, into the
-        existing table (the B-Fetch engine binds it once)."""
-        table = [None] * self.entries
-        for index, encoded in enumerate(state["table"]):
-            if encoded is None:
-                continue
-            entry = MHTEntry(encoded["tag"], self.reg_slots)
-            entry.next_victim = encoded["next_victim"]
-            for item in encoded["slots"]:
-                slot = RegisterHistory(item["regidx"])
-                slot.regval = item["regval"]
-                slot.offset = item["offset"]
-                slot.pospatt = item["pospatt"]
-                slot.negpatt = item["negpatt"]
-                slot.valid = item["valid"]
-                slot.loopdelta = item["loopdelta"]
-                slot.load_hash = item["load_hash"]
-                slot.last_ea = item["last_ea"]
-                slot.stable = item["stable"]
-                entry.slots.append(slot)
-            table[index] = entry
-        self.table[:] = table
-        self.lookups = state["lookups"]
-        self.hits = state["hits"]
 
     def storage_bits(self):
         # Fig. 6: Branch tag (32) + 3 x (regIdx 5 + RegVal 32 + Offset 16 +

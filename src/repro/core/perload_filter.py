@@ -19,32 +19,28 @@ blocked load is allowed through periodically (one in
 """
 
 # Table I / Table II values
-FILTER_ENTRIES = 2048       # counters per table
+FILTER_ENTRIES = 2048       # counters per table (a power of two)
 FILTER_COUNTER_BITS = 3
+FILTER_MAX_COUNT = (1 << FILTER_COUNTER_BITS) - 1
 FILTER_THRESHOLD = 3        # summed confidence a load needs to prefetch
+# a useless prefetch costs bandwidth and cache space; a useful one saves
+# part of a miss -- the asymmetric penalty makes the filter reject
+# coin-flip loads instead of hovering at its threshold
+FILTER_USELESS_PENALTY = 2
 
 
 class PerLoadFilter:
     """Skewed three-table per-load confidence filter."""
 
-    def __init__(self, tables=3, entries=FILTER_ENTRIES,
-                 counter_bits=FILTER_COUNTER_BITS, threshold=FILTER_THRESHOLD,
-                 initial=2, probe_interval=256, useless_penalty=2):
-        if entries & (entries - 1):
-            raise ValueError("entries must be a power of two")
+    STATE = ("tables", "blocked", "passed", "probes", "_since_probe")
+    max_count = FILTER_MAX_COUNT
+
+    def __init__(self, tables=3, initial=2, probe_interval=256):
         self.num_tables = tables
-        self.entries = entries
-        self.counter_bits = counter_bits
-        self.max_count = (1 << counter_bits) - 1
-        self.threshold = threshold
-        self.initial = min(initial, self.max_count)
+        self.initial = min(initial, FILTER_MAX_COUNT)
         self.probe_interval = probe_interval
-        # a useless prefetch costs bandwidth and cache space; a useful one
-        # saves part of a miss -- the asymmetric penalty makes the filter
-        # reject coin-flip loads instead of hovering at its threshold
-        self.useless_penalty = useless_penalty
-        self.tables = [[self.initial] * entries for _ in range(tables)]
-        self._mask = entries - 1
+        self.tables = [[self.initial] * FILTER_ENTRIES for _ in range(tables)]
+        self._mask = FILTER_ENTRIES - 1
         self.blocked = 0
         self.passed = 0
         self.probes = 0
@@ -80,7 +76,7 @@ class PerLoadFilter:
         Low-confidence loads pass once per ``probe_interval`` blocked
         requests, giving them a path back to usefulness.
         """
-        if self.confidence(load_hash) >= self.threshold:
+        if self.confidence(load_hash) >= FILTER_THRESHOLD:
             self.passed += 1
             return True
         self._since_probe += 1
@@ -96,31 +92,11 @@ class PerLoadFilter:
         for table, index in zip(self.tables, self._indices(load_hash)):
             count = table[index]
             if useful:
-                if count < self.max_count:
+                if count < FILTER_MAX_COUNT:
                     table[index] = count + 1
             else:
-                count -= self.useless_penalty
+                count -= FILTER_USELESS_PENALTY
                 table[index] = count if count > 0 else 0
 
-    def snapshot(self):
-        """Filter tables and counters as a JSON-safe structure."""
-        return {
-            "tables": [list(table) for table in self.tables],
-            "blocked": self.blocked,
-            "passed": self.passed,
-            "probes": self.probes,
-            "since_probe": self._since_probe,
-        }
-
-    def restore(self, state):
-        """Restore filter state from :meth:`snapshot` output, into the
-        existing tables (the B-Fetch engine binds them once)."""
-        for table, saved in zip(self.tables, state["tables"]):
-            table[:] = saved
-        self.blocked = state["blocked"]
-        self.passed = state["passed"]
-        self.probes = state["probes"]
-        self._since_probe = state["since_probe"]
-
     def storage_bits(self):
-        return self.num_tables * self.entries * self.counter_bits
+        return self.num_tables * FILTER_ENTRIES * FILTER_COUNTER_BITS

@@ -183,6 +183,9 @@ class Machine:
         "_instrs",
         "_index_of",
     )
+    # the program is immutable and re-supplied by the workload; register
+    # values travel raw (they may exceed 64 bits between writes)
+    STATE = ("regs", "memory", "index", "halted", "instret", "restarts")
 
     def __init__(self, program, memory=None, restart_on_halt=True):
         self.program = program
@@ -201,10 +204,6 @@ class Machine:
     def pc(self):
         """Current architectural PC."""
         return self.program.pc_of(self.index)
-
-    def read_reg(self, reg):
-        """Architectural register read (r31 is hardwired zero)."""
-        return 0 if reg == ZERO_REG else self.regs[reg]
 
     def step(
         self,
@@ -449,36 +448,6 @@ class Machine:
         self.index = next_index
         self.instret += 1
         return instr, taken, ea
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Architectural state as a JSON-safe structure.
-
-        The program itself is not captured -- it is immutable and
-        re-supplied by the workload at restore time; only the mutable
-        state (registers, the memory image, PC index and the retirement
-        counters) travels.  Register values are stored raw (they may
-        exceed 64 bits between writes -- masking happens lazily).
-        """
-        return {
-            "regs": list(self.regs),
-            "memory": [[addr, value] for addr, value in self.memory.items()],
-            "index": self.index,
-            "halted": self.halted,
-            "instret": self.instret,
-            "restarts": self.restarts,
-        }
-
-    def restore(self, state):
-        """Restore architectural state from :meth:`snapshot` output."""
-        self.regs = [int(value) for value in state["regs"]]
-        self.memory = {int(addr): value for addr, value in state["memory"]}
-        self.index = state["index"]
-        self.halted = state["halted"]
-        self.instret = state["instret"]
-        self.restarts = state["restarts"]
 
     def run(self, max_instructions):
         """Run up to *max_instructions*, returning the list of dynamic records.

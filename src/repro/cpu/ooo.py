@@ -122,7 +122,18 @@ class CoreConfig:
 
 
 class OutOfOrderCore:
-    """One core: functional machine + predictor + hierarchy + prefetcher."""
+    """One core: functional machine + predictor + hierarchy + prefetcher.
+
+    It checkpoints its pipeline and its decoupled front end; the other
+    components are the system's.
+    """
+
+    STATE = (
+        "cycle", "reg_ready", "rob", "_rob_head", "fetch_stall_until",
+        "_fetch_block", "retired", "budget", "done", "cond_branches",
+        "branches", "mispredicts", "fetch_branch_hist", "fetch_cycles",
+        "rob_full_stalls", "flush_stall_cycles", "frontend",
+    )
 
     def __init__(self, machine, hierarchy, predictor, confidence, btb,
                  prefetcher, config=None):
@@ -531,51 +542,6 @@ class OutOfOrderCore:
         if retired >= retire_mark:
             self.mark_cycle = now
         return next_time
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Pipeline state as a JSON-safe structure (machine excluded --
-        the functional core snapshots itself)."""
-        return {
-            "cycle": self.cycle,
-            "reg_ready": list(self.reg_ready),
-            # store the live window only; restoring with head 0 is
-            # behaviour-neutral (the ring compaction is itself neutral)
-            "rob": list(self.rob[self._rob_head:]),
-            "fetch_stall_until": self.fetch_stall_until,
-            "fetch_block": self._fetch_block,
-            "retired": self.retired,
-            "budget": self.budget,
-            "done": self.done,
-            "cond_branches": self.cond_branches,
-            "branches": self.branches,
-            "mispredicts": self.mispredicts,
-            "fetch_branch_hist": list(self.fetch_branch_hist),
-            "fetch_cycles": self.fetch_cycles,
-            "rob_full_stalls": self.rob_full_stalls,
-            "flush_stall_cycles": self.flush_stall_cycles,
-        }
-
-    def restore(self, state):
-        """Restore pipeline state from :meth:`snapshot` output."""
-        self.cycle = state["cycle"]
-        self.reg_ready = [int(value) for value in state["reg_ready"]]
-        self.rob = list(state["rob"])
-        self._rob_head = 0
-        self.fetch_stall_until = state["fetch_stall_until"]
-        self._fetch_block = state["fetch_block"]
-        self.retired = state["retired"]
-        self.budget = state["budget"]
-        self.done = state["done"]
-        self.cond_branches = state["cond_branches"]
-        self.branches = state["branches"]
-        self.mispredicts = state["mispredicts"]
-        self.fetch_branch_hist = list(state["fetch_branch_hist"])
-        self.fetch_cycles = state["fetch_cycles"]
-        self.rob_full_stalls = state["rob_full_stalls"]
-        self.flush_stall_cycles = state["flush_stall_cycles"]
 
     @property
     def ipc(self):

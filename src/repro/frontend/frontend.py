@@ -36,7 +36,17 @@ class DecoupledFrontEnd:
     :param btb: shared :class:`~repro.branch.BranchTargetBuffer`.
     :param program: static :class:`~repro.isa.Program` image.
     :param iprefetcher: an :class:`~repro.frontend.IPrefetcher`.
+
+    The BTB, predictor and L1-I it shares are checkpointed by the
+    system.
     """
+
+    STATE = (
+        "ftq", "predecoder", "iprefetcher", "_bpu_pc", "ftq_enqueued",
+        "ftq_hits", "ftq_mismatches", "ftq_empty", "ftq_flushes",
+        "redirects", "bpu_stalls", "occupancy_sum", "occupancy_samples",
+        "demand_fetches", "demand_misses",
+    )
 
     def __init__(self, hierarchy, predictor, btb, program, iprefetcher):
         from repro.cpu.ooo import _bound_hook
@@ -249,45 +259,3 @@ class DecoupledFrontEnd:
             "shadow_fills": predecoder.shadow_fills,
             "shadow_hits": predecoder.shadow_hits,
         }
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Front-end state as a JSON-safe structure (the BTB, predictor
-        and L1-I snapshot themselves at the system level)."""
-        return {
-            "ftq": self.ftq.snapshot(),
-            "bpu_pc": self._bpu_pc,
-            "predecode": self.predecoder.snapshot(),
-            "iprefetch": self.iprefetcher.snapshot(),
-            "ftq_enqueued": self.ftq_enqueued,
-            "ftq_hits": self.ftq_hits,
-            "ftq_mismatches": self.ftq_mismatches,
-            "ftq_empty": self.ftq_empty,
-            "ftq_flushes": self.ftq_flushes,
-            "redirects": self.redirects,
-            "bpu_stalls": self.bpu_stalls,
-            "occupancy_sum": self.occupancy_sum,
-            "occupancy_samples": self.occupancy_samples,
-            "demand_fetches": self.demand_fetches,
-            "demand_misses": self.demand_misses,
-        }
-
-    def restore(self, state):
-        self.ftq.restore(state["ftq"])
-        bpu_pc = state["bpu_pc"]
-        self._bpu_pc = int(bpu_pc) if bpu_pc is not None else None
-        self.predecoder.restore(state["predecode"])
-        self.iprefetcher.restore(state["iprefetch"])
-        self.ftq_enqueued = state["ftq_enqueued"]
-        self.ftq_hits = state["ftq_hits"]
-        self.ftq_mismatches = state["ftq_mismatches"]
-        self.ftq_empty = state["ftq_empty"]
-        self.ftq_flushes = state["ftq_flushes"]
-        self.redirects = state["redirects"]
-        self.bpu_stalls = state["bpu_stalls"]
-        self.occupancy_sum = state["occupancy_sum"]
-        self.occupancy_samples = state["occupancy_samples"]
-        self.demand_fetches = state["demand_fetches"]
-        self.demand_misses = state["demand_misses"]

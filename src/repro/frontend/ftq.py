@@ -19,6 +19,8 @@ class FetchTargetQueue:
     :param entries: capacity in fetch blocks.
     """
 
+    STATE = ("_queue",)  # order is behaviour
+
     def __init__(self, entries=32):
         require_ints("FetchTargetQueue", (("entries", entries),))
         self.entries = entries
@@ -57,16 +59,3 @@ class FetchTargetQueue:
                 if len(picked) >= limit:
                     break
         return picked
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Queue contents as a JSON-safe structure (order is behaviour)."""
-        return [[addr, bool(issued)] for addr, issued in self._queue]
-
-    def restore(self, state):
-        """Refill the existing deque (the front end holds it)."""
-        self._queue.clear()
-        self._queue.extend([int(addr), bool(issued)]
-                           for addr, issued in state)

@@ -15,9 +15,10 @@ compose: any D-side prefetcher can run with any I-side one.
 * ``combined``   -- ``fdip`` + ``bfetch-i`` sharing one request queue.
 
 All of them reuse the D-side :class:`~repro.prefetchers.Prefetcher`
-substrate (bounded queue, recent-block dedup, stats, snapshot), but
-their drain path issues only ``prefetch_instr`` fills and notifies the
-predecoder so prefetched lines expose their shadow branches too.
+substrate (bounded queue, recent-block dedup, stats, checkpointed
+state), but their drain path issues only ``prefetch_instr`` fills and
+notifies the predecoder so prefetched lines expose their shadow
+branches too.
 """
 
 from repro.core.brtc import BranchTraceCache
@@ -131,6 +132,9 @@ class BFetchIPrefetcher(IPrefetcher):
     """
 
     name = "bfetch-i"
+    STATE = IPrefetcher.STATE + (
+        "brtc", "_prev_hash", "_prev_tag", "walks", "total_depth",
+    )
 
     def __init__(self, block_bytes=64, bfetch_config=None):
         super().__init__(block_bytes=block_bytes)
@@ -218,27 +222,6 @@ class BFetchIPrefetcher(IPrefetcher):
             spec_history = (spec_history << 1) | (1 if direction else 0)
             entry_pc = next_pc
         self.total_depth += depth
-
-    # -- checkpoint/restore -------------------------------------------
-
-    def snapshot(self):
-        state = super().snapshot()
-        state.update({
-            "brtc": self.brtc.snapshot(),
-            "prev_hash": self._prev_hash,
-            "prev_tag": self._prev_tag,
-            "walks": self.walks,
-            "total_depth": self.total_depth,
-        })
-        return state
-
-    def restore(self, state):
-        super().restore(state)
-        self.brtc.restore(state["brtc"])
-        self._prev_hash = state["prev_hash"]
-        self._prev_tag = state["prev_tag"]
-        self.walks = state["walks"]
-        self.total_depth = state["total_depth"]
 
 
 class CombinedIPrefetcher(_FTQRunAhead, BFetchIPrefetcher):

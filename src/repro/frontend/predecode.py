@@ -72,6 +72,9 @@ class Predecoder:
     :param block_bytes: L1-I line size (fetch-block geometry).
     """
 
+    # the BTB installs themselves are the BTB's state
+    STATE = ("_scanned", "_shadow", "blocks", "shadow_fills", "shadow_hits")
+
     def __init__(self, program, btb, block_bytes):
         shift = block_bytes.bit_length() - 1
         if 1 << shift != block_bytes:
@@ -149,24 +152,3 @@ class Predecoder:
             btb_update(pc, target)
             shadow.add(pc)
             self.shadow_fills += 1
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Scan/shadow sets and counters as a JSON-safe structure (the
-        BTB installs themselves live in the BTB's own snapshot)."""
-        return {
-            "scanned": sorted(self._scanned),
-            "shadow": sorted(self._shadow),
-            "blocks": self.blocks,
-            "shadow_fills": self.shadow_fills,
-            "shadow_hits": self.shadow_hits,
-        }
-
-    def restore(self, state):
-        self._scanned = set(int(block) for block in state["scanned"])
-        self._shadow = set(int(pc) for pc in state["shadow"])
-        self.blocks = state["blocks"]
-        self.shadow_fills = state["shadow_fills"]
-        self.shadow_hits = state["shadow_hits"]

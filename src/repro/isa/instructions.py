@@ -66,10 +66,6 @@ class Instr:
     def is_mem(self):
         return self.op in MEM_OPS
 
-    @property
-    def is_alu(self):
-        return self.op in ALU_OPS
-
     def sources(self):
         """Return the tuple of source register indices this instruction reads."""
         op = self.op

@@ -28,6 +28,7 @@ class Line:
     """One cache line's metadata."""
 
     __slots__ = ("lru", "prefetched", "meta", "used", "ready", "dirty")
+    STATE = __slots__  # a checkpoint record
 
     def __init__(self, lru, prefetched=False, meta=None, used=False, ready=0):
         self.lru = lru
@@ -52,6 +53,7 @@ class CacheStats:
         "evictions",
         "writebacks",
     )
+    STATE = __slots__
 
     def __init__(self):
         self.accesses = 0
@@ -88,6 +90,8 @@ class Cache:
         .ReplacementPolicy`; None keeps the recency-ordered LRU sets.
     """
 
+    STATE = ("sets", "stats", "_tick", "policy")
+
     def __init__(self, name, size_bytes, assoc, block_bytes=64,
                  eviction_listeners=None, policy=None):
         # fail fast before any arithmetic: a zero divides by zero below,
@@ -118,10 +122,6 @@ class Cache:
 
     def _set_of(self, block):
         return self.sets[block & self._set_mask]
-
-    def block_of(self, addr):
-        """Return the block number for a byte address."""
-        return addr >> self.block_shift
 
     def lookup(self, addr):
         """Probe without side effects; return the :class:`Line` or None."""
@@ -257,53 +257,3 @@ class Cache:
         """Empty the cache (listeners are not invoked)."""
         for cache_set in self.sets:
             cache_set.clear()
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Tag/line arrays, stats and policy RNG as a JSON-safe structure.
-
-        Set dictionaries are stored as ordered pair lists -- a
-        default-policy set's order is its recency order, so order is
-        behaviour.  Line metas go through the shared meta codec; the
-        ``random`` replacement policy's RNG stream is captured too.
-        """
-        from repro.checkpoint.state import encode_meta, rng_to_json
-        sets = []
-        for cache_set in self.sets:
-            sets.append([
-                [block,
-                 [line.lru, line.prefetched, encode_meta(line.meta),
-                  line.used, line.ready, line.dirty]]
-                for block, line in cache_set.items()
-            ])
-        state = {
-            "sets": sets,
-            "stats": self.stats.as_dict(),
-            "tick": self._tick,
-        }
-        rng = getattr(self.policy, "_rng", None)
-        if rng is not None:
-            state["policy_rng"] = rng_to_json(rng)
-        return state
-
-    def restore(self, state):
-        """Restore cache state from :meth:`snapshot` output."""
-        from repro.checkpoint.state import decode_meta, rng_from_json
-        sets = []
-        for encoded_set in state["sets"]:
-            cache_set = {}
-            for block, fields in encoded_set:
-                lru, prefetched, meta, used, ready, dirty = fields
-                line = Line(lru, prefetched, decode_meta(meta), used, ready)
-                line.dirty = dirty
-                cache_set[int(block)] = line
-            sets.append(cache_set)
-        self.sets = sets
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, value)
-        self._tick = state["tick"]
-        rng = getattr(self.policy, "_rng", None)
-        if rng is not None and "policy_rng" in state:
-            rng_from_json(rng, state["policy_rng"])

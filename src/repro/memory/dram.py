@@ -23,6 +23,9 @@ class DramModel:
     :param cycles_per_transfer: channel occupancy of one 64B line.
     """
 
+    STATE = ("next_free", "next_free_demand", "accesses",
+             "prefetch_accesses", "busy_cycles")
+
     def __init__(self, latency=200, cycles_per_transfer=5):
         self.latency = latency
         self.cycles_per_transfer = cycles_per_transfer
@@ -58,21 +61,3 @@ class DramModel:
         self.accesses = 0
         self.prefetch_accesses = 0
         self.busy_cycles = 0
-
-    def snapshot(self):
-        """Channel backlog and counters as a JSON-safe structure."""
-        return {
-            "next_free": self.next_free,
-            "next_free_demand": self.next_free_demand,
-            "accesses": self.accesses,
-            "prefetch_accesses": self.prefetch_accesses,
-            "busy_cycles": self.busy_cycles,
-        }
-
-    def restore(self, state):
-        """Restore channel state from :meth:`snapshot` output."""
-        self.next_free = state["next_free"]
-        self.next_free_demand = state["next_free_demand"]
-        self.accesses = state["accesses"]
-        self.prefetch_accesses = state["prefetch_accesses"]
-        self.busy_cycles = state["busy_cycles"]

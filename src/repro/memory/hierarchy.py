@@ -108,7 +108,12 @@ class MemoryHierarchy:
         a prefetched line is first demanded (outcome "useful"/"late") or
         evicted untouched (outcome "useless"); the system points this at
         the active prefetcher's feedback hook.
+
+    The LLC and DRAM are left out of :attr:`STATE`: a mix shares them,
+    so the system that owns them checkpoints them once.
     """
+
+    STATE = ("l1i", "l1d", "l2", "_mshr", "_imshr", "_now")
 
     def __init__(self, config=None, llc=None, dram=None, pf_feedback=None):
         self.config = config or HierarchyConfig()
@@ -344,41 +349,3 @@ class MemoryHierarchy:
     def caches(self):
         """All cache levels, nearest first."""
         return [self.l1i, self.l1d, self.l2, self.llc]
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self, include_shared=True):
-        """Per-level cache state, MSHRs and DRAM as a JSON-safe structure.
-
-        :param include_shared: when False the (possibly shared) LLC and
-            DRAM are skipped -- the CMP system snapshots those once at
-            the top level instead of once per core.
-        """
-        state = {
-            "l1i": self.l1i.snapshot(),
-            "l1d": self.l1d.snapshot(),
-            "l2": self.l2.snapshot(),
-            "mshr": list(self._mshr),
-            "imshr": list(self._imshr),
-            "now": self._now,
-        }
-        if include_shared:
-            state["llc"] = self.llc.snapshot()
-            state["dram"] = self.dram.snapshot()
-        return state
-
-    def restore(self, state):
-        """Restore hierarchy state from :meth:`snapshot` output."""
-        self.l1i.restore(state["l1i"])
-        self.l1d.restore(state["l1d"])
-        self.l2.restore(state["l2"])
-        self._mshr = [int(value) for value in state["mshr"]]
-        imshr = state.get("imshr")  # absent in pre-front-end snapshots
-        if imshr is not None:
-            self._imshr = [int(value) for value in imshr]
-        self._now = state["now"]
-        if "llc" in state:
-            self.llc.restore(state["llc"])
-        if "dram" in state:
-            self.dram.restore(state["dram"])

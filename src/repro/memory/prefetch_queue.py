@@ -9,6 +9,9 @@ far-future candidates occupies the queue and near-term requests bounce.
 
 from collections import deque
 
+#: Table I's prefetch queue entries
+PREFETCH_QUEUE_ENTRIES = 100
+
 
 class PrefetchQueue:
     """FIFO of pending prefetch requests with a capacity cap.
@@ -17,7 +20,9 @@ class PrefetchQueue:
     travels with the block into the cache line for feedback.
     """
 
-    def __init__(self, capacity=100):
+    STATE = ("_queue", "drops")
+
+    def __init__(self, capacity=PREFETCH_QUEUE_ENTRIES):
         self.capacity = capacity
         self._queue = deque()
         self.drops = 0
@@ -40,27 +45,3 @@ class PrefetchQueue:
 
     def clear(self):
         self._queue.clear()
-
-    def snapshot(self):
-        """Queue contents as a JSON-safe structure.
-
-        Metas go through :func:`repro.checkpoint.state.encode_meta` so
-        opaque tuples and the ``IFETCH_META`` identity sentinel survive
-        the round trip.
-        """
-        from repro.checkpoint.state import encode_meta
-        return {
-            "entries": [[addr, encode_meta(meta)]
-                        for addr, meta in self._queue],
-            "drops": self.drops,
-        }
-
-    def restore(self, state):
-        """Restore queue contents from :meth:`snapshot` output, into
-        the existing deque (callers may hold it)."""
-        from repro.checkpoint.state import decode_meta
-        self._queue.clear()
-        self._queue.extend(
-            (addr, decode_meta(meta)) for addr, meta in state["entries"]
-        )
-        self.drops = state["drops"]

@@ -26,6 +26,7 @@ class ReplacementPolicy:
     """Interface: per-line state lives in ``line.lru``."""
 
     name = "abstract"
+    STATE = ()  # checkpointed with its cache
 
     def on_fill(self, cache, line, prefetched):
         """Initialise the state of a newly inserted line."""
@@ -62,6 +63,7 @@ class RandomPolicy(ReplacementPolicy):
     """Seeded random replacement -- cheap hardware, noisier behaviour."""
 
     name = "random"
+    STATE = ("_rng",)
 
     def __init__(self, seed=1):
         self._rng = random.Random(seed)

@@ -25,6 +25,7 @@ class PrefetchStats:
     """Counters for one prefetcher instance (disjoint outcomes)."""
 
     __slots__ = ("issued", "useful", "useless", "late", "dropped", "duplicate")
+    STATE = __slots__
 
     def __init__(self):
         self.issued = 0
@@ -53,10 +54,6 @@ class PrefetchStats:
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
-
-    def reset(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
 
     def __repr__(self):
         return (

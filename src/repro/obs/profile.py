@@ -74,10 +74,6 @@ class Profiler(object):
             (name, phase.as_dict()) for name, phase in self.phases.items()
         )
 
-    @property
-    def total_seconds(self):
-        return sum(phase.seconds for phase in self.phases.values())
-
     def summary(self):
         """Compact one-line rendering: ``probe 0.01s, execute 1.2s (8k/s)``."""
         parts = []

@@ -13,7 +13,7 @@ pipeline-driven designs (B-Fetch, Tango) also use ``on_branch_decode`` and
 
 from collections import OrderedDict
 
-from repro.memory.prefetch_queue import PrefetchQueue
+from repro.memory.prefetch_queue import PREFETCH_QUEUE_ENTRIES, PrefetchQueue
 from repro.memory.stats import PrefetchStats
 
 _RECENT_BLOCKS = 256  # issue-side dedup window (blocks)
@@ -28,7 +28,8 @@ IFETCH_META = ("ifetch",)
 class Prefetcher:
     """Base class with no-op hooks; a "no prefetching" baseline as-is.
 
-    :param queue_capacity: bounded request queue size (Table I: 100).
+    :param queue_capacity: bounded request queue size (Table I:
+        :data:`~repro.memory.prefetch_queue.PREFETCH_QUEUE_ENTRIES`).
     :param block_bytes: cache-line size used for issue-side dedup; must
         match the L1 line size of the hierarchy the prefetcher feeds
         (the factory passes ``HierarchyConfig.block_bytes`` through).
@@ -36,8 +37,11 @@ class Prefetcher:
 
     name = "none"
     is_perfect = False
+    # subclasses extend it with their tables; the dedup window's order
+    # decides which block falls out of it next
+    STATE = ("stats", "queue", "_recent")
 
-    def __init__(self, queue_capacity=100, block_bytes=64):
+    def __init__(self, queue_capacity=PREFETCH_QUEUE_ENTRIES, block_bytes=64):
         shift = block_bytes.bit_length() - 1
         if 1 << shift != block_bytes:
             raise ValueError("block size must be a power of two, got %r"
@@ -172,33 +176,3 @@ class Prefetcher:
     def storage_bits(self):
         """Prefetcher state budget in bits (Table-I accounting)."""
         return 0
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-
-    def snapshot(self):
-        """Base prefetcher state (stats, queue, dedup window).
-
-        Subclasses extend the returned dict with their private tables;
-        the ``_recent`` OrderedDict keeps its insertion order (it decides
-        which block falls out of the dedup window next).
-        """
-        return {
-            "stats": self.stats.as_dict(),
-            "queue": self.queue.snapshot(),
-            "recent": list(self._recent),
-        }
-
-    def restore(self, state):
-        """Restore base prefetcher state from :meth:`snapshot` output."""
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, value)
-        self.queue.restore(state["queue"])
-        # into the existing window: the B-Fetch walk binds it once
-        self._recent.clear()
-        self._recent.update((block, True) for block in state["recent"])
-
-    def reset_stats(self):
-        # reset in place: the stats object may be adopted by a
-        # StatsRegistry, which holds a live reference to it
-        self.stats.reset()

@@ -26,9 +26,10 @@ class ISBPrefetcher(Prefetcher):
     """Structural-address-space prefetcher with per-PC stream localization."""
 
     name = "isb"
+    STATE = Prefetcher.STATE + ("ps", "sp", "_next_chunk", "_stream_head")
 
-    def __init__(self, degree=3, block_bytes=64, queue_capacity=100):
-        super().__init__(queue_capacity, block_bytes)
+    def __init__(self, degree=3, block_bytes=64):
+        super().__init__(block_bytes=block_bytes)
         self.degree = degree
         self.ps = {}          # physical block -> structural address
         self.sp = {}          # structural address -> physical block
@@ -62,29 +63,6 @@ class ISBPrefetcher(Prefetcher):
             neighbour = self.sp.get(structural + step)
             if neighbour is not None:
                 self.push(neighbour << 6, pc & 0x3FF)
-
-    def snapshot(self):
-        """Base state plus the PS/SP maps and stream heads."""
-        state = super().snapshot()
-        state["ps"] = [[block, structural]
-                       for block, structural in self.ps.items()]
-        state["sp"] = [[structural, block]
-                       for structural, block in self.sp.items()]
-        state["next_chunk"] = self._next_chunk
-        state["stream_head"] = [[pc, head]
-                                for pc, head in self._stream_head.items()]
-        return state
-
-    def restore(self, state):
-        """Restore prefetcher state from :meth:`snapshot` output."""
-        super().restore(state)
-        self.ps = {int(block): structural
-                   for block, structural in state["ps"]}
-        self.sp = {int(structural): block
-                   for structural, block in state["sp"]}
-        self._next_chunk = state["next_chunk"]
-        self._stream_head = {int(pc): head
-                             for pc, head in state["stream_head"]}
 
     def storage_bits(self):
         """Metadata footprint: both maps at ~58 bits per mapping.

@@ -16,8 +16,8 @@ class NextNPrefetcher(Prefetcher):
 
     name = "nextn"
 
-    def __init__(self, n=NEXTN_DEGREE, block_bytes=64, queue_capacity=100):
-        super().__init__(queue_capacity, block_bytes)
+    def __init__(self, n=NEXTN_DEGREE, block_bytes=64):
+        super().__init__(block_bytes=block_bytes)
         self.n = n
 
     def on_load(self, pc, addr, hit, now):

@@ -32,6 +32,7 @@ PHT_TAG_BITS = 4
 
 class _Generation:
     __slots__ = ("trigger_key", "pattern", "lru")
+    STATE = __slots__  # a checkpoint record
 
     def __init__(self, trigger_key, pattern, lru):
         self.trigger_key = trigger_key
@@ -44,9 +45,11 @@ class SMSPrefetcher(Prefetcher):
     *block_bytes* lines (the hierarchy's line size)."""
 
     name = "sms"
+    # AGT order is behaviour: its LRU victim scan breaks ties on it
+    STATE = Prefetcher.STATE + ("agt", "pht", "_tick")
 
-    def __init__(self, block_bytes=64, queue_capacity=100):
-        super().__init__(queue_capacity, block_bytes)
+    def __init__(self, block_bytes=64):
+        super().__init__(block_bytes=block_bytes)
         if REGION_BYTES % block_bytes:
             raise ValueError("region must be a multiple of the block size")
         self.blocks_per_region = REGION_BYTES // block_bytes
@@ -120,33 +123,6 @@ class SMSPrefetcher(Prefetcher):
         self._end_generation(addr >> self._region_shift)
 
     # ------------------------------------------------------------------
-
-    def snapshot(self):
-        """Base state plus AGT generations and PHT patterns.
-
-        AGT insertion order is preserved (its LRU victim scan iterates
-        the dict, so ties break on order); the PHT is keyed by int slot.
-        """
-        state = super().snapshot()
-        state["agt"] = [
-            [region, [gen.trigger_key, gen.pattern, gen.lru]]
-            for region, gen in self.agt.items()
-        ]
-        state["pht"] = [[slot, list(entry)]
-                        for slot, entry in self.pht.items()]
-        state["tick"] = self._tick
-        return state
-
-    def restore(self, state):
-        """Restore prefetcher state from :meth:`snapshot` output."""
-        super().restore(state)
-        self.agt = {
-            int(region): _Generation(fields[0], fields[1], fields[2])
-            for region, fields in state["agt"]
-        }
-        self.pht = {int(slot): tuple(entry)
-                    for slot, entry in state["pht"]}
-        self._tick = state["tick"]
 
     def storage_bits(self):
         # AGT: region tag(26) + trigger key(32) + pattern + lru(4)

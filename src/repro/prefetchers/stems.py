@@ -20,9 +20,10 @@ class STeMSPrefetcher(SMSPrefetcher):
     """SMS + temporal streaming of whole spatial generations."""
 
     name = "stems"
+    STATE = SMSPrefetcher.STATE + ("temporal_log", "_log_position")
 
-    def __init__(self, block_bytes=64, stream_ahead=4, queue_capacity=100):
-        super().__init__(block_bytes, queue_capacity)
+    def __init__(self, block_bytes=64, stream_ahead=4):
+        super().__init__(block_bytes)
         self.stream_ahead = stream_ahead
         self.temporal_log = []      # ordered (region, trigger key) events
         self._log_position = {}     # trigger key -> last log index
@@ -57,23 +58,6 @@ class STeMSPrefetcher(SMSPrefetcher):
                 self.push(base + (low.bit_length() - 1) * self.block_bytes,
                           pc & 0x3FF)
                 pattern ^= low
-
-    def snapshot(self):
-        """SMS state plus the temporal log and its position index."""
-        state = super().snapshot()
-        state["temporal_log"] = [[region, key]
-                                 for region, key in self.temporal_log]
-        state["log_position"] = [[key, index]
-                                 for key, index in self._log_position.items()]
-        return state
-
-    def restore(self, state):
-        """Restore prefetcher state from :meth:`snapshot` output."""
-        super().restore(state)
-        self.temporal_log = [(int(region), int(key))
-                             for region, key in state["temporal_log"]]
-        self._log_position = {int(key): index
-                              for key, index in state["log_position"]}
 
     def storage_bits(self):
         """On-chip SMS state plus the grown temporal metadata (~60 bits

@@ -25,6 +25,7 @@ STRIDE_DEGREE = 8
 
 class _Entry:
     __slots__ = ("tag", "last_addr", "stride", "state")
+    STATE = __slots__  # a checkpoint record
 
     def __init__(self, tag, last_addr):
         self.tag = tag
@@ -41,10 +42,10 @@ class StridePrefetcher(Prefetcher):
     """
 
     name = "stride"
+    STATE = Prefetcher.STATE + ("table",)
 
-    def __init__(self, entries=256, degree=STRIDE_DEGREE, block_bytes=64,
-                 queue_capacity=100):
-        super().__init__(queue_capacity, block_bytes)
+    def __init__(self, entries=256, degree=STRIDE_DEGREE, block_bytes=64):
+        super().__init__(block_bytes=block_bytes)
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self.entries = entries
@@ -72,30 +73,6 @@ class StridePrefetcher(Prefetcher):
             entry.stride = stride
             entry.state = _TRANSIENT if entry.state == _STEADY else _INITIAL
         entry.last_addr = addr
-
-    def snapshot(self):
-        """Base state plus the reference prediction table."""
-        state = super().snapshot()
-        state["table"] = [
-            None if entry is None
-            else [entry.tag, entry.last_addr, entry.stride, entry.state]
-            for entry in self.table
-        ]
-        return state
-
-    def restore(self, state):
-        """Restore prefetcher state from :meth:`snapshot` output."""
-        super().restore(state)
-        table = [None] * self.entries
-        for index, fields in enumerate(state["table"]):
-            if fields is None:
-                continue
-            tag, last_addr, stride, entry_state = fields
-            entry = _Entry(tag, last_addr)
-            entry.stride = stride
-            entry.state = entry_state
-            table[index] = entry
-        self.table = table
 
     def storage_bits(self):
         # tag(30) + last addr(32) + stride(16) + state(2) per entry

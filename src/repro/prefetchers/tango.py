@@ -20,6 +20,7 @@ _MAX_LOADS = 3
 
 class _BlockEntry:
     __slots__ = ("tag", "loads")
+    STATE = __slots__  # a checkpoint record
 
     def __init__(self, tag):
         self.tag = tag
@@ -30,9 +31,10 @@ class TangoPrefetcher(Prefetcher):
     """Branch-directed prefetching from effective-address history."""
 
     name = "tango"
+    STATE = Prefetcher.STATE + ("table", "_last_branch_key")
 
-    def __init__(self, entries=256, block_bytes=64, queue_capacity=100):
-        super().__init__(queue_capacity, block_bytes)
+    def __init__(self, entries=256, block_bytes=64):
+        super().__init__(block_bytes=block_bytes)
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self.entries = entries
@@ -84,34 +86,6 @@ class TangoPrefetcher(Prefetcher):
         else:
             record[1] = ea - record[0]
             record[0] = ea
-
-    def snapshot(self):
-        """Base state plus the block table and last-branch key."""
-        state = super().snapshot()
-        state["table"] = [
-            None if entry is None
-            else [entry.tag,
-                  [[load_pc, list(record)]
-                   for load_pc, record in entry.loads.items()]]
-            for entry in self.table
-        ]
-        state["last_branch_key"] = self._last_branch_key
-        return state
-
-    def restore(self, state):
-        """Restore prefetcher state from :meth:`snapshot` output."""
-        super().restore(state)
-        table = [None] * self.entries
-        for index, fields in enumerate(state["table"]):
-            if fields is None:
-                continue
-            entry = _BlockEntry(fields[0])
-            # records stay mutable lists: training updates them in place
-            entry.loads = {int(load_pc): list(record)
-                           for load_pc, record in fields[1]}
-            table[index] = entry
-        self.table = table
-        self._last_branch_key = state["last_branch_key"]
 
     def storage_bits(self):
         # tag(32) + 3 x (pc tag 10 + ea 32 + delta 16)

@@ -57,16 +57,6 @@ def catalog():
     }
 
 
-def benchmark_names():
-    """Sorted tuple of known benchmark names."""
-    return tuple(BENCHMARKS)
-
-
-def prefetcher_names():
-    """Tuple of known prefetcher names (``none`` first)."""
-    return tuple(PREFETCHER_NAMES)
-
-
 def is_benchmark(name):
     return name in PROFILES
 

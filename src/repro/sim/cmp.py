@@ -177,12 +177,13 @@ class CMPSystem:
     def snapshot(self):
         """Complete CMP state: every core (without the shared levels)
         plus the shared LLC and DRAM exactly once."""
+        from repro.checkpoint import state as codec
         state = self.fingerprint()
         state.update({
             "cores": [system.snapshot(include_shared=False)
                       for system in self.systems],
-            "llc": self.llc.snapshot(),
-            "dram": self.dram.snapshot(),
+            "llc": codec.snapshot(self.llc),
+            "dram": codec.snapshot(self.dram),
         })
         return state
 
@@ -201,7 +202,8 @@ class CMPSystem:
                 "checkpoint fingerprint mismatch: saved %r, system is %r"
                 % (found, expected)
             )
+        from repro.checkpoint import state as codec
         for system, core_state in zip(self.systems, state["cores"]):
             system.restore(core_state)
-        self.llc.restore(state["llc"])
-        self.dram.restore(state["dram"])
+        codec.restore(self.llc, state["llc"])
+        codec.restore(self.dram, state["dram"])

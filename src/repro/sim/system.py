@@ -322,6 +322,11 @@ class System:
         ``REPRO_TRACE`` environment decides (unset = tracing off).
     """
 
+    # what a snapshot holds besides the fingerprint (and, unless a mix
+    # shares them, the LLC and DRAM)
+    STATE = ("machine", "core", "predictor", "confidence", "btb",
+             "prefetcher", "hierarchy")
+
     def __init__(self, workload, config=None, llc=None, dram=None,
                  tracer=None):
         self.config = config or SystemConfig()
@@ -448,33 +453,27 @@ class System:
         }
 
     def snapshot(self, include_shared=True):
-        """Complete simulation state as a JSON-safe structure.
+        """Complete simulation state as JSON-stable data
+        (:mod:`repro.checkpoint.state`).
 
-        :param include_shared: forwarded to
-            :meth:`~repro.memory.MemoryHierarchy.snapshot`; CMP systems
-            snapshot the shared LLC/DRAM once at the top level.
+        :param include_shared: also capture the LLC and DRAM; a mix
+            shares them, so it captures them once at the top level.
         """
+        from repro.checkpoint import state as codec
         state = self.fingerprint()
-        state.update({
-            "machine": self.machine.snapshot(),
-            "core": self.core.snapshot(),
-            "predictor": self.predictor.snapshot(),
-            "confidence": self.confidence.snapshot(),
-            "btb": self.btb.snapshot(),
-            "prefetcher": self.prefetcher.snapshot(),
-            "hierarchy": self.hierarchy.snapshot(
-                include_shared=include_shared),
-        })
-        if self.core.frontend is not None:
-            state["frontend"] = self.core.frontend.snapshot()
+        state.update(codec.snapshot(self))
+        if include_shared:
+            state["llc"] = codec.snapshot(self.hierarchy.llc)
+            state["dram"] = codec.snapshot(self.hierarchy.dram)
         return state
 
     def restore(self, state):
-        """Restore every component from :meth:`snapshot` output.
+        """Restore every component from :meth:`snapshot` output, in
+        place.
 
-        Raises :class:`~repro.checkpoint.CheckpointError` when the
-        snapshot's fingerprint (workload + config key) does not match
-        this system.
+        Raises :class:`~repro.checkpoint.CheckpointError`, before
+        restoring anything, when the snapshot's fingerprint (workload +
+        config key) does not match this system.
         """
         expected = self.fingerprint()
         found = {"workload": state.get("workload"),
@@ -484,12 +483,8 @@ class System:
                 "checkpoint fingerprint mismatch: saved %r, system is %r"
                 % (found, expected)
             )
-        self.machine.restore(state["machine"])
-        self.core.restore(state["core"])
-        self.predictor.restore(state["predictor"])
-        self.confidence.restore(state["confidence"])
-        self.btb.restore(state["btb"])
-        self.prefetcher.restore(state["prefetcher"])
-        self.hierarchy.restore(state["hierarchy"])
-        if self.core.frontend is not None:
-            self.core.frontend.restore(state["frontend"])
+        from repro.checkpoint import state as codec
+        codec.restore(self, state)
+        if "llc" in state:
+            codec.restore(self.hierarchy.llc, state["llc"])
+            codec.restore(self.hierarchy.dram, state["dram"])

@@ -10,10 +10,12 @@ and for every prefetcher.  The chaos tests here enforce it with real
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
+from collections import OrderedDict, deque
 
 import pytest
 
@@ -24,10 +26,17 @@ from repro.checkpoint import (
     from_env,
     gc_stale_tmp,
 )
+from repro.checkpoint import state as codec
+from repro.core.config import BFetchConfig
+from repro.core.mht import MHTEntry, RegisterHistory
+from repro.frontend.config import IPREFETCHER_NAMES
+from repro.memory.cache import Line
+from repro.memory.hierarchy import HierarchyConfig
 from repro.obs import Tracer
 from repro.obs.trace import parse_trace_spec
+from repro.prefetchers.base import IFETCH_META
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import SystemConfig
+from repro.sim.config import PREFETCHER_NAMES, SystemConfig
 from repro.sim.runner import ExperimentRunner
 from repro.sim.system import System
 from repro.workloads.spec import build_workload
@@ -124,23 +133,81 @@ def test_from_env(tmp_path, monkeypatch):
 # in-process interrupt -> resume byte-identity (all system flavours)
 
 
-@pytest.mark.parametrize("prefetcher", ["bfetch", "stride", "sms", "isb"])
-def test_interrupt_resume_byte_identical_single(tmp_path, prefetcher):
-    budget = 20_000
-    reference = _system(prefetcher=prefetcher).run(budget).as_dict()
+class _TripAfterSaves(InterruptFlag):
+    """An interrupt that latches SIGINT once *ckpt* has saved *saves*
+    checkpoints, so the run stops at a later boundary, tables warm."""
 
-    ckpt = Checkpointer(str(tmp_path / "run.ckpt.json"), every=1500)
-    tripped = InterruptFlag()
-    tripped.signum = signal.SIGINT  # pre-latched: trips at first boundary
+    __slots__ = ("_ckpt", "_saves")
+
+    def __init__(self, ckpt, saves):
+        super().__init__()
+        self._ckpt = ckpt
+        self._saves = saves
+
+    def __bool__(self):
+        if self._ckpt.saves >= self._saves:
+            self.signum = signal.SIGINT
+        return super().__bool__()
+
+
+_SMALL_LLC = 64 * 1024  # small enough that a 6k-instruction run evicts
+
+# every model whose state a checkpoint carries: the nine prefetchers,
+# the perceptron, the LLC policies, B-Fetch-I and the five I-prefetchers
+_RESUME_MATRIX = [
+    pytest.param("mcf", SystemConfig(prefetcher=name), id=name)
+    for name in PREFETCHER_NAMES
+] + [
+    pytest.param("mcf", SystemConfig(prefetcher="bfetch",
+                                     branch_predictor="perceptron"),
+                 id="perceptron"),
+] + [
+    pytest.param("mcf", SystemConfig(
+        prefetcher="bfetch",
+        hierarchy=HierarchyConfig(llc_size_per_core=_SMALL_LLC,
+                                  llc_policy=policy)),
+        id="llc-" + policy)
+    for policy in ("random", "srrip", "pacman")
+] + [
+    pytest.param("mcf", SystemConfig(
+        prefetcher="bfetch",
+        bfetch=BFetchConfig(instruction_prefetch=True)),
+        id="bfetch-instruction-prefetch"),
+] + [
+    pytest.param("nginx", SystemConfig(prefetcher="bfetch", frontend="ftq",
+                                       iprefetcher=name),
+                 id="ftq-" + name)
+    for name in IPREFETCHER_NAMES
+]
+
+
+@pytest.mark.parametrize("workload,config", _RESUME_MATRIX)
+def test_interrupt_resume_byte_identical_single(tmp_path, workload, config):
+    """Checkpointed every eighth of its length, interrupted at the sixth
+    boundary and resumed in a new system, a run ends with the payload
+    and the full state of the run that was never interrupted."""
+    budget = 6_000
+
+    def build():
+        return System(build_workload(workload), config)
+
+    reference_system = build()
+    reference = reference_system.run(budget).as_dict()
+    if config.hierarchy.llc_policy != "lru":
+        assert reference["llc"]["evictions"] > 0
+
+    ckpt = Checkpointer(str(tmp_path / "run.ckpt.json"),
+                        every=reference_system.core.cycle // 8)
     with pytest.raises(KeyboardInterrupt):
-        _system(prefetcher=prefetcher).run(budget, checkpointer=ckpt,
-                                           interrupt=tripped)
-    assert os.path.exists(ckpt.path)
+        build().run(budget, checkpointer=ckpt,
+                    interrupt=_TripAfterSaves(ckpt, 6))
+    assert ckpt.saves == 6 and os.path.exists(ckpt.path)
 
-    resumed = _system(prefetcher=prefetcher).run(
-        budget, checkpointer=ckpt, interrupt=InterruptFlag()
-    ).as_dict()
+    resumed_system = build()
+    resumed = resumed_system.run(budget, checkpointer=ckpt,
+                                 interrupt=InterruptFlag()).as_dict()
     assert resumed == reference
+    assert resumed_system.snapshot() == reference_system.snapshot()
     assert not os.path.exists(ckpt.path)  # cleared after completion
 
 
@@ -203,9 +270,11 @@ def test_mismatched_checkpoint_restarts_clean(tmp_path):
         _system("mcf").restore(donor.snapshot())
 
 
-def test_version_1_checkpoint_is_discarded(tmp_path):
-    """A version-1 checkpoint lists each cache set in insertion order,
-    not recency order: loading deletes it, and the run restarts clean."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_checkpoint_is_discarded(tmp_path, version):
+    """A checkpoint of an older layout is deleted on load, and the run
+    restarts clean: version 1 lists each cache set in insertion order
+    (not recency order), version 2 has each component's own format."""
     from repro.resilience.envelope import wrap_envelope
 
     budget = 10_000
@@ -217,7 +286,8 @@ def test_version_1_checkpoint_is_discarded(tmp_path):
     def plant():
         payload = {"cycle": 999, "state": donor.snapshot()}
         with open(path, "w") as handle:
-            json.dump(wrap_envelope(payload, 1), handle, sort_keys=True)
+            json.dump(wrap_envelope(payload, version), handle,
+                      sort_keys=True)
 
     plant()
     assert Checkpointer(path).load() is None
@@ -227,6 +297,87 @@ def test_version_1_checkpoint_is_discarded(tmp_path):
     result = _system("mcf").run(budget, checkpointer=ckpt).as_dict()
     assert ckpt.loads == 0
     assert result == reference
+
+
+class _Holder:
+    """A component declaring one attribute of every shape the codec
+    handles."""
+
+    STATE = ("ints", "nested", "order", "window", "queue", "seen", "pair",
+             "sets", "entries", "rng", "count")
+
+    def __init__(self):
+        self.ints = []
+        self.nested = [[0, 0], [0, 0]]
+        self.order = {}
+        self.window = OrderedDict()
+        self.queue = deque()
+        self.seen = set()
+        self.pair = None
+        self.sets = [{}, {}]
+        self.entries = [None, None]
+        self.rng = random.Random(0)
+        self.count = 0
+
+
+def test_codec_restores_every_shape_in_place():
+    saved = _Holder()
+    saved.ints[:] = [3, None, True, -2 ** 70]
+    saved.nested[:] = [[1, 2], [3, 4]]
+    saved.order.update([(30, "c"), (10, "a"), (20, "b")])
+    saved.window.update([(7, True), (5, True)])
+    saved.queue.extend([(64, IFETCH_META), (128, (1, (2, 3)))])
+    saved.seen.update((9, 3, 6))
+    saved.pair = (1, "x")
+    saved.sets[1][40] = Line(3, True, 17, False, 90)
+    saved.sets[1][40].dirty = True
+    saved.sets[1][8] = Line(4)
+    entry = saved.entries[1] = MHTEntry(77, 3)
+    entry.slot_for(5, allocate=True).regval = 11
+    entry.issue = ((5, 0),)  # derived: not stored
+    saved.rng.random()
+    saved.count = 41
+    state = codec.snapshot(saved)
+    assert json.loads(json.dumps(state)) == state
+
+    target = _Holder()
+    target.sets[0][1] = Line(0)  # stale contents are replaced
+    containers = (target.ints, target.nested, target.nested[0],
+                  target.order, target.window, target.queue, target.seen,
+                  target.sets, target.sets[1], target.entries, target.rng)
+    codec.restore(target, json.loads(json.dumps(state)))
+    assert codec.snapshot(target) == state
+    assert all(before is after for before, after in zip(containers, (
+        target.ints, target.nested, target.nested[0], target.order,
+        target.window, target.queue, target.seen, target.sets,
+        target.sets[1], target.entries, target.rng)))
+    assert target.ints == [3, None, True, -2 ** 70]
+    assert target.nested == [[1, 2], [3, 4]]
+    assert list(target.order.items()) == [(30, "c"), (10, "a"), (20, "b")]
+    assert list(target.window) == [7, 5]
+    assert target.queue[0][1] is IFETCH_META
+    assert target.queue[1] == (128, (1, (2, 3)))
+    assert target.seen == {3, 6, 9}
+    assert target.pair == (1, "x") and type(target.pair) is tuple
+    assert target.sets[0] == {} and list(target.sets[1]) == [40, 8]
+    line = target.sets[1][40]
+    assert type(line) is Line
+    assert [getattr(line, name) for name in Line.STATE] == \
+        [3, True, 17, False, 90, True]
+    entry = target.entries[1]
+    assert target.entries[0] is None and type(entry) is MHTEntry
+    assert entry.issue is None and entry.max_slots == 3
+    assert type(entry.slots[0]) is RegisterHistory
+    assert entry.slots[0].regval == 11
+    assert target.rng.random() == saved.rng.random()
+    assert target.count == 41
+
+
+def test_codec_only_builds_the_record_types_it_lists():
+    state = codec.snapshot(_Holder())
+    state["entries"] = {"os.system": [["echo"]]}
+    with pytest.raises(KeyError):
+        codec.restore(_Holder(), state)
 
 
 def test_snapshot_is_json_safe():

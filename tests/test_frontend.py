@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.branch import BranchTargetBuffer
+from repro.checkpoint import state as codec
 from repro.frontend import (
     FRONTEND_MODES,
     IPREFETCHER_NAMES,
@@ -182,10 +183,11 @@ def test_ftq_snapshot_round_trip():
     ftq.push(0x1000)
     ftq.push(0x1040)
     ftq.pending(0, 1)[0][1] = True
-    state = json.loads(json.dumps(ftq.snapshot()))
+    state = json.loads(json.dumps(codec.snapshot(ftq)))
     other = FetchTargetQueue(entries=4)
-    other.restore(state)
-    assert other.snapshot() == ftq.snapshot()
+    codec.restore(other, state)
+    assert codec.snapshot(other) == codec.snapshot(ftq)
+    assert list(other._queue) == [[0x1000, True], [0x1040, False]]
 
 
 def test_ftq_rejects_bad_capacity():
@@ -264,11 +266,12 @@ def test_predecoder_snapshot_round_trip():
     program = _branchy_program()
     pre = Predecoder(program, BranchTargetBuffer(entries=64), block_bytes=64)
     pre.on_fill(program.pc_of(0), entry_pc=program.pc_of(0))
-    state = json.loads(json.dumps(pre.snapshot()))
+    state = json.loads(json.dumps(codec.snapshot(pre)))
     other = Predecoder(program, BranchTargetBuffer(entries=64),
                        block_bytes=64)
-    other.restore(state)
-    assert other.snapshot() == pre.snapshot()
+    codec.restore(other, state)
+    assert codec.snapshot(other) == codec.snapshot(pre)
+    assert other._scanned == pre._scanned and other._shadow == pre._shadow
 
 
 def test_predecoder_rejects_non_power_of_two_blocks():
@@ -542,7 +545,7 @@ def test_ftq_mode_restore_keeps_the_front_end_queues_live():
     assert frontend._ftq_queue is frontend.ftq._queue
     assert frontend._iq_queue is frontend.iprefetcher.queue._queue
     assert [list(entry) for entry in frontend._ftq_queue] == \
-        state["frontend"]["ftq"]
+        state["core"]["frontend"]["ftq"]["_queue"]["deque"]
 
 
 # ----------------------------------------------------------------------
@@ -560,5 +563,5 @@ def test_32_byte_lines_run_end_to_end():
     # trace-visible FTQ blocks must be 32B aligned
     system = System(build_workload("nginx"), config)
     system.run(2_000)
-    for addr, _issued in system.core.frontend.ftq.snapshot():
+    for addr, _issued in system.core.frontend.ftq._queue:
         assert addr % 32 == 0

@@ -1,5 +1,6 @@
 """Bounded prefetch queue."""
 
+from repro.checkpoint import state as codec
 from repro.memory import PrefetchQueue
 
 
@@ -37,11 +38,11 @@ def test_restore_refills_the_same_deque():
     loop, the front end) sees the restored entries."""
     queue = PrefetchQueue(capacity=8)
     queue.push(1, "a")
-    state = queue.snapshot()
+    state = codec.snapshot(queue)
     other = PrefetchQueue(capacity=8)
     held = other._queue
     other.push(9)
-    other.restore(state)
+    codec.restore(other, state)
     assert other._queue is held
     assert list(held) == [(1, "a")]
-    assert other.snapshot() == state
+    assert codec.snapshot(other) == state

@@ -228,8 +228,8 @@ def _imported_by(argv):
 def test_serial_run_imports_only_what_it_runs():
     """A serial ``run_single`` and ``run_mix`` of mcf/bfetch import no
     process pool, server, analysis, sanitizer, fault parser, front end,
-    assembler, trace capture, LLC policy, synthesizer or prefetcher they
-    did not ask for."""
+    assembler, trace capture, LLC policy, synthesizer, checkpoint codec
+    or prefetcher they did not ask for."""
     names = (
         "multiprocessing", "concurrent.futures.process", "repro.serve",
         "repro.analysis", "repro.sanitize", "repro.resilience.faults",
@@ -239,6 +239,7 @@ def test_serial_run_imports_only_what_it_runs():
         "repro.prefetchers.stride", "repro.prefetchers.perfect",
         "repro.prefetchers.tango", "repro.prefetchers.isb",
         "repro.prefetchers.stems", "repro.prefetchers.sms",
+        "repro.checkpoint.state",
     )
     _run_fresh("\n".join((
         "import sys",
@@ -353,8 +354,6 @@ PACKAGE_EXPORTS = {
                                      "CheckpointError", "Checkpointer",
                                      "InterruptFlag", "from_env",
                                      "gc_stale_tmp", "signal_guard"),
-        "repro.checkpoint.state": ("decode_meta", "encode_meta", "int_dict",
-                                   "pairs", "rng_from_json", "rng_to_json"),
     },
     "repro.core": {
         "repro.core.config": ("BFetchConfig",),

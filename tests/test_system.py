@@ -43,6 +43,28 @@ def test_integer_knobs_reject_non_integers(cls, field, value, tmp_path):
         cls(*args, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("filter_initial", -1),
+    ("filter_initial", 8),
+    ("filter_initial", True),
+    ("filter_initial", 2.0),
+    ("arf_delay", True),
+    ("arf_delay", 2.5),
+    ("use_filter", "no"),
+    ("loop_prefetch", 1),
+    ("pattern_prefetch", None),
+    ("instruction_prefetch", "yes"),
+    ("path_confidence_threshold", True),
+    ("path_confidence_threshold", "0.5"),
+], ids=str)
+def test_bfetch_config_fails_fast(field, value):
+    """A filter counter outside its 3 bits, a fractional or boolean ARF
+    delay, a flag that is not a bool or a boolean threshold does not
+    build; the error names the field."""
+    with pytest.raises(ValueError, match=r"^BFetchConfig\.%s " % field):
+        BFetchConfig(**{field: value})
+
+
 def test_config_surface_is_the_known_one():
     """The machine's settable parameters, each set by a figure, an
     ablation, an example, the CLI or a behavioural test; every other
