@@ -140,6 +140,7 @@ class Tracer(object):
         self.rates = dict(rates or {})
         self.path = path
         self.events = []
+        self._appended = 0     # events already written by append()
         self._channels = {
             category: Channel(category, rate, self.events)
             for category, rate in self.rates.items()
@@ -175,10 +176,12 @@ class Tracer(object):
             counts[category] = counts.get(category, 0) + 1
         return counts
 
-    def to_jsonl(self):
-        """Render the buffer as JSONL text (sorted keys: byte-stable)."""
+    def to_jsonl(self, start=0):
+        """Render the buffer from event *start* on as JSONL text (sorted
+        keys: byte-stable)."""
         return "".join(
-            json.dumps(event, sort_keys=True) + "\n" for event in self.events
+            json.dumps(event, sort_keys=True) + "\n"
+            for event in self.events[start:]
         )
 
     def flush(self, path=None):
@@ -192,8 +195,26 @@ class Tracer(object):
             return None
         return atomic_write_text(path, self.to_jsonl())
 
-    def clear(self):
-        del self.events[:]
+    def append(self):
+        """Append the events recorded since the last call to ``self.path``.
+
+        For a long-lived writer (the job server): each call costs the
+        new events, not the whole buffer :meth:`flush` rewrites, and
+        every event is on disk once the call that wrote it returns.  The
+        first call starts the file afresh, so the file always equals
+        :meth:`to_jsonl` as of the last call.
+
+        :returns: the output path, or None when ``self.path`` is unset.
+        """
+        if not self.path:
+            return None
+        start = self._appended
+        if not start:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        with open(self.path, "a" if start else "w") as handle:
+            handle.write(self.to_jsonl(start))
+        self._appended = len(self.events)
+        return self.path
 
 
 # ----------------------------------------------------------------------

@@ -38,15 +38,18 @@ class Job(object):
         "created", "started", "finished", "result", "error", "done_count",
         "done_total", "clients", "cancel_requested", "report",
         "subscribers", "_done_event", "events_seq", "deadline",
+        "digests",
     )
 
     def __init__(self, job_id, key, kind, spec, requests, priority=0,
-                 deadline_ms=None):
+                 deadline_ms=None, digests=()):
         self.id = job_id
         self.key = key
         self.kind = kind
         self.spec = spec
         self.requests = requests
+        # the requests' cache digests, computed once at submit
+        self.digests = digests
         self.priority = priority
         self.state = "queued"
         self.created = time.monotonic()
@@ -154,11 +157,11 @@ class JobTable(object):
         return len(self._jobs)
 
     def new_job(self, key, kind, spec, requests, priority=0,
-                deadline_ms=None):
+                deadline_ms=None, digests=()):
         """Create, index and return a fresh queued job."""
         job_id = "j%06d" % next(self._seq)
         job = Job(job_id, key, kind, spec, requests, priority,
-                  deadline_ms=deadline_ms)
+                  deadline_ms=deadline_ms, digests=digests)
         self._jobs[job_id] = job
         self._active[key] = job
         return job

@@ -17,6 +17,7 @@ Taxonomy::
     serve.jobs.rejected_busy                 bounced by admission control
     serve.jobs.rejected_invalid              failed validation
     serve.jobs.completed / failed / cancelled terminal outcomes
+    serve.jobs.on_loop                       run on the event loop (all runs in memo)
     serve.jobs.in_flight                     queued + running right now
     serve.queue.depth                        live admission-queue depth
     serve.runs.requested                     RunRequests across submissions
@@ -60,6 +61,8 @@ _COUNTERS = (
     ("jobs.completed", "jobs finished successfully"),
     ("jobs.failed", "jobs finished with a structured failure"),
     ("jobs.cancelled", "jobs cancelled before completion"),
+    ("jobs.on_loop", "jobs a thread member ran on the event loop "
+                     "(every run already in the memo)"),
     ("runs.requested", "single-run requests across all submissions"),
     ("runs.cache_hits", "runs served straight from the result cache"),
     ("runs.computed", "runs actually simulated"),

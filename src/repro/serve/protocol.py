@@ -195,20 +195,23 @@ class FrameDecoder(object):
 async def read_frame(reader, max_bytes=MAX_FRAME_BYTES):
     """Read one frame from an :class:`asyncio.StreamReader`.
 
+    Each part is one ``readexactly``; the ``EOFError`` it raises
+    (``asyncio.IncompleteReadError``) carries the bytes that did arrive.
+
     :returns: the decoded message, or ``None`` on a clean EOF at a
         frame boundary.
     :raises ProtocolError: ``truncated`` when the peer disconnects
-        mid-frame, plus the :func:`decode_payload` failures.
+        mid-frame, ``too-large`` (before the body is read) for a
+        declared length above *max_bytes*, plus the
+        :func:`decode_payload` failures.
     """
-    header = await reader.read(HEADER_BYTES)
-    if not header:
-        return None
-    while len(header) < HEADER_BYTES:
-        chunk = await reader.read(HEADER_BYTES - len(header))
-        if not chunk:
-            raise ProtocolError("peer disconnected inside a frame header",
-                                code="truncated")
-        header += chunk
+    try:
+        header = await reader.readexactly(HEADER_BYTES)
+    except EOFError as exc:
+        if not exc.partial:
+            return None
+        raise ProtocolError("peer disconnected inside a frame header",
+                            code="truncated")
     (length,) = _HEADER.unpack(header)
     if length > max_bytes:
         raise ProtocolError(
@@ -216,13 +219,11 @@ async def read_frame(reader, max_bytes=MAX_FRAME_BYTES):
             % (length, max_bytes),
             code="too-large",
         )
-    payload = b""
-    while len(payload) < length:
-        chunk = await reader.read(length - len(payload))
-        if not chunk:
-            raise ProtocolError("peer disconnected inside a frame body",
-                                code="truncated")
-        payload += chunk
+    try:
+        payload = await reader.readexactly(length)
+    except EOFError:
+        raise ProtocolError("peer disconnected inside a frame body",
+                            code="truncated")
     return decode_payload(payload)
 
 

@@ -40,8 +40,10 @@ Observability: server-level metrics live in a
 :class:`~repro.serve.metrics.ServeMetrics` registry served at the
 ``statz`` endpoint; job lifecycle events additionally flow through a
 ``serve``-category :class:`~repro.obs.Tracer` channel into a JSONL
-file when ``trace_path`` is set (same schema and atomic writer as the
-simulator's traces).
+file when ``trace_path`` is set (same schema as the simulator's
+traces); each finished job appends the events recorded since the last
+write (:meth:`~repro.obs.Tracer.append`), so the file holds every
+finished job's events and a write never repeats the server's history.
 
 Shutdown: :meth:`JobServer.drain` (wired to SIGTERM/SIGINT by the CLI)
 stops admitting, lets queued + running jobs finish within a grace
@@ -183,7 +185,8 @@ class JobServer(object):
             ]
         else:
             self.mode = "tier"
-            members = thread_members(self.runner, max_concurrent)
+            members = thread_members(self.runner, max_concurrent,
+                                     self.metrics)
         self.supervisor = WorkerSupervisor(members, policy=policy,
                                            metrics=self.metrics)
         self.metrics.attach_fleet(self.supervisor)
@@ -295,7 +298,8 @@ class JobServer(object):
         self._closed.set()
 
     def flush(self):
-        """Write the stats dump and the lifecycle trace (atomic)."""
+        """Write the stats dump (atomic) and the lifecycle events not
+        yet on disk."""
         if self.stats_path:
             atomic_write_text(
                 self.stats_path,
@@ -303,7 +307,7 @@ class JobServer(object):
                 + "\n",
             )
         if self.tracer is not None:
-            self.tracer.flush()
+            self.tracer.append()
 
     # ------------------------------------------------------------------
     # events
@@ -398,7 +402,7 @@ class JobServer(object):
             self.metrics.record_job(job)
             self._record_breaker(job)
             if self.tracer is not None:
-                self.tracer.flush()
+                self.tracer.append()
             self._slots.release()
 
     # ------------------------------------------------------------------
@@ -607,7 +611,8 @@ class JobServer(object):
                               if exc.code == "circuit-open"
                               else "jobs.rejected_invalid")
             raise
-        key = self._job_key(kind, spec, requests)
+        digests = [self.runner.request_digest(r) for r in requests]
+        key = self._job_key(kind, spec, digests)
         existing = self.table.find_active(key)
         if existing is not None:
             existing.clients += 1
@@ -621,7 +626,8 @@ class JobServer(object):
                     "runs": existing.done_total}
         job = self.table.new_job(key, kind, spec, requests,
                                  priority=spec["priority"],
-                                 deadline_ms=spec["deadline_ms"])
+                                 deadline_ms=spec["deadline_ms"],
+                                 digests=digests)
         try:
             self.queue.push(job)
         except QueueFull as exc:
@@ -747,15 +753,16 @@ class JobServer(object):
             raise _bad('"%s" must be a non-empty list of names' % field)
         return [check(value) for value in values]
 
-    def _job_key(self, kind, spec, requests):
+    @staticmethod
+    def _job_key(kind, spec, digests):
         """Coalescing identity: cache digests + kind + failure policy.
 
-        Reusing :meth:`ExperimentRunner.request_digest` means two
+        *digests* are the requests'
+        :meth:`ExperimentRunner.request_digest` values, so two
         submissions coalesce exactly when they would share cache
         entries; the policy is folded in so a ``retries=0`` probe never
         piggybacks on (or poisons) a defaulted submission.
         """
-        digests = [self.runner.request_digest(r) for r in requests]
         # deadline is part of identity: a deadlined submission must not
         # coalesce onto (or accept riders from) an un-deadlined one --
         # they would shed together.  The result cache still dedups the

@@ -7,9 +7,10 @@ the progress fan-out, and the translation of the outcome into one
 terminal frame (``result`` or ``job-error``).  Both kinds of
 :class:`~repro.serve.fleet.WorkerSupervisor` member call it:
 
-* :class:`ThreadWorker` runs it on a server thread against the server's
-  own runner, so the in-memory memo and the disk cache are shared by
-  every job;
+* :class:`ThreadWorker` runs it against the server's own runner, so
+  the in-memory memo and the disk cache are shared by every job: on the
+  event loop when every run of the job is already in the memo, on a
+  thread of the tier's pool otherwise;
 * a fleet worker subprocess (:mod:`repro.serve.supervisor`) runs it
   against its own runner over the same cache directory, and passes the
   ``boundary`` chaos hook -- the ``worker-*`` fault verbs therefore fire
@@ -22,9 +23,13 @@ member that holds the job -- parallelism comes from the number of
 members, so each run is supervised once; a thread member adds only the
 asyncio bridging:
 
-* the event loop awaits ``run_in_executor`` so the server keeps serving
-  status/stream/statz traffic while simulations run;
-* progress ticks are trampolined back onto the loop
+* a job whose runs are all in the memo (``runner.memo_holds``, over the
+  digests computed at submit) probes no file and runs nothing, so it
+  runs on the loop: the thread hop would be most of its cost;
+* any other job (a disk hit, a miss, a sweep with any miss) goes to the
+  pool, and the event loop awaits ``run_in_executor`` so the server
+  keeps serving status/stream/statz traffic while simulations run;
+* progress ticks from a pool thread are trampolined back onto the loop
   (``call_soon_threadsafe``) to fan out per-job progress events;
 * the same tick implements **cooperative cancellation**: when a job's
   ``cancel_requested`` flag is up, the next tick raises
@@ -134,29 +139,34 @@ def frame_outcome(frame):
     return "error", frame["error"]
 
 
-def thread_members(runner, count):
+def thread_members(runner, count, metrics):
     """*count* :class:`ThreadWorker` members sharing one thread pool."""
     if count < 1:
         raise ValueError("max_concurrent must be >= 1, got %r" % (count,))
     pool = ThreadPoolExecutor(max_workers=count,
                               thread_name_prefix="serve-worker")
-    return [ThreadWorker(index, runner, pool) for index in range(count)]
+    return [ThreadWorker(index, runner, pool, metrics)
+            for index in range(count)]
 
 
 class ThreadWorker(object):
-    """Supervisor member running :func:`execute_job` on a server thread.
+    """Supervisor member running :func:`execute_job` in the server process.
 
     :param runner: the server's :class:`~repro.sim.ExperimentRunner`
         (its disk cache and in-memory memo deduplicate across jobs).
     :param pool: the thread pool shared by every thread member.
+    :param metrics: the server's
+        :class:`~repro.serve.metrics.ServeMetrics`; a job run on the
+        loop counts in ``serve.jobs.on_loop``.
     """
 
     pid = None  # runs inside the server process
 
-    def __init__(self, worker_id, runner, pool):
+    def __init__(self, worker_id, runner, pool, metrics):
         self.id = worker_id
         self.runner = runner
         self._pool = pool
+        self._metrics = metrics
         self.state = "starting"
         self.current_job = None
         self.respawns = 0
@@ -184,28 +194,38 @@ class ThreadWorker(object):
         self._pool.shutdown(wait=False)
 
     async def execute(self, job, attempt, policy, on_progress=None):
-        """Run *job* on a pool thread; returns ``(outcome, detail)``.
+        """Run *job*; returns ``(outcome, detail)``.
 
-        Outcomes are ``("done", (payload, report))``, ``("error",
-        error)`` and ``("cancelled", None)``; a thread member is never
-        ``"lost"``.  *attempt* is unused: the lethal chaos verbs it
-        gates never fire in the server process.
+        A job whose every run is in the runner's memo runs on the loop,
+        any other on a pool thread.  Outcomes are ``("done", (payload,
+        report))``, ``("error", error)`` and ``("cancelled", None)``; a
+        thread member is never ``"lost"``.  *attempt* is unused: the
+        lethal chaos verbs it gates never fire in the server process.
         """
         loop = asyncio.get_running_loop()
+        on_loop = self.runner.memo_holds(job.digests)
 
         def progress(done, total):
             if job.cancel_requested:
                 raise JobCancelled(job.id)
-            if on_progress is not None:
+            if on_progress is None:
+                return
+            if on_loop:
+                on_progress(job, done, total)
+            else:
                 loop.call_soon_threadsafe(on_progress, job, done, total)
 
+        args = (self.runner, job.id, job.requests, policy, job.deadline,
+                progress)
         self.state = "busy"
         self.current_job = job.id
         try:
-            frame = await loop.run_in_executor(
-                self._pool, execute_job, self.runner, job.id,
-                job.requests, policy, job.deadline, progress,
-            )
+            if on_loop:
+                self._metrics.bump("jobs.on_loop")
+                frame = execute_job(*args)
+            else:
+                frame = await loop.run_in_executor(self._pool, execute_job,
+                                                   *args)
         except JobCancelled:
             return "cancelled", None
         finally:

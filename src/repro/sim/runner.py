@@ -390,8 +390,14 @@ class ExperimentRunner:
             json.dumps([CACHE_VERSION, kind, payload], sort_keys=True).encode()
         ).hexdigest()
 
-    def _cache_path(self, kind, payload):
-        """Sharded cache location for a payload (None when caching is off).
+    def _memo_key(self, kind, payload):
+        """In-memory memo key ``(kind, digest)``; digest-based so it
+        works without a cache_dir too."""
+        return (kind, self._digest(kind, payload))
+
+    def _cache_path(self, memo_key):
+        """Sharded cache location for a memo key (None when caching is
+        off); it reuses the key's digest, so a probe hashes once.
 
         Layout: ``<cache_dir>/<kind>/<digest[:2]>/<kind>-<digest>.json``.
         Sharding bounds directory size during wide sweeps and gives
@@ -399,18 +405,13 @@ class ExperimentRunner:
         """
         if not self.cache_dir:
             return None
-        digest = self._digest(kind, payload)
+        kind, digest = memo_key
         return os.path.join(
             self.cache_dir,
             kind,
             digest[:_SHARD_CHARS],
             "%s-%s.json" % (kind, digest[:16]),
         )
-
-    def _memo_key(self, kind, payload):
-        """In-memory memo key; digest-based so it works without a
-        cache_dir too."""
-        return (kind, self._digest(kind, payload))
 
     def request_digest(self, request):
         """Stable cache digest identifying one single-run request.
@@ -425,6 +426,17 @@ class ExperimentRunner:
         payload = self._single_payload(benchmark, instructions, config,
                                        variant)
         return self._digest("single", payload)
+
+    def memo_holds(self, digests):
+        """True when every :meth:`request_digest` in *digests* is in the
+        in-memory memo, so a batch of those requests reads no file and
+        runs nothing.
+
+        It hashes nothing and builds no config.  Memo entries are never
+        removed, so a True answer still holds when the batch probes.
+        """
+        memo = self._memo
+        return all(("single", digest) in memo for digest in digests)
 
     def _load_entry(self, path):
         """Read and verify one cache entry; returns the inner payload.
@@ -721,8 +733,8 @@ class ExperimentRunner:
                 benchmark, prefetcher, instructions, config, variant = job
                 payload = self._single_payload(benchmark, instructions,
                                                config, variant)
-                path = self._cache_path("single", payload)
                 memo_key = self._memo_key("single", payload)
+                path = self._cache_path(memo_key)
                 cached = self._cached(path, memo_key, report=report)
                 if cached is not None:
                     results[index] = RunResult(dict(cached))
@@ -996,8 +1008,8 @@ class ExperimentRunner:
         _check_instructions(instructions)
         config = config or SystemConfig(prefetcher=prefetcher)
         payload = [list(mix), instructions, list(config.key())]
-        path = self._cache_path("mix", payload)
         memo_key = self._memo_key("mix", payload)
+        path = self._cache_path(memo_key)
         cached = self._cached(path, memo_key)
         if cached is not None:
             return [RunResult(dict(entry)) for entry in cached]

@@ -168,6 +168,25 @@ class TestTracer:
         assert not [n for n in os.listdir(str(tmp_path))
                     if n.startswith(".tmp-")]
 
+    def test_append_writes_each_event_once(self, tmp_path):
+        path = tmp_path / "sub" / "t.jsonl"
+        path.parent.mkdir()
+        path.write_text("stale\n")
+        tracer = Tracer({"serve": 1.0}, path=str(path))
+        channel = tracer.channel("serve")
+        sizes = []
+        for cycle in range(3):
+            channel.emit("done", cycle, job="j%d" % cycle)
+            assert tracer.append() == str(path)
+            # the first call starts the file afresh; each later one adds
+            # only the new event
+            assert path.read_text() == tracer.to_jsonl()
+            sizes.append(path.stat().st_size)
+        assert sizes[2] - sizes[1] == sizes[1] - sizes[0] == sizes[0]
+        tracer.append()  # nothing new: nothing written
+        assert path.stat().st_size == sizes[-1]
+        assert Tracer({"serve": 1.0}).append() is None
+
     def test_from_env_unset_returns_none(self):
         assert Tracer.from_env({}) is None
         assert Tracer.from_env({"REPRO_TRACE": ""}) is None

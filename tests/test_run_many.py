@@ -158,6 +158,27 @@ def test_cache_key_includes_variant():
     )
 
 
+def test_probe_hashes_each_request_once(tmp_path):
+    # the cache path and the memo key share one digest per request,
+    # whether the probe hits the memo or the disk
+    requests = [RunRequest("gamess", prefetcher, 2000)
+                for prefetcher in ("none", "stride")]
+    warm = ExperimentRunner(cache_dir=str(tmp_path))
+    warm.run_batch(requests, jobs=1)
+    for runner in (warm, ExperimentRunner(cache_dir=str(tmp_path))):
+        kinds = []
+        digest = runner._digest
+
+        def counting(kind, payload, digest=digest, kinds=kinds):
+            kinds.append(kind)
+            return digest(kind, payload)
+
+        runner._digest = counting
+        _results, report = runner.run_batch(requests, jobs=1)
+        assert report.hits == len(requests)
+        assert kinds == ["single"] * len(requests)
+
+
 # every sub-config field the key used to leave out, each with a
 # non-default value: (sub-config, field, value)
 _FORMERLY_UNKEYED = [

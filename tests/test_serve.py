@@ -8,7 +8,9 @@
   the server keeps serving other clients;
 * admission control (busy backpressure), cancellation of queued and
   running jobs, event streaming, drain-time stats/trace flush, and the
-  cross-job result cache.
+  cross-job result cache;
+* a job whose runs are all in the memo runs on the event loop, not the
+  thread pool, and answers exactly like a pooled job.
 
 All tests run a real server on a background thread (its own asyncio
 loop) and talk to it through the blocking stdlib client -- the same
@@ -17,18 +19,23 @@ path scripts and the CLI use.
 
 import asyncio
 import json
+import sys
 import threading
 import time
+import types
 
 import pytest
 
+import repro.obs.trace as trace_module
 from repro.serve import (
     AdmissionQueue,
     JobTable,
     QueueFull,
     ServeClient,
     ServeError,
+    protocol,
 )
+from repro.serve.protocol import ProtocolError
 from repro.serve.server import JobServer, ServerThread
 from repro.sim import ExperimentRunner, RunRequest
 
@@ -42,6 +49,21 @@ SLOW_BUDGET = 250_000
 def _client(thread, timeout=60):
     host, port = thread.address
     return ServeClient(host, port, timeout=timeout)
+
+
+def _pool_calls(thread):
+    """A list that collects every job the server's thread members send
+    to their (shared) pool from now on."""
+    pool = thread.server.supervisor.members[0]._pool
+    calls = []
+    submit = pool.submit
+
+    def counting(fn, *args, **kwargs):
+        calls.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    pool.submit = counting
+    return calls
 
 
 def _wait_running(client, job_id, timeout=60.0):
@@ -131,6 +153,58 @@ class TestConcurrentClients(object):
         assert stats["serve.runs.computed"] < stats["serve.runs.requested"]
 
 
+    def test_memo_hits_on_the_loop_race_pool_writes(self, tmp_path):
+        # more clients than cores, and pool threads fill the memo while
+        # memo-hit jobs read it on the loop: every answer must still be
+        # the serial runner's, each cell computed once, every job done
+        cells = [("libquantum", "none"), ("mcf", "stride"),
+                 ("gamess", "none")]
+        serial, _report = ExperimentRunner().run_batch(
+            [RunRequest(bench, pf, BUDGET) for bench, pf in cells], jobs=1)
+        expected = {cell: result.as_dict()
+                    for cell, result in zip(cells, serial)}
+        answers = []
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(cache_dir=str(tmp_path / "cache"),
+                              max_concurrent=3,
+                              heartbeat_interval=0) as thread:
+
+                def client_loop(offset):
+                    try:
+                        with _client(thread) as client:
+                            for n in range(12):
+                                cell = cells[(offset + n) % len(cells)]
+                                ticket = client.submit(
+                                    cell[0], cell[1], instructions=BUDGET)
+                                reply = client.result(ticket["job_id"],
+                                                      wait=True)
+                                answers.append((cell, reply["result"][0]))
+                    except Exception as exc:  # surfaced below
+                        errors.append(exc)
+
+                clients = [threading.Thread(target=client_loop, args=(k,))
+                           for k in range(4)]
+                for client_thread in clients:
+                    client_thread.start()
+                for client_thread in clients:
+                    client_thread.join(timeout=120)
+                assert not any(t.is_alive() for t in clients)
+                with _client(thread) as client:
+                    stats = client.statz()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(answers) == 48
+        for cell, payload in answers:
+            assert payload == expected[cell]
+        assert stats["serve.runs.computed"] == len(cells)
+        assert stats["serve.jobs.on_loop"] >= 1
+        assert stats["serve.jobs.completed"] == stats["serve.jobs.accepted"]
+
+
 # ----------------------------------------------------------------------
 # acceptance: injected crash -> structured failure, server stays up
 
@@ -198,15 +272,25 @@ class TestCrashInjection(object):
 
 
 class TestAdmissionAndCancel(object):
-    def test_backpressure_and_queued_cancel(self, tmp_path):
+    @pytest.mark.parametrize("warm, ending", [
+        (False, "cancel"), (True, "cancel"), (True, "deadline"),
+    ], ids=["miss-cancel", "memo-hit-cancel", "memo-hit-deadline"])
+    def test_backpressure_and_queued_cancel(self, tmp_path, warm, ending):
         with ServerThread(cache_dir=str(tmp_path / "cache"),
                           max_concurrent=1, high_water=1) as thread:
             with _client(thread) as client:
+                if warm:
+                    # every run of the queued job is then in the memo:
+                    # it would run on the loop, had it reached a member
+                    client.run("mcf", "none", instructions=BUDGET)
                 blocker = client.submit("astar", "none",
                                         instructions=SLOW_BUDGET)
                 _wait_running(client, blocker["job_id"])
 
-                queued = client.submit("mcf", "none", instructions=BUDGET)
+                deadline = {"deadline_ms": 50} if ending == "deadline" \
+                    else {}
+                queued = client.submit("mcf", "none", instructions=BUDGET,
+                                       **deadline)
                 assert client.status(queued["job_id"])["state"] == "queued"
 
                 # the queue is at its high-water mark: typed busy error
@@ -215,13 +299,20 @@ class TestAdmissionAndCancel(object):
                                   instructions=BUDGET)
                 assert info.value.code == "busy"
 
-                # cancelling the queued job frees admission capacity
-                reply = client.cancel(queued["job_id"])
-                assert reply["type"] == "cancelled"
-                assert (client.status(queued["job_id"])["state"]
-                        == "cancelled")
-                outcome = client.result(queued["job_id"], wait=True)
-                assert outcome["state"] == "cancelled"
+                if ending == "cancel":
+                    # cancelling the queued job frees admission capacity
+                    reply = client.cancel(queued["job_id"])
+                    assert reply["type"] == "cancelled"
+                    assert (client.status(queued["job_id"])["state"]
+                            == "cancelled")
+                    outcome = client.result(queued["job_id"], wait=True)
+                    assert outcome["state"] == "cancelled"
+                else:
+                    # its deadline lapses behind the blocker: shed as
+                    # it leaves the queue
+                    with pytest.raises(ServeError) as info:
+                        client.result(queued["job_id"], wait=True)
+                    assert info.value.code == "deadline-exceeded"
 
                 admitted = client.submit("libquantum", "none",
                                          instructions=BUDGET)
@@ -231,7 +322,10 @@ class TestAdmissionAndCancel(object):
                                      wait=True)["state"] == "done"
                 stats = client.statz()
         assert stats["serve.jobs.rejected_busy"] == 1
-        assert stats["serve.jobs.cancelled"] == 1
+        assert stats["serve.jobs.cancelled"] == (ending == "cancel")
+        assert stats["serve.fleet.sheds"] == (ending == "deadline")
+        # the queued job never reached a member
+        assert stats["serve.jobs.on_loop"] == 0
 
     def test_cancel_running_job_cooperatively(self, tmp_path):
         with ServerThread(cache_dir=str(tmp_path / "cache"),
@@ -300,10 +394,14 @@ class TestLifecycle(object):
 
     def test_resubmission_after_completion_hits_cache(self, tmp_path):
         with ServerThread(cache_dir=str(tmp_path / "cache")) as thread:
+            calls = _pool_calls(thread)
             with _client(thread) as client:
                 first = client.submit("libquantum", "stride",
                                       instructions=BUDGET)
                 reply1 = client.result(first["job_id"], wait=True)
+                # a miss runs on the pool
+                assert len(calls) == 1
+                assert client.statz()["serve.jobs.on_loop"] == 0
                 second = client.submit("libquantum", "stride",
                                        instructions=BUDGET)
                 # not coalesced (the first job is terminal): a fresh job
@@ -314,7 +412,10 @@ class TestLifecycle(object):
                 assert reply2["result"] == reply1["result"]
                 assert reply2["batch"]["hits"] == 1
                 assert reply2["batch"]["misses"] == 0
+                # its one run is in the memo: it ran on the loop
+                assert len(calls) == 1
                 stats = client.statz()
+        assert stats["serve.jobs.on_loop"] == 1
         assert stats["serve.runs.cache_hits"] == 1
         assert stats["serve.runs.computed"] == 1
         assert 0 < stats["serve.cache.hit_ratio"] < 1
@@ -323,6 +424,96 @@ class TestLifecycle(object):
             prefix = "serve.latency.%s." % series
             assert stats[prefix + "count"] == count
             assert stats[prefix + "p50"] <= stats[prefix + "p95"]
+
+    def test_memo_hit_on_the_loop_matches_a_pooled_hit(self, tmp_path):
+        # a serial runner warms the disk cache, so the server's first
+        # job is a disk hit (run on the pool) and its resubmission a
+        # memo hit (run on the loop): both must answer alike
+        cache = str(tmp_path / "cache")
+        serial, _report = ExperimentRunner(cache_dir=cache).run_batch(
+            [RunRequest("libquantum", "stride", BUDGET)], jobs=1)
+        trace_path = tmp_path / "serve-trace.jsonl"
+        thread = ServerThread(cache_dir=cache, trace_path=str(trace_path),
+                              heartbeat_interval=0)
+        thread.start()
+        replies = []
+        try:
+            calls = _pool_calls(thread)
+            with _client(thread) as client:
+                for _ in range(2):
+                    ticket = client.submit("libquantum", "stride",
+                                           instructions=BUDGET)
+                    replies.append(client.result(ticket["job_id"],
+                                                 wait=True))
+                    # the disk hit makes the one pool call, the memo hit
+                    # none
+                    assert len(calls) == 1
+                stats = client.statz()
+        finally:
+            thread.stop()
+        assert stats["serve.jobs.on_loop"] == 1
+        pooled, on_loop = replies
+        assert on_loop["result"] == [result.as_dict() for result in serial]
+        assert on_loop["result"] == pooled["result"]
+
+        def timeless(report):
+            return {key: value for key, value in report.items()
+                    if key != "profile"}
+
+        assert on_loop["batch"]["hits"] == 1
+        assert timeless(on_loop["batch"]) == timeless(pooled["batch"])
+
+        events = {}
+        for line in trace_path.read_text().splitlines():
+            event = json.loads(line)
+            events.setdefault(event.pop("job"), []).append(
+                {key: value for key, value in event.items()
+                 if key not in ("cycle", "latency")})
+        pooled_events = events[pooled["job_id"]]
+        assert [event["ev"] for event in pooled_events] \
+            == ["queued", "started", "progress", "done"]
+        assert events[on_loop["job_id"]] == pooled_events
+
+    def test_traced_job_writes_only_its_own_events(self, tmp_path,
+                                                    monkeypatch):
+        # the trace file grows by each finished job's events: what one
+        # job writes does not grow with the jobs before it, each job's
+        # events are on disk once its result is, and the drained file
+        # is the whole trace
+        written = []
+
+        def dumps(obj, **kwargs):
+            text = json.dumps(obj, **kwargs)
+            written.append(len(text) + 1)
+            return text
+
+        monkeypatch.setattr(trace_module, "json",
+                            types.SimpleNamespace(dumps=dumps))
+        trace_path = tmp_path / "serve-trace.jsonl"
+        thread = ServerThread(cache_dir=str(tmp_path / "cache"),
+                              trace_path=str(trace_path),
+                              heartbeat_interval=0)
+        thread.start()
+        per_job = []
+        try:
+            with _client(thread) as client:
+                for _ in range(12):
+                    before = sum(written)
+                    ticket = client.submit("libquantum", "none",
+                                           instructions=BUDGET)
+                    client.result(ticket["job_id"], wait=True)
+                    per_job.append(sum(written) - before)
+                    last = json.loads(
+                        trace_path.read_text().splitlines()[-1])
+                    assert (last["ev"], last["job"]) \
+                        == ("done", ticket["job_id"])
+        finally:
+            thread.stop()
+        # the first job is a miss (one more progress event); the eleven
+        # memo hits each write their own four events
+        cached = per_job[1:]
+        assert max(cached) < 2 * min(cached)
+        assert trace_path.read_text() == thread.server.tracer.to_jsonl()
 
     def test_drain_flushes_stats_and_trace(self, tmp_path):
         stats_path = tmp_path / "serve-stats.json"
@@ -428,6 +619,67 @@ class TestAdmissionQueueUnit(object):
             return await asyncio.wait_for(waiter, timeout=5)
 
         assert asyncio.run(body()) is None
+
+
+class TestReadFrameUnit(object):
+    """``protocol.read_frame`` over a fed ``asyncio.StreamReader``."""
+
+    FRAME = protocol.encode_frame({"type": "ping", "n": 1})
+
+    @staticmethod
+    def _read(data, eof=True):
+        async def body():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            if eof:
+                reader.feed_eof()
+            return await asyncio.wait_for(protocol.read_frame(reader), 10)
+
+        return asyncio.run(body())
+
+    def test_whole_frame_then_clean_eof(self):
+        assert self._read(self.FRAME) == {"type": "ping", "n": 1}
+        assert self._read(b"") is None
+
+    @pytest.mark.parametrize("cut", [1, protocol.HEADER_BYTES + 3],
+                             ids=["header", "body"])
+    def test_partial_frame_is_truncated(self, cut):
+        with pytest.raises(ProtocolError) as info:
+            self._read(self.FRAME[:cut])
+        assert info.value.code == "truncated"
+
+    def test_too_large_is_raised_before_the_body_arrives(self):
+        header = (protocol.MAX_FRAME_BYTES + 1).to_bytes(
+            protocol.HEADER_BYTES, "big")
+        # no body and no EOF follow: reading the body would block
+        with pytest.raises(ProtocolError) as info:
+            self._read(header, eof=False)
+        assert info.value.code == "too-large"
+
+    def test_body_above_the_stream_limit_over_a_socket(self):
+        # a body past the stream's 64 KiB buffer limit pauses the
+        # transport; one readexactly resumes it until the body is in
+        message = {"type": "ping", "pad": "x" * 200_000}
+
+        async def body():
+            received = asyncio.get_running_loop().create_future()
+
+            async def handle(reader, writer):
+                received.set_result(await protocol.read_frame(reader))
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            _reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                            port)
+            await protocol.write_frame(writer, message)
+            result = await asyncio.wait_for(received, 10)
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return result
+
+        assert asyncio.run(body()) == message
 
 
 class TestJobTableUnit(object):

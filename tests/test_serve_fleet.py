@@ -280,13 +280,19 @@ class TestFleetEndpoint(object):
                           beat_interval=0.25,
                           heartbeat_interval=0) as thread:
             with _client(thread) as client:
-                ticket = client.submit("mcf", "none", instructions=BUDGET)
-                client.result(ticket["job_id"], wait=True)
+                # the resubmission's run is in the server's memo only on
+                # the tier; a fleet worker still runs it
+                for _ in range(2):
+                    ticket = client.submit("mcf", "none",
+                                           instructions=BUDGET)
+                    client.result(ticket["job_id"], wait=True)
                 fleet = client.fleet()
+                stats = client.statz()
         assert fleet["mode"] == ("fleet" if workers else "tier")
+        assert stats["serve.jobs.on_loop"] == (0 if workers else 1)
         rows = fleet["workers"]
         assert [row["worker"] for row in rows] == list(range(members))
-        assert sum(row["jobs_done"] for row in rows) == 1
+        assert sum(row["jobs_done"] for row in rows) == 2
         for row in rows:
             assert row["state"] == "idle"
             assert (row["pid"] is not None) == bool(workers)
