@@ -39,23 +39,6 @@ def render_series(title, series, fmt="%.3f"):
     return "\n".join(lines)
 
 
-def render_bars(title, series, width=48, fmt="%.2f"):
-    """Render ``series = [(label, value)]`` as a horizontal bar chart,
-    the closest a terminal gets to the paper's figures."""
-    lines = ["== %s ==" % title]
-    if not series:
-        return "\n".join(lines)
-    label_width = max(len(str(label)) for label, _ in series)
-    peak = max(value for _, value in series)
-    scale = (width / peak) if peak > 0 else 0.0
-    for label, value in series:
-        bar = "#" * max(0, int(round(value * scale)))
-        lines.append("%s  %s %s" % (
-            str(label).ljust(label_width), (fmt % value).rjust(7), bar
-        ))
-    return "\n".join(lines)
-
-
 def render_cdf(title, cdfs, points=(0, 1, 2, 4, 8, 16, 32)):
     """Render {window: VariationCDF} at selected block-delta points."""
     lines = ["== %s ==" % title]

@@ -51,10 +51,6 @@ class DramModel:
         self.busy_cycles += transfer
         return (start - now) + self.latency
 
-    def queue_delay(self, now):
-        """Cycles a request arriving *now* would wait for the channel."""
-        return max(0, self.next_free - now)
-
     def reset(self):
         self.next_free = 0
         self.next_free_demand = 0

@@ -15,6 +15,15 @@ Server-side typed errors (``busy``, ``bad-request``, ``unknown-job``,
 wire ``code`` preserved, so callers can implement backoff with a
 simple ``except ServeError as e: if e.code == "busy"``.
 
+A submission the server could finish before replying (a repeat whose
+runs are all in its memo, with nothing queued and a member free) is
+answered in its ``submitted`` reply: the reply's ``state`` is terminal
+and it carries the ``result`` reply's outcome fields.  The client keeps
+the outcome of its last such reply (never more than one) and answers
+the next :meth:`ServeClient.result` for that job from it, so
+submit-then-result costs one round trip; any later call goes to the
+server.
+
 Busy-class errors (``busy`` from admission control, ``circuit-open``
 from a tripped breaker) are *transient by contract*: construct the
 client with ``busy_retries=N`` (or pass it per submit) and submissions
@@ -39,12 +48,18 @@ Example::
         results = reply["result"]      # list of RunResult dicts
 """
 
+import json
 import socket
 import time
 from collections import deque
 
 from repro.serve import DEFAULT_PORT, protocol
+from repro.serve.jobs import TERMINAL_STATES
 from repro.serve.protocol import BUSY_CLASS_CODES, FrameDecoder, ProtocolError
+
+#: the fields of a ``result`` reply a terminal ``submitted`` reply carries
+_OUTCOME_FIELDS = ("job_id", "state", "done", "runs", "result", "batch",
+                   "error")
 
 
 class ServeError(Exception):
@@ -83,6 +98,7 @@ class ServeClient(object):
         self._sock = None
         self._decoder = None
         self._pending = deque()
+        self._held = None        # result reply of the last terminal ack
 
     # ------------------------------------------------------------------
     # plumbing
@@ -234,7 +250,14 @@ class ServeClient(object):
             message["deadline_ms"] = deadline_ms
         budget = (self.busy_retries if busy_retries is None
                   else busy_retries)
-        return self._submit_with_retries(message, budget)
+        self._held = None
+        ticket = self._submit_with_retries(message, budget)
+        if ticket.get("state") in TERMINAL_STATES:
+            # the job finished before the reply: hold its result reply
+            self._held = {key: ticket[key] for key in _OUTCOME_FIELDS
+                          if key in ticket}
+            self._held["type"] = "result"
+        return ticket
 
     def _submit_with_retries(self, message, budget):
         """Bounded, deterministic retry loop for busy-class rejections.
@@ -246,11 +269,6 @@ class ServeClient(object):
         retry identically (and de-synchronise *across* different
         submissions).
         """
-        import json as _json
-
-        from repro.resilience.retry import backoff_delay
-
-        key = _json.dumps(message, sort_keys=True)
         attempt = 0
         while True:
             try:
@@ -258,7 +276,10 @@ class ServeClient(object):
             except ServeError as exc:
                 if exc.code not in BUSY_CLASS_CODES or attempt >= budget:
                     raise
-            time.sleep(backoff_delay(key, attempt))
+            from repro.resilience.retry import backoff_delay
+
+            time.sleep(backoff_delay(json.dumps(message, sort_keys=True),
+                                     attempt))
             attempt += 1
 
     def status(self, job_id):
@@ -267,6 +288,10 @@ class ServeClient(object):
     def result(self, job_id, wait=True):
         """Fetch a job's outcome; with ``wait`` blocks until terminal.
 
+        When the last submission was answered in its reply, the next
+        call for that job is answered from that reply, without a
+        request.
+
         :returns: the result reply -- ``reply["state"]`` is the terminal
             state; for ``done`` jobs ``reply["result"]`` is the list of
             per-run result dicts (request order) and ``reply["batch"]``
@@ -274,8 +299,12 @@ class ServeClient(object):
         :raises ServeError: with the job's structured error as ``data``
             when the job failed.
         """
-        reply = self._request({"type": "result", "job_id": job_id,
-                               "wait": bool(wait)}, wait=wait)
+        reply = self._held
+        if reply is not None and reply["job_id"] == job_id:
+            self._held = None
+        else:
+            reply = self._request({"type": "result", "job_id": job_id,
+                                   "wait": bool(wait)}, wait=wait)
         if reply.get("state") == "failed":
             error = reply.get("error") or {}
             raise ServeError(error.get("code", "simulation-error"),

@@ -145,6 +145,12 @@ class WorkerSupervisor(object):
     def _release(self, member):
         self._idle.put_nowait(member)
 
+    def has_idle_member(self):
+        """True when a member waits in the idle queue, so :meth:`run_job`
+        need not wait for a busy one (a free server slot does not say
+        so: the dispatcher holds one while it waits for a queued job)."""
+        return not self._idle.empty()
+
     async def run_job(self, job, on_progress=None):
         """Execute *job* on the next free member.
 

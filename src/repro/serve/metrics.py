@@ -18,6 +18,7 @@ Taxonomy::
     serve.jobs.rejected_invalid              failed validation
     serve.jobs.completed / failed / cancelled terminal outcomes
     serve.jobs.on_loop                       run on the event loop (all runs in memo)
+    serve.jobs.answered_at_submit            outcome sent in the submit reply
     serve.jobs.in_flight                     queued + running right now
     serve.queue.depth                        live admission-queue depth
     serve.runs.requested                     RunRequests across submissions
@@ -63,6 +64,8 @@ _COUNTERS = (
     ("jobs.cancelled", "jobs cancelled before completion"),
     ("jobs.on_loop", "jobs a thread member ran on the event loop "
                      "(every run already in the memo)"),
+    ("jobs.answered_at_submit", "submissions whose reply carried the "
+                                "job's outcome (run before the reply)"),
     ("runs.requested", "single-run requests across all submissions"),
     ("runs.cache_hits", "runs served straight from the result cache"),
     ("runs.computed", "runs actually simulated"),

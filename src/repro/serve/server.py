@@ -6,6 +6,10 @@ network service.  Life of a submission::
     client frame {"type": "submit", ...}
         -> validate against the shared catalog (repro.sim.catalog)
         -> coalesce: identical live submission?  attach, don't recompute
+        -> answer now: on the in-process tier, a job whose every run is
+           in the runner's memo, submitted with nothing queued and a
+           member idle, runs here (the steps below, on the loop) and
+           the "submitted" reply carries its outcome
         -> admit: bounded priority queue; past the high-water mark the
            reply is a typed "busy" error (backpressure, HTTP-429 style)
         -> dispatch: one job per supervisor member at a time
@@ -325,10 +329,12 @@ class JobServer(object):
         event.update(fields)
         for queue in list(job.subscribers):
             queue.put_nowait(event)
-        self._trace(ev, job, **{
-            key: value for key, value in fields.items()
-            if isinstance(value, (int, float, str, bool)) or value is None
-        })
+        if self._serve_channel is not None:
+            self._trace(ev, job, **{
+                key: value for key, value in fields.items()
+                if isinstance(value, (int, float, str, bool))
+                or value is None
+            })
         return event
 
     def _on_progress(self, job, done, total):
@@ -362,11 +368,24 @@ class JobServer(object):
             # claim synchronously (no await between pop and here), so a
             # cancel arriving next tick sees "running" and goes the
             # cooperative route instead of double-discounting the queue
-            job.state = "running"
-            job.started = time.monotonic()
-            task = self.loop.create_task(self._execute(job))
+            self._start(job)
+            task = self.loop.create_task(self._execute_in_slot(job))
             self._exec_tasks.add(task)
             task.add_done_callback(self._exec_tasks.discard)
+
+    @staticmethod
+    def _start(job):
+        """Claim *job* for execution (both the dispatcher and the submit
+        handler start a job here)."""
+        job.state = "running"
+        job.started = time.monotonic()
+
+    async def _execute_in_slot(self, job):
+        """A dispatched job: run it, then hand its slot back."""
+        try:
+            await self._execute(job)
+        finally:
+            self._slots.release()
 
     async def _execute(self, job):
         self._publish(job, "started", runs=job.done_total)
@@ -403,7 +422,6 @@ class JobServer(object):
             self._record_breaker(job)
             if self.tracer is not None:
                 self.tracer.append()
-            self._slots.release()
 
     # ------------------------------------------------------------------
     # load shedding + circuit breaking
@@ -561,14 +579,22 @@ class JobServer(object):
         job = self._require_job(message)
         if message.get("wait", True) and not job.terminal:
             await job.done_event().wait()
-        reply = {"type": "result", "job_id": job.id, "state": job.state,
-                 "done": job.done_count, "runs": job.done_total}
-        if job.state == "done":
-            reply["result"] = job.result
-            reply["batch"] = job.report
-        elif job.error is not None:
-            reply["error"] = job.error
+        reply = {"type": "result", "job_id": job.id}
+        reply.update(self._outcome(job))
         return reply
+
+    @staticmethod
+    def _outcome(job):
+        """A job's outcome fields: those of its ``result`` reply, which a
+        ``submitted`` reply carries too when the job finished first."""
+        fields = {"state": job.state, "done": job.done_count,
+                  "runs": job.done_total}
+        if job.state == "done":
+            fields["result"] = job.result
+            fields["batch"] = job.report
+        elif job.error is not None:
+            fields["error"] = job.error
+        return fields
 
     async def _on_cancel(self, message):
         job = self._require_job(message)
@@ -628,20 +654,33 @@ class JobServer(object):
                                  priority=spec["priority"],
                                  deadline_ms=spec["deadline_ms"],
                                  digests=digests)
-        try:
-            self.queue.push(job)
-        except QueueFull as exc:
-            # roll the job back out of the table: it never existed
-            self.table.forget(job)
-            self.metrics.bump("jobs.rejected_busy")
-            raise ProtocolError(str(exc), code="busy")
+        # a memo hit that nothing queued is waiting ahead of, with a
+        # member free to take it, finishes on the loop before this reply
+        # is written: the reply then carries its outcome
+        answer_now = (self.mode == "tier" and not len(self.queue)
+                      and self.supervisor.has_idle_member()
+                      and self.runner.memo_holds(digests))
+        if not answer_now:
+            try:
+                self.queue.push(job)
+            except QueueFull as exc:
+                # roll the job back out of the table: it never existed
+                self.table.forget(job)
+                self.metrics.bump("jobs.rejected_busy")
+                raise ProtocolError(str(exc), code="busy")
         self.metrics.bump("jobs.accepted")
         self.metrics.bump("runs.requested", len(requests))
         self._publish(job, "queued", runs=len(requests),
                       priority=job.priority)
-        return {"type": "submitted", "job_id": job.id, "coalesced": False,
-                "state": job.state, "runs": len(requests),
-                "queue_depth": len(self.queue)}
+        reply = {"type": "submitted", "job_id": job.id, "coalesced": False,
+                 "state": job.state, "runs": len(requests),
+                 "queue_depth": len(self.queue)}
+        if answer_now:
+            self._start(job)
+            await self._execute(job)
+            self.metrics.bump("jobs.answered_at_submit")
+            reply.update(self._outcome(job))
+        return reply
 
     # ------------------------------------------------------------------
     # submission validation + identity

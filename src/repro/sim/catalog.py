@@ -57,14 +57,6 @@ def catalog():
     }
 
 
-def is_benchmark(name):
-    return name in PROFILES
-
-
-def is_prefetcher(name):
-    return name in PREFETCHER_NAMES
-
-
 def render_catalog():
     """The human-readable ``repro list`` text rendering."""
     lines = ["benchmarks:"]

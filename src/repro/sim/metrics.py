@@ -71,19 +71,3 @@ def normalize(value, baseline, label=None):
             "no instructions)" % (what, baseline)
         )
     return value / baseline
-
-
-def speedup_table(rows, columns):
-    """Format a text table: rows = [(label, {col: value})]."""
-    header = ["benchmark"] + list(columns)
-    widths = [max(len(header[0]), max(len(r[0]) for r in rows))]
-    widths += [max(len(c), 7) for c in columns]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for label, values in rows:
-        cells = [label.ljust(widths[0])]
-        for column, width in zip(columns, widths[1:]):
-            value = values.get(column)
-            cell = "%.3f" % value if value is not None else "-"
-            cells.append(cell.ljust(width))
-        lines.append("  ".join(cells))
-    return "\n".join(lines)

@@ -42,20 +42,3 @@ def speedup_across_variants(runner, benchmark, prefetcher,
         samples.append(run.ipc / base.ipc)
     mean, half = mean_and_ci(samples)
     return mean, half, samples
-
-
-def variability_report(runner, benchmarks, prefetcher, instructions=None,
-                       variants=3):
-    """Rows of ``(benchmark, {mean, ci, min, max})`` for rendering."""
-    rows = []
-    for benchmark in benchmarks:
-        mean, half, samples = speedup_across_variants(
-            runner, benchmark, prefetcher, instructions, variants
-        )
-        rows.append((benchmark, {
-            "mean": mean,
-            "ci95": half,
-            "min": min(samples),
-            "max": max(samples),
-        }))
-    return rows

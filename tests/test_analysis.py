@@ -103,14 +103,3 @@ class TestReporting:
         cdf.add(0)
         text = render_cdf("C", {1: cdf})
         assert "1BB" in text
-
-    def test_render_bars(self):
-        from repro.analysis.reporting import render_bars
-        text = render_bars("B", [("a", 2.0), ("b", 1.0)])
-        lines = text.splitlines()
-        assert lines[1].count("#") == 2 * lines[2].count("#")
-
-    def test_render_bars_empty_and_zero(self):
-        from repro.analysis.reporting import render_bars
-        assert render_bars("B", []) == "== B =="
-        assert "#" not in render_bars("B", [("a", 0.0)])

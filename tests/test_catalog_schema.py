@@ -11,14 +11,9 @@ the schema -- this file pins that contract.
 import json
 
 from repro.frontend import FRONTEND_MODES, IPREFETCHER_NAMES
-from repro.sim.catalog import (
-    CATALOG_SCHEMA,
-    catalog,
-    is_benchmark,
-    is_prefetcher,
-    render_catalog,
-)
+from repro.sim.catalog import CATALOG_SCHEMA, catalog, render_catalog
 from repro.sim.config import PREDICTOR_NAMES, PREFETCHER_NAMES
+from repro.workloads.spec import BENCHMARKS
 
 
 def test_schema_tag_is_stable():
@@ -47,7 +42,7 @@ def test_catalog_is_json_serialisable_and_fresh():
 def test_benchmark_entries_keep_their_shape():
     for entry in catalog()["benchmarks"]:
         assert set(entry) == {"name", "klass", "prefetch_sensitive"}
-        assert is_benchmark(entry["name"])
+        assert entry["name"] in BENCHMARKS
         assert entry["klass"] in (
             "streaming", "spatial", "irregular", "compute", "server")
         assert isinstance(entry["prefetch_sensitive"], bool)
@@ -68,7 +63,7 @@ def test_catalog_lists_server_benchmarks():
     servers = [entry["name"] for entry in catalog()["benchmarks"]
                if entry["klass"] == "server"]
     assert servers == ["nginx", "postgres", "verilator"]
-    assert is_prefetcher("bfetch") and not is_prefetcher("fdip")
+    assert "bfetch" in PREFETCHER_NAMES and "fdip" not in PREFETCHER_NAMES
 
 
 def test_render_catalog_covers_all_families():

@@ -148,12 +148,6 @@ class TestDram:
         assert l1 == 100
         assert l2 == 105  # waits for the channel
 
-    def test_queue_delay(self):
-        dram = DramModel(latency=100, cycles_per_transfer=5)
-        dram.access(0)
-        assert dram.queue_delay(0) == 5
-        assert dram.queue_delay(100) == 0
-
     def test_reset(self):
         dram = DramModel()
         dram.access(0)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import geomean, normalize, weighted_speedup
-from repro.sim.metrics import speedup_table
 
 
 def test_geomean_simple():
@@ -50,9 +49,3 @@ def test_normalize():
     assert normalize(3.0, 2.0) == 1.5
     with pytest.raises(ValueError):
         normalize(1.0, 0.0)
-
-
-def test_speedup_table_renders_missing_as_dash():
-    text = speedup_table([("bench", {"a": 1.5})], ["a", "b"])
-    assert "1.500" in text and "-" in text
-    assert "bench" in text

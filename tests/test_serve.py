@@ -10,7 +10,10 @@
   running jobs, event streaming, drain-time stats/trace flush, and the
   cross-job result cache;
 * a job whose runs are all in the memo runs on the event loop, not the
-  thread pool, and answers exactly like a pooled job.
+  thread pool, and answers exactly like a pooled job;
+* such a job, submitted with nothing queued and a member idle, is run
+  before its submission is acknowledged: the ``submitted`` reply holds
+  the outcome, and the client answers ``result`` from it.
 
 All tests run a real server on a background thread (its own asyncio
 loop) and talk to it through the blocking stdlib client -- the same
@@ -78,6 +81,17 @@ def _wait_running(client, job_id, timeout=60.0):
         assert state == "queued", "job went terminal early: %s" % state
         time.sleep(0.005)
     raise AssertionError("job %s never started" % job_id)
+
+
+def _timeless_events(trace_path):
+    """Each job's trace events, without their job id and timing fields."""
+    events = {}
+    for line in trace_path.read_text().splitlines():
+        event = json.loads(line)
+        events.setdefault(event.pop("job"), []).append(
+            {key: value for key, value in event.items()
+             if key not in ("cycle", "latency")})
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -463,12 +477,7 @@ class TestLifecycle(object):
         assert on_loop["batch"]["hits"] == 1
         assert timeless(on_loop["batch"]) == timeless(pooled["batch"])
 
-        events = {}
-        for line in trace_path.read_text().splitlines():
-            event = json.loads(line)
-            events.setdefault(event.pop("job"), []).append(
-                {key: value for key, value in event.items()
-                 if key not in ("cycle", "latency")})
+        events = _timeless_events(trace_path)
         pooled_events = events[pooled["job_id"]]
         assert [event["ev"] for event in pooled_events] \
             == ["queued", "started", "progress", "done"]
@@ -538,6 +547,150 @@ class TestLifecycle(object):
         assert all(event["cat"] == "serve" for event in events)
         evs = {event["ev"] for event in events}
         assert "done" in evs
+
+
+# ----------------------------------------------------------------------
+# a memo hit answered in its submission's reply
+
+
+class TestAnsweredAtSubmit(object):
+    @pytest.mark.parametrize("max_concurrent", [1, 2])
+    def test_memo_hit_ack_is_its_result_reply(self, tmp_path,
+                                              max_concurrent):
+        # with one member the parked dispatcher holds the only slot, yet
+        # the member is idle: the hit is still answered in its ack
+        with ServerThread(cache_dir=str(tmp_path / "cache"),
+                          max_concurrent=max_concurrent,
+                          heartbeat_interval=0) as thread:
+            with _client(thread) as client:
+                miss = client.submit("mcf", "none", instructions=BUDGET)
+                assert miss["state"] == "queued" and "done" not in miss
+                client.result(miss["job_id"])
+                ticket = client.submit("mcf", "none", instructions=BUDGET)
+                before = client.statz()
+                held = client.result(ticket["job_id"])
+                after = client.statz()
+                fetched = client.result(ticket["job_id"])
+                final = client.statz()
+        assert ticket["state"] == "done" and ticket["done"] == 1
+        assert ticket["batch"]["hits"] == 1
+        for key in ("state", "done", "runs", "result", "batch"):
+            assert ticket[key] == fetched[key]
+        # the held answer sent no frame and is the server's result reply;
+        # a second call for the job goes to the server
+        assert held == fetched
+        assert (after["serve.requests.total"]
+                == before["serve.requests.total"] + 1)
+        assert (final["serve.requests.total"]
+                == after["serve.requests.total"] + 2)
+        assert before["serve.jobs.answered_at_submit"] == 1
+        assert before["serve.jobs.on_loop"] == 1
+        assert before["serve.jobs.in_flight"] == 0
+
+    def test_answered_hit_traces_like_a_dispatched_hit(self, tmp_path):
+        # a memo hit submitted behind a running job gets a queued ack and
+        # runs when the dispatcher reaches it; one submitted with the
+        # member idle is answered in its ack -- with the same events
+        trace_path = tmp_path / "serve-trace.jsonl"
+        thread = ServerThread(cache_dir=str(tmp_path / "cache"),
+                              max_concurrent=1, trace_path=str(trace_path),
+                              heartbeat_interval=0)
+        thread.start()
+        try:
+            with _client(thread) as client:
+                client.run("mcf", "none", instructions=BUDGET)
+                answered = client.submit("mcf", "none",
+                                         instructions=BUDGET)
+                blocker = client.submit("astar", "none",
+                                        instructions=SLOW_BUDGET)
+                _wait_running(client, blocker["job_id"])
+                queued = client.submit("mcf", "none", instructions=BUDGET)
+                assert queued["state"] == "queued"
+                assert "done" not in queued and "result" not in queued
+                dispatched = client.result(queued["job_id"])
+                client.result(blocker["job_id"])
+                stats = client.statz()
+        finally:
+            thread.stop()
+        assert answered["state"] == "done"
+        assert dispatched["result"] == answered["result"]
+        assert stats["serve.jobs.answered_at_submit"] == 1
+        assert stats["serve.jobs.on_loop"] == 2
+        events = _timeless_events(trace_path)
+        assert [event["ev"] for event in events[answered["job_id"]]] \
+            == ["queued", "started", "progress", "done"]
+        assert events[answered["job_id"]] == events[queued["job_id"]]
+
+    def test_failure_on_the_submit_path_is_answered(self, tmp_path):
+        # a supervisor that raises fails the job in the handler: the ack
+        # carries the typed error, the job is finished, and the next
+        # identical submission is a new job
+        with ServerThread(cache_dir=str(tmp_path / "cache"),
+                          heartbeat_interval=0) as thread:
+            with _client(thread) as client:
+                client.run("mcf", "none", instructions=BUDGET)
+
+                async def run_job(job, on_progress=None):
+                    raise RuntimeError("supervisor broke")
+
+                thread.server.supervisor.run_job = run_job
+                ticket = client.submit("mcf", "none", instructions=BUDGET)
+                with pytest.raises(ServeError) as held:
+                    client.result(ticket["job_id"])
+                with pytest.raises(ServeError) as fetched:
+                    client.result(ticket["job_id"])
+                again = client.submit("mcf", "none", instructions=BUDGET)
+                stats = client.statz()
+        assert ticket["state"] == "failed"
+        assert ticket["error"] == {"code": "internal",
+                                   "error_type": "RuntimeError",
+                                   "message": "supervisor broke"}
+        assert held.value.code == fetched.value.code == "internal"
+        assert held.value.data == fetched.value.data
+        assert again["job_id"] != ticket["job_id"]
+        assert again["coalesced"] is False and again["state"] == "failed"
+        assert stats["serve.jobs.answered_at_submit"] == 2
+        assert stats["serve.jobs.in_flight"] == 0
+
+
+class TestClientHeldOutcome(object):
+    """The client's one held outcome, against scripted replies."""
+
+    def _client(self, replies):
+        client = ServeClient("127.0.0.1", 1)
+        sent = []
+
+        def fake_request(message, wait=False):
+            sent.append(message)
+            return replies.pop(0)
+
+        client._request = fake_request
+        return client, sent
+
+    @staticmethod
+    def _ack(job_id, state, **outcome):
+        reply = {"type": "submitted", "job_id": job_id, "coalesced": False,
+                 "state": state, "runs": 1, "queue_depth": 0}
+        reply.update(outcome)
+        return reply
+
+    def test_a_later_submit_replaces_the_held_outcome(self):
+        first = self._ack("j1", "done", done=1, result=[{"ipc": 1.0}],
+                          batch={"hits": 1})
+        second = self._ack("j2", "done", done=1, result=[{"ipc": 2.0}],
+                           batch={"hits": 1})
+        fetched = [{"type": "result", "job_id": job_id, "state": "done"}
+                   for job_id in ("j1", "j2")]
+        client, sent = self._client([first, second] + fetched)
+        client.submit("mcf")
+        client.submit("libquantum")
+        assert client.result("j1") == fetched[0]
+        assert client.result("j2") == {
+            "type": "result", "job_id": "j2", "state": "done", "runs": 1,
+            "done": 1, "result": [{"ipc": 2.0}], "batch": {"hits": 1}}
+        assert client.result("j2") == fetched[1]
+        assert [message.get("job_id") for message in sent] \
+            == [None, None, "j1", "j2"]
 
 
 # ----------------------------------------------------------------------

@@ -281,15 +281,21 @@ class TestFleetEndpoint(object):
                           heartbeat_interval=0) as thread:
             with _client(thread) as client:
                 # the resubmission's run is in the server's memo only on
-                # the tier; a fleet worker still runs it
+                # the tier, which answers it in its ack; a fleet worker
+                # still runs it, and no fleet ack carries an outcome
+                tickets = []
                 for _ in range(2):
-                    ticket = client.submit("mcf", "none",
-                                           instructions=BUDGET)
-                    client.result(ticket["job_id"], wait=True)
+                    tickets.append(client.submit("mcf", "none",
+                                                 instructions=BUDGET))
+                    client.result(tickets[-1]["job_id"], wait=True)
                 fleet = client.fleet()
                 stats = client.statz()
         assert fleet["mode"] == ("fleet" if workers else "tier")
         assert stats["serve.jobs.on_loop"] == (0 if workers else 1)
+        assert stats["serve.jobs.answered_at_submit"] == (0 if workers else 1)
+        assert [ticket["state"] for ticket in tickets] \
+            == ["queued", "queued" if workers else "done"]
+        assert ("result" in tickets[1]) == (not workers)
         rows = fleet["workers"]
         assert [row["worker"] for row in rows] == list(range(members))
         assert sum(row["jobs_done"] for row in rows) == 2

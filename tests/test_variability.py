@@ -3,11 +3,7 @@
 import pytest
 
 from repro.sim import ExperimentRunner
-from repro.sim.variability import (
-    mean_and_ci,
-    speedup_across_variants,
-    variability_report,
-)
+from repro.sim.variability import mean_and_ci, speedup_across_variants
 from repro.workloads import build_workload
 
 
@@ -42,12 +38,3 @@ def test_speedup_across_variants_runs():
     assert len(samples) == 2
     assert mean > 1.2  # the streaming gain is robust across seeds
     assert half < mean  # sane dispersion
-
-
-def test_variability_report_shape():
-    runner = ExperimentRunner()
-    rows = variability_report(runner, ["gamess"], "stride",
-                              instructions=8_000, variants=2)
-    label, stats = rows[0]
-    assert label == "gamess"
-    assert stats["min"] <= stats["mean"] <= stats["max"]
