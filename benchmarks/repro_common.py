@@ -1,7 +1,7 @@
 """Helpers shared by the figure/table reproduction benchmarks."""
 
 from repro.sim import geomean
-from repro.sim.runner import scaled
+from repro.sim.runner import RunRequest, scaled
 from repro.workloads import PREFETCH_SENSITIVE, SPEC_BENCHMARKS
 
 
@@ -43,6 +43,40 @@ def single_speedups(runner, prefetchers, budget, config_for=None,
             },
         ))
     return rows
+
+
+def mix_speedups(runner, cells, budget, single_budget):
+    """Normalised weighted speedup (paper Figs. 9/10) of each mix cell.
+
+    Every cell's solo runs, mix and no-prefetch base mix go through one
+    :meth:`~repro.sim.ExperimentRunner.run_many` batch, so cold mixes
+    fan out over the process pool (``REPRO_JOBS``) like the single-core
+    sweeps, and a run shared by several cells (a solo run, a base mix)
+    is simulated once.  Each cell's value is then
+    :meth:`~repro.sim.ExperimentRunner.weighted_speedup_normalized` over
+    that batch's results, all memo hits.
+
+    :param cells: ``(mix, prefetcher, config, base_config)`` tuples; a
+        None config is the prefetcher's default machine.
+    :param budget: per-core mix budget (pre-``REPRO_SCALE``).
+    :param single_budget: solo-run budget (pre-``REPRO_SCALE``).
+    :returns: one value per cell, in order.
+    """
+    instructions = scaled(budget)
+    single_instructions = scaled(single_budget)
+    requests = []
+    for mix, prefetcher, config, base_config in cells:
+        requests += [RunRequest(name, "none", single_instructions)
+                     for name in mix]
+        requests += [RunRequest(mix, "none", instructions, base_config),
+                     RunRequest(mix, prefetcher, instructions, config)]
+    runner.run_many(requests)
+    return [
+        runner.weighted_speedup_normalized(
+            mix, prefetcher, instructions, single_instructions,
+            config, base_config)
+        for mix, prefetcher, config, base_config in cells
+    ]
 
 
 def append_geomeans(rows, columns):

@@ -6,6 +6,7 @@ with the FOA model of Chandra et al.
 """
 
 from conftest import MIX_BUDGET, SINGLE_BUDGET
+from repro_common import mix_speedups
 
 from repro.analysis import render_table
 from repro.sim import geomean
@@ -19,17 +20,17 @@ def run_mix_figure(runner, mix_size, budget):
     """Shared driver for Figs. 9 and 10."""
     foa = runner.foa_map(SPEC_BENCHMARKS, instructions=scaled(SINGLE_BUDGET))
     mixes = select_mixes(foa, size=mix_size, count=29)
-    instructions = scaled(budget)
-    singles = scaled(SINGLE_BUDGET)
-    rows = []
-    for position, mix in enumerate(mixes, start=1):
-        values = {}
-        for prefetcher in PREFETCHERS:
-            values[prefetcher] = runner.weighted_speedup_normalized(
-                mix, prefetcher,
-                instructions=instructions, single_instructions=singles,
-            )
-        rows.append(("mix%d:%s" % (position, "+".join(mix)), values))
+    speedups = iter(mix_speedups(
+        runner,
+        [(mix, prefetcher, None, None)
+         for mix in mixes for prefetcher in PREFETCHERS],
+        budget, SINGLE_BUDGET,
+    ))
+    rows = [
+        ("mix%d:%s" % (position, "+".join(mix)),
+         {prefetcher: next(speedups) for prefetcher in PREFETCHERS})
+        for position, mix in enumerate(mixes, start=1)
+    ]
     rows.sort(key=lambda row: row[1]["bfetch"])
     means = {
         prefetcher: geomean(values[prefetcher] for _, values in rows)

@@ -8,11 +8,11 @@ one benefits from having its prefetches inserted at distant re-reference.
 """
 
 from conftest import MIX_BUDGET, SINGLE_BUDGET
+from repro_common import mix_speedups
 
 from repro.analysis import render_table
 from repro.memory.hierarchy import HierarchyConfig
 from repro.sim import SystemConfig
-from repro.sim.runner import scaled
 
 MIX = ("mcf", "libquantum")
 POLICIES = ("lru", "pacman")
@@ -20,30 +20,22 @@ PREFETCHERS = ("sms", "bfetch")
 
 
 def test_llc_policy_ablation(runner, archive, benchmark):
-    instructions = scaled(MIX_BUDGET)
-    singles = scaled(SINGLE_BUDGET)
+    def machine(prefetcher, policy):
+        return SystemConfig(prefetcher=prefetcher,
+                            hierarchy=HierarchyConfig(llc_policy=policy))
 
     def experiment():
-        rows = []
-        for prefetcher in PREFETCHERS:
-            values = {}
-            for policy in POLICIES:
-                config = SystemConfig(
-                    prefetcher=prefetcher,
-                    hierarchy=HierarchyConfig(llc_policy=policy),
-                )
-                base_config = SystemConfig(
-                    prefetcher="none",
-                    hierarchy=HierarchyConfig(llc_policy=policy),
-                )
-                values[policy] = runner.weighted_speedup_normalized(
-                    MIX, prefetcher,
-                    instructions=instructions,
-                    single_instructions=singles,
-                    config=config, base_config=base_config,
-                )
-            rows.append((prefetcher, values))
-        return rows
+        speedups = iter(mix_speedups(
+            runner,
+            [(MIX, prefetcher, machine(prefetcher, policy),
+              machine("none", policy))
+             for prefetcher in PREFETCHERS for policy in POLICIES],
+            MIX_BUDGET, SINGLE_BUDGET,
+        ))
+        return [
+            (prefetcher, {policy: next(speedups) for policy in POLICIES})
+            for prefetcher in PREFETCHERS
+        ]
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     archive(

@@ -6,6 +6,7 @@ FOA-selected 8-app mixes and checks B-Fetch keeps its lead.
 """
 
 from conftest import MIX_BUDGET, SINGLE_BUDGET
+from repro_common import mix_speedups
 
 from repro.analysis import render_table
 from repro.sim import geomean
@@ -21,19 +22,17 @@ def test_mix8_preliminary_trend(runner, archive, benchmark):
         foa = runner.foa_map(SPEC_BENCHMARKS,
                              instructions=scaled(SINGLE_BUDGET))
         mixes = select_mixes(foa, size=8, count=MIX_COUNT)
-        instructions = scaled(MIX_BUDGET // 2)
-        singles = scaled(SINGLE_BUDGET)
-        rows = []
-        for position, mix in enumerate(mixes, start=1):
-            values = {
-                prefetcher: runner.weighted_speedup_normalized(
-                    mix, prefetcher,
-                    instructions=instructions,
-                    single_instructions=singles,
-                )
-                for prefetcher in PREFETCHERS
-            }
-            rows.append(("mix%d" % position, values))
+        speedups = iter(mix_speedups(
+            runner,
+            [(mix, prefetcher, None, None)
+             for mix in mixes for prefetcher in PREFETCHERS],
+            MIX_BUDGET // 2, SINGLE_BUDGET,
+        ))
+        rows = [
+            ("mix%d" % position,
+             {prefetcher: next(speedups) for prefetcher in PREFETCHERS})
+            for position in range(1, len(mixes) + 1)
+        ]
         means = {
             prefetcher: geomean(values[prefetcher] for _, values in rows)
             for prefetcher in PREFETCHERS

@@ -248,21 +248,31 @@ def cmd_mix(args):
     from repro.sim.runner import RunRequest
 
     runner = _make_runner(args)
-    singles_batch = runner.run_many(
-        [RunRequest(name, "none", args.instructions)
-         for name in args.apps]
+    batch = runner.run_many(
+        [RunRequest(name, "none", args.instructions) for name in args.apps]
+        + [RunRequest(args.apps, prefetcher, args.instructions)
+           for prefetcher in args.prefetchers]
     )
     _report_batch(runner)
-    if any(result is None for result in singles_batch):
+    solo, mixes = batch[:len(args.apps)], batch[len(args.apps):]
+    if any(result is None for result in solo):
         print("error: a solo-IPC run failed (skipped under "
               "--on-error=skip); cannot compute weighted speedups",
               file=sys.stderr)
         return 1
-    singles = [result.ipc for result in singles_batch]
+    if mixes[0] is None:
+        print("error: the %s mix, the normalisation base, failed "
+              "(skipped under --on-error=skip)" % args.prefetchers[0],
+              file=sys.stderr)
+        return 1
+    singles = [result.ipc for result in solo]
     baseline = None
     rows = []
-    for prefetcher in args.prefetchers:
-        results = runner.run_mix(args.apps, prefetcher, args.instructions)
+    failed = []
+    for prefetcher, results in zip(args.prefetchers, mixes):
+        if results is None:  # skipped under --on-error=skip
+            failed.append(prefetcher)
+            continue
         ws = weighted_speedup([r.ipc for r in results], singles,
                               benchmarks=args.apps)
         if baseline is None:
@@ -273,6 +283,9 @@ def cmd_mix(args):
         }))
     print(render_table("mix: %s" % "+".join(args.apps), rows,
                        ["wspeedup", "normalized"]))
+    for prefetcher in failed:
+        print("note: %s mix run failed and was skipped" % prefetcher,
+              file=sys.stderr)
     return 0
 
 

@@ -39,6 +39,8 @@ class SimulationError(RuntimeError):
         if self.request is not None:
             benchmark, prefetcher, instructions, _config, variant = \
                 self.request
+            if not isinstance(benchmark, str):  # a mix
+                benchmark = "+".join(benchmark)
             lines.append("  request: %s/%s, %s instructions, variant %s"
                          % (benchmark, prefetcher, instructions, variant))
         if self.attempts:

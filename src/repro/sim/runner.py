@@ -3,9 +3,11 @@
 Every table/figure reproduction is a composition of four primitives:
 
 * :meth:`ExperimentRunner.run_single` -- one benchmark, one prefetcher;
-* :meth:`ExperimentRunner.run_many` -- a *batch* of independent single
-  runs, fanned out over a process pool with cache-aware scheduling;
-* :meth:`ExperimentRunner.run_mix` -- one multiprogrammed mix on the CMP;
+* :meth:`ExperimentRunner.run_many` -- a *batch* of independent runs,
+  single-core or mixes, fanned out over a process pool with cache-aware
+  scheduling;
+* :meth:`ExperimentRunner.run_mix` -- one multiprogrammed mix on the CMP,
+  a one-request batch like :meth:`~ExperimentRunner.run_single`;
 * :meth:`ExperimentRunner.foa_map` -- solo-run FOA values feeding the
   Chandra mix selection.
 
@@ -26,9 +28,10 @@ finishes (the cache is a checkpoint -- a crashed or interrupted sweep
 resumes where it stopped), failed/hung jobs are retried with
 deterministic exponential backoff, a broken process pool is rebuilt, and
 a pool that keeps dying degrades to the calling thread.  One scheduler
-(:meth:`ExperimentRunner._run_tasks`) does all of it for every run --
-a process pool, ``jobs=1`` and :meth:`ExperimentRunner.run_single` differ
-only in the executor it submits to -- governed by a
+(:meth:`ExperimentRunner._run_tasks`) does all of it for every run,
+single-core or mix -- a process pool, ``jobs=1``,
+:meth:`ExperimentRunner.run_single` and :meth:`ExperimentRunner.run_mix`
+differ only in the executor it submits to -- governed by a
 :class:`~repro.resilience.FailurePolicy` and accounted in a per-batch
 :class:`~repro.resilience.BatchReport` (``runner.last_report``).
 
@@ -196,10 +199,13 @@ class RunRequest(
         ("benchmark", "prefetcher", "instructions", "config", "variant"),
     )
 ):
-    """One independent single-core job for :meth:`ExperimentRunner.run_many`.
+    """One independent job for :meth:`ExperimentRunner.run_many`.
 
+    A *benchmark* name is a single-core run; a non-empty list or tuple of
+    names is a multiprogrammed mix on the CMP, which runs variant 0.
     Unspecified fields take the same defaults as
-    :meth:`~ExperimentRunner.run_single`.
+    :meth:`~ExperimentRunner.run_single` (a mix's budget is
+    :meth:`~ExperimentRunner.run_mix`'s).
     """
 
     __slots__ = ()
@@ -257,31 +263,55 @@ def _run_armed(system, instructions, run_key, corrupt_at):
         )
 
 
+def _inject_faults(fault_key, attempt):
+    """Fire the ``REPRO_FAULTS`` crash and hang of one task attempt;
+    returns the cycle its ``corrupt-state`` fault fires at, or None."""
+    plan = active_fault_plan()
+    if plan is None:
+        return None
+    plan.inject_execution_faults(fault_key, attempt)
+    return plan.corrupt_state_cycle(fault_key, attempt)
+
+
 def _execute_single(benchmark, prefetcher, instructions, config, variant,
-                    attempt=0, fault_key=None):
+                    attempt, fault_key):
     """Worker body: build and run one system; returns the result dict.
 
     Module-level so it pickles for the process pool; simulation is fully
     deterministic (seeded workload construction, no wall-clock inputs),
     which is what makes parallel output byte-identical to serial.
 
-    *attempt*/*fault_key* feed the deterministic fault-injection harness
-    (``REPRO_FAULTS``); they never influence the simulation itself.  A
-    ``corrupt-state`` fault deliberately damages the microarchitectural
-    state mid-run to exercise the sanitizer.  The checkpoint is keyed on
-    *fault_key* (see :func:`_run_armed`).
+    *attempt*/*fault_key* (the task digest) feed the deterministic
+    fault-injection harness (``REPRO_FAULTS``); they never influence the
+    simulation itself.  A ``corrupt-state`` fault deliberately damages
+    the microarchitectural state mid-run to exercise the sanitizer.  The
+    checkpoint is keyed on *fault_key* (see :func:`_run_armed`).
     """
-    if fault_key is None:
-        fault_key = repr((benchmark, prefetcher, instructions, variant))
-    plan = active_fault_plan()
-    corrupt_at = None
-    if plan is not None:
-        plan.inject_execution_faults(fault_key, attempt)
-        corrupt_at = plan.corrupt_state_cycle(fault_key, attempt)
+    corrupt_at = _inject_faults(fault_key, attempt)
     system = System(build_workload(benchmark, variant), config)
     run_key = "single-%s" % hashlib.sha1(
         str(fault_key).encode()).hexdigest()[:16]
     return _run_armed(system, instructions, run_key, corrupt_at).as_dict()
+
+
+def _execute_mix(mix, prefetcher, instructions, config, variant, attempt,
+                 fault_key):
+    """Worker body for a mix: :func:`_execute_single` on a
+    :class:`~repro.sim.CMPSystem`; returns one result dict per core.
+    Its checkpoint is ``mix-<fault_key[:16]>``."""
+    corrupt_at = _inject_faults(fault_key, attempt)
+    system = CMPSystem([build_workload(name) for name in mix], config)
+    results = _run_armed(system, instructions, "mix-%s" % fault_key[:16],
+                         corrupt_at)
+    return [result.as_dict() for result in results]
+
+
+def _as_result(kind, data):
+    """What a result slot holds for a cached or computed payload: a
+    :class:`~repro.sim.RunResult`, or a mix's list of per-core ones."""
+    if kind == "single":
+        return RunResult(dict(data))
+    return [RunResult(dict(entry)) for entry in data]
 
 
 class _InlineExecutor(object):
@@ -326,9 +356,21 @@ class _Task(object):
         return RunRequest(*self.job)
 
     @property
+    def kind(self):
+        return self.memo_key[0]
+
+    @property
+    def worker(self):
+        """The worker body for the task's kind, looked up when called."""
+        return _execute_single if self.kind == "single" else _execute_mix
+
+    @property
     def label(self):
         """How failure messages name the task: digest prefix and run."""
-        return "task %s (%s/%s)" % (self.key[:12], self.job[0], self.job[1])
+        benchmark, prefetcher = self.job[:2]
+        if self.kind == "mix":
+            benchmark = "+".join(benchmark)
+        return "task %s (%s/%s)" % (self.key[:12], benchmark, prefetcher)
 
 
 class _ProgressTracker(object):
@@ -414,23 +456,19 @@ class ExperimentRunner:
         )
 
     def request_digest(self, request):
-        """Stable cache digest identifying one single-run request.
+        """Stable cache digest identifying one request, single or mix.
 
         Two requests with the same digest are guaranteed to share a
         cache entry (and therefore to coalesce inside one batch); the
         job server uses this to deduplicate identical submissions
         across *different* batches too.
         """
-        job = self._resolve_request(request)
-        benchmark, prefetcher, instructions, config, variant = job
-        payload = self._single_payload(benchmark, instructions, config,
-                                       variant)
-        return self._digest("single", payload)
+        return self._digest(*self._payload(self._resolve_request(request)))
 
     def memo_holds(self, digests):
-        """True when every :meth:`request_digest` in *digests* is in the
-        in-memory memo, so a batch of those requests reads no file and
-        runs nothing.
+        """True when every single-run :meth:`request_digest` in
+        *digests* is in the in-memory memo, so a batch of those requests
+        reads no file and runs nothing.
 
         It hashes nothing and builds no config.  Memo entries are never
         removed, so a True answer still holds when the batch probes.
@@ -458,24 +496,23 @@ class ExperimentRunner:
             )
         return unwrap_envelope(data, CACHE_VERSION, path=path)
 
-    def _cached(self, path, memo_key=None, report=None):
+    def _cached(self, path, memo_key, report):
         """Return the cached payload for *path*, or None.
 
         Probes the in-memory memo first (repeated baseline lookups stop
         re-reading and re-parsing JSON).  A corrupt, tampered or
         unreadable disk entry is discarded -- the run is recomputed
-        rather than crashing the sweep -- and counted on *report* when
-        one is supplied.  The discard is *guarded*: the entry's stat
-        signature is captured before the read and the unlink only
-        happens if the file is still that same file
+        rather than crashing the sweep -- and counted on *report*.  The
+        discard is *guarded*: the entry's stat signature is captured
+        before the read and the unlink only happens if the file is still
+        that same file
         (:func:`~repro.obs.io.remove_if_unchanged`), so a concurrent
         writer that has just replaced the entry with a fresh valid one
         never loses its write to our stale corruption verdict.
         """
-        if memo_key is not None:
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                return hit
+        hit = self._memo.get(memo_key)
+        if hit is not None:
+            return hit
         if not path:
             return None
         try:
@@ -487,15 +524,13 @@ class ExperimentRunner:
         except FileNotFoundError:
             return None
         except CacheCorruption:
-            if report is not None:
-                report.cache_corruptions += 1
+            report.cache_corruptions += 1
             remove_if_unchanged(path, signature)
             return None
-        if memo_key is not None:
-            self._memo[memo_key] = data
+        self._memo[memo_key] = data
         return data
 
-    def _save(self, path, data, memo_key=None):
+    def _save(self, path, data, memo_key):
         """Persist *data* in an integrity envelope, atomically.
 
         The envelope (``{"v", "sha", "data"}``) lets :meth:`_load_entry`
@@ -506,8 +541,7 @@ class ExperimentRunner:
         ``REPRO_FAULTS`` injects garbage here to exercise the
         verification path.)
         """
-        if memo_key is not None:
-            self._memo[memo_key] = data
+        self._memo[memo_key] = data
         if not path:
             return
         text = json.dumps(wrap_envelope(data, CACHE_VERSION))
@@ -611,8 +645,19 @@ class ExperimentRunner:
         if not isinstance(request, RunRequest):
             request = RunRequest(*request)
         benchmark, prefetcher, instructions, config, variant = request
+        budget = DEFAULT_SINGLE_BUDGET
+        if not isinstance(benchmark, str):
+            if not isinstance(benchmark, (list, tuple)) or not benchmark \
+                    or not all(isinstance(name, str) for name in benchmark):
+                raise ValueError(
+                    "a mix must be a non-empty list or tuple of benchmark "
+                    "names, got %r" % (benchmark,))
+            if variant != 0:
+                raise ValueError("a mix runs variant 0, got variant %r"
+                                 % (variant,))
+            budget = DEFAULT_MIX_BUDGET
         if instructions is None:
-            instructions = scaled(DEFAULT_SINGLE_BUDGET)
+            instructions = scaled(budget)
         _check_instructions(instructions)
         check_variant(variant)
         config = config or SystemConfig(prefetcher=prefetcher)
@@ -620,11 +665,26 @@ class ExperimentRunner:
             raise ValueError("config.prefetcher disagrees with prefetcher arg")
         return benchmark, prefetcher, instructions, config, variant
 
-    def _single_payload(self, benchmark, instructions, config, variant):
+    def _payload(self, job):
+        """The cache ``(kind, payload)`` of a resolved job: ``single``
+        ``[benchmark, instructions, key(, variant)]`` or ``mix``
+        ``[mix, instructions, key]``."""
+        benchmark, _prefetcher, instructions, config, variant = job
+        if not isinstance(benchmark, str):
+            return "mix", [list(benchmark), instructions, list(config.key())]
         payload = [benchmark, instructions, list(config.key())]
         if variant:
             payload.append(variant)
-        return payload
+        return "single", payload
+
+    def _run_one(self, request, policy=None):
+        """*request* as a one-request :meth:`run_batch` on the calling
+        thread that raises once the retry budget is exhausted, whatever
+        the policy's ``on_error``."""
+        policy = FailurePolicy(
+            **dict(self._resolve_policy(policy)._asdict(), on_error="raise"))
+        results, _report = self.run_batch([request], jobs=1, policy=policy)
+        return results[0]
 
     def run_single(self, benchmark, prefetcher="none", instructions=None,
                    config=None, variant=0, policy=None):
@@ -639,20 +699,15 @@ class ExperimentRunner:
         once the retry budget is exhausted, whatever the policy's
         ``on_error``.
         """
-        policy = FailurePolicy(
-            **dict(self._resolve_policy(policy)._asdict(), on_error="raise"))
-        results, _report = self.run_batch(
-            [RunRequest(benchmark, prefetcher, instructions, config,
-                        variant)],
-            jobs=1, policy=policy,
-        )
-        return results[0]
+        return self._run_one(
+            RunRequest(benchmark, prefetcher, instructions, config, variant),
+            policy)
 
     # ------------------------------------------------------------------
     # parallel batch API
 
     def run_many(self, requests, jobs=None, policy=None, progress=None):
-        """Run a batch of independent single-core jobs, in parallel.
+        """Run a batch of independent jobs, in parallel.
 
         Thin wrapper over :meth:`run_batch` that keeps the historical
         interface: returns only the result list and stores the batch's
@@ -670,7 +725,8 @@ class ExperimentRunner:
 
     def run_batch(self, requests, jobs=None, policy=None, progress=None,
                   report_sink=None):
-        """Run a batch of independent single-core jobs, in parallel.
+        """Run a batch of independent jobs, single-core or mixes, in
+        parallel.
 
         :param requests: iterable of :class:`RunRequest` (or tuples with
             the same field order).
@@ -693,7 +749,8 @@ class ExperimentRunner:
             (:meth:`run_many` uses this to keep ``last_report`` accurate
             on error paths).
         :returns: ``(results, report)`` where *results* is a list of
-            :class:`~repro.sim.RunResult` in *request order* --
+            :class:`~repro.sim.RunResult` (for a mix, its list of
+            per-core ones) in *request order* --
             scheduling is cache-aware (hits are served from the
             memo/disk without touching the pool; duplicate requests are
             simulated once) but the output ordering is deterministic and
@@ -730,14 +787,11 @@ class ExperimentRunner:
         miss_groups = {}  # memo_key -> _Task
         with profiler.section("probe", items=len(resolved)):
             for index, job in enumerate(resolved):
-                benchmark, prefetcher, instructions, config, variant = job
-                payload = self._single_payload(benchmark, instructions,
-                                               config, variant)
-                memo_key = self._memo_key("single", payload)
+                memo_key = self._memo_key(*self._payload(job))
                 path = self._cache_path(memo_key)
-                cached = self._cached(path, memo_key, report=report)
+                cached = self._cached(path, memo_key, report)
                 if cached is not None:
-                    results[index] = RunResult(dict(cached))
+                    results[index] = _as_result(memo_key[0], cached)
                     report.hits += 1
                     continue
                 task = miss_groups.get(memo_key)
@@ -767,8 +821,11 @@ class ExperimentRunner:
 
         tasks = list(miss_groups.values())
         # execute phase: rate = simulated instructions per wall-clock
-        # second across all misses (each duplicate group simulates once)
-        simulated = sum(task.job[2] for task in tasks)
+        # second across all misses (each duplicate group simulates once,
+        # a mix on every core)
+        simulated = sum(
+            task.job[2] * (1 if task.kind == "single" else len(task.job[0]))
+            for task in tasks)
         with profiler.section("execute", items=simulated):
             self._run_tasks(tasks, results, report, policy, jobs, tracker)
         return results, report
@@ -779,7 +836,7 @@ class ExperimentRunner:
         """Persist one finished miss immediately (save-as-completed)."""
         self._save(task.path, data, task.memo_key)
         for index in task.indices:
-            results[index] = RunResult(dict(data))
+            results[index] = _as_result(task.kind, data)
         if tracker is not None:
             tracker.advance(len(task.indices))
 
@@ -792,8 +849,8 @@ class ExperimentRunner:
             # last resort: run the job in-process, bypassing the pool
             report.degradations += 1
             try:
-                data = _execute_single(*task.job, attempt=task.attempts,
-                                       fault_key=task.key)
+                data = task.worker(*task.job, attempt=task.attempts,
+                                   fault_key=task.key)
             except Exception as exc:
                 final = SimulationError(
                     "%s failed in-process after pool failures: %s"
@@ -866,7 +923,7 @@ class ExperimentRunner:
                     task = queue.popleft()
                     try:
                         future = pool.submit(
-                            _execute_single, *task.job,
+                            task.worker, *task.job,
                             attempt=task.attempts, fault_key=task.key,
                         )
                     except RuntimeError:
@@ -997,56 +1054,36 @@ class ExperimentRunner:
     # mixes
 
     def run_mix(self, mix, prefetcher="none", instructions=None, config=None):
-        """Run a multiprogrammed mix; returns per-core RunResults."""
-        if not isinstance(mix, (list, tuple)) or not mix \
-                or not all(isinstance(name, str) for name in mix):
+        """Run a multiprogrammed mix; returns per-core RunResults.
+
+        Like :meth:`run_single`, a one-request :meth:`run_batch` on the
+        calling thread that raises once the runner's retry budget is
+        exhausted.
+        """
+        if isinstance(mix, str):
             raise ValueError(
-                "mix must be a non-empty list or tuple of benchmark "
+                "a mix must be a non-empty list or tuple of benchmark "
                 "names, got %r" % (mix,))
-        if instructions is None:
-            instructions = scaled(DEFAULT_MIX_BUDGET)
-        _check_instructions(instructions)
-        config = config or SystemConfig(prefetcher=prefetcher)
-        payload = [list(mix), instructions, list(config.key())]
-        memo_key = self._memo_key("mix", payload)
-        path = self._cache_path(memo_key)
-        cached = self._cached(path, memo_key)
-        if cached is not None:
-            return [RunResult(dict(entry)) for entry in cached]
-        plan = active_fault_plan()
-        corrupt_at = (plan.corrupt_state_cycle(memo_key[1])
-                      if plan is not None else None)
-        cmp_system = CMPSystem([build_workload(name) for name in mix], config)
-        results = _run_armed(cmp_system, instructions,
-                             "mix-%s" % memo_key[1][:16], corrupt_at)
-        self._save(path, [result.as_dict() for result in results], memo_key)
-        return results
+        return self._run_one(RunRequest(mix, prefetcher, instructions,
+                                        config))
 
     # ------------------------------------------------------------------
     # derived metrics
-
-    def speedup(self, benchmark, prefetcher, instructions=None, config=None,
-                base_config=None):
-        """IPC ratio of *prefetcher* over the no-prefetch baseline."""
-        base = self.run_single(benchmark, "none", instructions, base_config)
-        run = self.run_single(benchmark, prefetcher, instructions, config)
-        return run.ipc / base.ipc
 
     def weighted_speedup_normalized(self, mix, prefetcher,
                                     instructions=None,
                                     single_instructions=None,
                                     config=None, base_config=None):
         """Paper Figs. 9/10 metric: weighted speedup of the mix under
-        *prefetcher*, normalised to the same mix without prefetching."""
-        singles = [
-            result.ipc
-            for result in self.run_many(
-                [RunRequest(name, "none", single_instructions)
-                 for name in mix]
-            )
-        ]
-        base = self.run_mix(mix, "none", instructions, base_config)
-        run = self.run_mix(mix, prefetcher, instructions, config)
+        *prefetcher*, normalised to the same mix without prefetching.
+        The solo runs and both mixes run as one :meth:`run_many` batch."""
+        results = self.run_many(
+            [RunRequest(name, "none", single_instructions) for name in mix]
+            + [RunRequest(mix, "none", instructions, base_config),
+               RunRequest(mix, prefetcher, instructions, config)]
+        )
+        singles = [result.ipc for result in results[:len(mix)]]
+        base, run = results[len(mix):]
         ws_base = weighted_speedup([r.ipc for r in base], singles,
                                    benchmarks=mix)
         ws_run = weighted_speedup([r.ipc for r in run], singles,

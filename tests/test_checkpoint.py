@@ -438,7 +438,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def _kill_then_resume(script, ckpt_dir, timeout=30.0):
-    """Start *script*, SIGKILL it once a checkpoint exists, then rerun."""
+    """Start *script*, SIGKILL it once a checkpoint exists, then rerun;
+    returns the rerun's output and the checkpoints the kill left."""
     env = dict(os.environ, REPRO_CKPT_DIR=str(ckpt_dir),
                REPRO_CKPT_EVERY="1000")
     env.pop("REPRO_SCALE", None)
@@ -466,10 +467,12 @@ def _kill_then_resume(script, ckpt_dir, timeout=30.0):
             proc.kill()
             proc.wait()
     assert proc.returncode == -signal.SIGKILL
+    survivors = sorted(name for name in os.listdir(str(ckpt_dir))
+                       if name.endswith(".ckpt.json"))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert done.returncode == 0, done.stderr.decode()
-    return json.loads(done.stdout)
+    return json.loads(done.stdout), survivors
 
 
 @pytest.mark.parametrize("prefetcher", ["bfetch", "stride", "sms"])
@@ -481,7 +484,7 @@ def test_sigkill_resume_byte_identical_single(tmp_path, prefetcher):
         "src": _SRC, "benchmark": "mcf", "prefetcher": prefetcher,
         "instructions": instructions,
     }
-    resumed = _kill_then_resume(script, tmp_path)
+    resumed, _survivors = _kill_then_resume(script, tmp_path)
     assert resumed == json.loads(json.dumps(reference, sort_keys=True))
     # completion cleared the checkpoint: nothing stale left behind
     assert not any(name.endswith(".ckpt.json")
@@ -497,8 +500,11 @@ def test_sigkill_resume_byte_identical_mix(tmp_path):
         "src": _SRC, "mix": mix, "prefetcher": "bfetch",
         "instructions": instructions,
     }
-    resumed = _kill_then_resume(script, tmp_path)
+    resumed, survivors = _kill_then_resume(script, tmp_path)
     assert resumed == json.loads(json.dumps(reference, sort_keys=True))
+    # the mix checkpoint keeps its name, mix-<cache digest[:16]>, so a
+    # checkpoint written by an earlier tree still resumes
+    assert survivors == ["mix-04a2dca47586e84f.ckpt.json"]
 
 
 # ----------------------------------------------------------------------
@@ -575,5 +581,5 @@ def test_sigkill_resume_byte_identical_frontend(tmp_path):
         "src": _SRC, "benchmark": "nginx", "iprefetcher": "fdip",
         "instructions": instructions,
     }
-    resumed = _kill_then_resume(script, tmp_path)
+    resumed, _survivors = _kill_then_resume(script, tmp_path)
     assert resumed == json.loads(json.dumps(reference, sort_keys=True))

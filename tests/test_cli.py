@@ -57,6 +57,53 @@ def test_mix_caches_its_mixes(tmp_path, capsys, monkeypatch):
     assert {row.split()[0] for row in rows} == {"mix", "single", "total"}
 
 
+def test_mix_retries_reach_the_mixes(capsys, monkeypatch):
+    """``--retries`` governs the mixes as well as the solo runs: with
+    every first attempt crashed, each of the two solo runs and two
+    mixes is retried once, and the table equals the fault-free one."""
+    argv = ["mix", "gamess", "mcf", "-n", "3000", "-j", "1",
+            "--retries", "1", "--prefetchers", "none", "stride"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    monkeypatch.setenv("REPRO_FAULTS", "crash:1.0:seed=7")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    (summary,) = [line for line in captured.err.splitlines()
+                  if line.startswith("[resilience] batch:")]
+    assert "4 requests" in summary and "4 retries" in summary
+
+
+@pytest.mark.parametrize("failing,code", [("stride", 0), ("none", 1)])
+def test_mix_skipped_under_on_error_skip(capsys, monkeypatch, failing,
+                                         code):
+    """A mix skipped under ``--on-error skip`` is a ``note:`` line; when
+    it is the first-listed prefetcher's, the normalisation base, the
+    command fails."""
+    import repro.sim.runner as runner_mod
+
+    real = runner_mod._execute_mix
+
+    def flaky(mix, prefetcher, *args, **kwargs):
+        if prefetcher == failing:
+            raise RuntimeError("injected mix failure")
+        return real(mix, prefetcher, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "_execute_mix", flaky)
+    assert main(["mix", "gamess", "mcf", "-n", "3000", "-j", "1",
+                 "--retries", "0", "--on-error", "skip",
+                 "--prefetchers", "none", "stride"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "normalisation base" in captured.err
+    else:
+        assert "note: stride mix run failed" in captured.err
+        assert "request: gamess+mcf/stride, 3000 instructions" \
+            in captured.err
+        assert "normalized" in captured.out
+        assert "stride" not in captured.out
+
+
 def test_rejects_unknown_benchmark():
     parser = build_parser()
     with pytest.raises(SystemExit):

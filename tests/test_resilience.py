@@ -204,8 +204,19 @@ def test_injected_crash_serial_inprocess(monkeypatch):
 
 
 def test_chaos_mixed_faults_byte_identical(tmp_path, monkeypatch):
-    """The acceptance invariant: >=10% crash + hang + corrupt-cache."""
-    expected = _clean_expected(monkeypatch)
+    """The acceptance invariant: >=10% crash + hang + corrupt-cache, on
+    single runs and a mix (whose first attempt both hangs and crashes
+    under this plan)."""
+    requests = _requests() + [RunRequest(("libquantum", "mcf"), "none",
+                                         BUDGET)]
+
+    def payloads(results):
+        return [[core.as_dict() for core in result]
+                if isinstance(result, list) else result.as_dict()
+                for result in results]
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    expected = payloads(ExperimentRunner().run_many(requests, jobs=1))
     monkeypatch.setenv(
         "REPRO_FAULTS",
         "crash:0.5:seed=7,hang:0.34:dur=1.0:seed=21,"
@@ -213,23 +224,23 @@ def test_chaos_mixed_faults_byte_identical(tmp_path, monkeypatch):
     )
     runner = ExperimentRunner(cache_dir=str(tmp_path))
     got = runner.run_many(
-        _requests(), jobs=2, policy=_fast_policy(task_timeout=0.4)
+        requests, jobs=2, policy=_fast_policy(task_timeout=0.4)
     )
-    assert [r.as_dict() for r in got] == expected
+    assert payloads(got) == expected
     assert runner.last_report.eventful
     assert not runner.last_report.failures
     # some cache entries were corrupted on write; a fresh runner detects
     # the corruption, recomputes, and still converges byte-identically
     fresh = ExperimentRunner(cache_dir=str(tmp_path))
     again = fresh.run_many(
-        _requests(), jobs=2, policy=_fast_policy(task_timeout=0.4)
+        requests, jobs=2, policy=_fast_policy(task_timeout=0.4)
     )
-    assert [r.as_dict() for r in again] == expected
+    assert payloads(again) == expected
     # and by now every entry on disk verifies, so a third pass is all hits
     final = ExperimentRunner(cache_dir=str(tmp_path))
-    third = final.run_many(_requests(), jobs=2, policy=_fast_policy())
-    assert [r.as_dict() for r in third] == expected
-    assert final.last_report.hits == len(_requests())
+    third = final.run_many(requests, jobs=2, policy=_fast_policy())
+    assert payloads(third) == expected
+    assert final.last_report.hits == len(requests)
     assert final.last_report.misses == 0
 
 

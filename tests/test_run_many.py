@@ -151,11 +151,27 @@ def test_distinct_bfetch_configs_never_collide():
 
 def test_cache_key_includes_variant():
     runner = ExperimentRunner(cache_dir=None)
-    base = runner._single_payload("gamess", 5000, SystemConfig(), 0)
-    variant = runner._single_payload("gamess", 5000, SystemConfig(), 3)
-    assert runner._memo_key("single", base) != runner._memo_key(
-        "single", variant
-    )
+    base = runner._payload(("gamess", "none", 5000, SystemConfig(), 0))
+    variant = runner._payload(("gamess", "none", 5000, SystemConfig(), 3))
+    assert runner._memo_key(*base) != runner._memo_key(*variant)
+
+
+def test_mix_batch_on_two_workers_matches_serial():
+    """Mixes fan out over the pool like single runs, byte-identically;
+    a mix's slot holds its per-core results."""
+    requests = [RunRequest(("mcf", "libquantum"), prefetcher, BUDGET)
+                for prefetcher in ("none", "bfetch")]
+    requests.append(RunRequest("gamess", "none", BUDGET))
+
+    def payloads(results):
+        return [[core.as_dict() for core in result]
+                if isinstance(result, list) else result.as_dict()
+                for result in results]
+
+    serial = ExperimentRunner().run_many(requests, jobs=1)
+    parallel = ExperimentRunner().run_many(requests, jobs=2)
+    assert payloads(parallel) == payloads(serial)
+    assert [len(result) for result in serial[:2]] == [2, 2]
 
 
 def test_probe_hashes_each_request_once(tmp_path):

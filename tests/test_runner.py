@@ -511,16 +511,22 @@ def test_environment_knobs_are_the_known_eight():
                      "REPRO_TRACE", "REPRO_TRACE_FILE"}
 
 
-def test_speedup_of_baseline_is_one():
-    runner = ExperimentRunner()
-    assert runner.speedup("gamess", "none", instructions=5_000) == 1.0
-
-
 def test_run_mix_cached(tmp_path):
     runner = ExperimentRunner(cache_dir=str(tmp_path))
     first = runner.run_mix(("gamess", "gamess"), instructions=4_000)
     second = runner.run_mix(("gamess", "gamess"), instructions=4_000)
     assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
+
+
+def test_mix_cache_entry_keeps_its_address(tmp_path):
+    """A mix entry lives where every earlier tree wrote it (kind
+    ``mix``, payload ``[mix, instructions, key]``), so a cache filled
+    before mixes ran through the batch engine still serves them."""
+    runner = ExperimentRunner(cache_dir=str(tmp_path))
+    runner.run_mix(("gamess", "gamess"), "none", 4_000)
+    assert [os.path.relpath(path, str(tmp_path))
+            for path in cache_files(tmp_path)] == [
+        os.path.join("mix", "5d", "mix-5d436ff3f15073ea.json")]
 
 
 def test_foa_map_covers_requested_benchmarks():

@@ -256,16 +256,17 @@ def test_sentinel_bisect_names_first_bad_cycle(tmp_path):
 # recovers the byte-identical clean result
 
 
-def test_runner_recovers_from_corrupt_state_fault(monkeypatch):
-    budget = 20_000
-    reference = ExperimentRunner().run_single(
-        "mcf", "bfetch", budget).as_dict()
+@pytest.mark.parametrize("run", [
+    lambda runner: runner.run_single("mcf", "bfetch", 20_000).as_dict(),
+    lambda runner: [result.as_dict() for result in runner.run_mix(
+        ["mcf", "libquantum"], "bfetch", 20_000)],
+], ids=["single", "mix"])
+def test_runner_recovers_from_corrupt_state_fault(monkeypatch, run):
+    reference = run(ExperimentRunner())
     monkeypatch.setenv("REPRO_FAULTS", "corrupt-state:1.0:cycle=1500")
     monkeypatch.setenv("REPRO_CHECK", "cheap")
     policy = FailurePolicy(retries=1)
-    result = ExperimentRunner(policy=policy).run_single(
-        "mcf", "bfetch", budget).as_dict()
-    assert result == reference
+    assert run(ExperimentRunner(policy=policy)) == reference
 
 
 def test_runner_surfaces_unrecovered_violation(monkeypatch):
